@@ -15,11 +15,11 @@ from splithex.hexagon import (
     dual,
     girth,
     incidence_graph,
+    is_connected,
     oval_line,
     point_graph,
     scalar_line,
     twin_line,
-    verify_connected,
     verify_generalized_hexagon,
     verify_partial_linear_space,
     verify_plane_property,
@@ -54,7 +54,7 @@ print(f"three lines through each point span a t.i. plane: "
       f"{'PASS' if planes.passed else 'FAIL'}")
 
 conc = concurrency_graph(structure)
-print(f"concurrency graph: connected={verify_connected(conc)}, "
+print(f"concurrency graph: connected={is_connected(conc)}, "
       f"degrees={sorted(set(conc.degrees()))}")
 
 graph = incidence_graph(structure)

@@ -67,7 +67,6 @@ from .hexagon import (  # noqa: F401
     twin_line,
     verify_classification_hypotheses,
     verify_concurrency_witnesses,
-    verify_connected,
     verify_generalized_hexagon,
     verify_partial_linear_space,
     verify_plane_property,

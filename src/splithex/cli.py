@@ -3,6 +3,12 @@
 ``verify`` runs the full verification ladder and exits 0 only if every
 check passes; reports are deterministic except for the ``millis`` timing
 fields, which comparison tooling should strip (see ``strip_timing``).
+
+The ladder is one list of ``(name, anchor, fn)`` stages: ``verify`` runs
+``BASE_STAGES`` (plus ``AUT_STAGES`` with ``--with-aut``) and ``aut`` runs
+``AUT_STAGES`` alone.  A stage backed by a verifier report carries one
+payload: the ``detail`` of every check, plus, when the report fails, a
+``failures`` map from each failing check to its witness.
 """
 
 from __future__ import annotations
@@ -38,10 +44,10 @@ from .hexagon import (
     concurrency_graph,
     dual,
     incidence_graph,
+    is_connected,
     point_graph,
     verify_classification_hypotheses,
     verify_concurrency_witnesses,
-    verify_connected,
     verify_generalized_hexagon,
     verify_partial_linear_space,
     verify_plane_property,
@@ -49,6 +55,11 @@ from .hexagon import (
 
 EXPECTED_GROUP_ORDER = 12096
 EXPECTED_SUBDEGREES = (1, 6, 24, 32)
+EXPECTED_STRATA_COUNTS = dict(
+    isotropic_vectors=27, norm_one_vectors=36, unital_points=9,
+    exterior_points=12, oval_points=6, twin_points=6, oval_vectors=18,
+    twin_vectors=18,
+)
 
 
 @dataclass(frozen=True)
@@ -135,250 +146,211 @@ def _compact(value) -> str:
     return json.dumps(_jsonable(value))
 
 
+# ---------------------------------------------------------------------------
+# the verification ladder: (name, anchor, fn) stages run over one context
+
+
+def _context(pairing: int) -> dict:
+    """Shared inputs of the stages; the automorphism stages add their results."""
+    partition = hyperoval_partitions()[pairing]
+    return {
+        "partition": partition,
+        "strata": strata_for(partition),
+        "structure": build(partition),
+    }
+
+
+def _run_stages(stages, ctx: dict) -> tuple:
+    records = []
+    for name, anchor, fn in stages:
+        start = time.perf_counter()
+        passed, witness = fn(ctx)
+        elapsed = round((time.perf_counter() - start) * 1000.0, 3)
+        records.append(CheckRecord(name, anchor, passed, witness, elapsed))
+    return tuple(records)
+
+
+def _payload(report) -> tuple:
+    """A verifier report as (passed, details of every check + failures)."""
+    details = {c.name: c.detail for c in report.checks if c.detail is not None}
+    if not report.passed:
+        details["failures"] = {
+            c.name: _jsonable(c.witness) for c in report.failures()
+        }
+    return report.passed, details
+
+
+def _symplectic_counts(ctx):
+    lines = ti_lines()
+    planes = ti_planes()
+    plane_sizes = {len(p.vectors) for p in planes}
+    per_line = {
+        sum(1 for M in planes if L.vectors <= M.vectors) for L in lines
+    }
+    meets = {len(L.vectors & M.vectors) for L in lines for M in planes}
+    counts = {
+        "vectors": len(nonzero_vectors()),
+        "ti_lines": len(lines),
+        "ti_planes": len(planes),
+        "plane_sizes": sorted(plane_sizes),
+        "planes_per_line": sorted(per_line),
+        "line_plane_meets": sorted(meets),
+    }
+    ok = (
+        counts["vectors"] == 63
+        and counts["ti_lines"] == 315
+        and counts["ti_planes"] == 135
+        and plane_sizes == {7}
+        and per_line == {3}
+        and meets <= {0, 1, 3}
+    )
+    return ok, counts
+
+
+def _strata_counts(ctx) -> dict:
+    partition, strata = ctx["partition"], ctx["strata"]
+    return {
+        "isotropic_vectors": len(strata.isotropic),
+        "norm_one_vectors": len(strata.norm_one),
+        "unital_points": len(unital_points()),
+        "exterior_points": len(exterior_points()),
+        "oval_points": len(partition.oval),
+        "twin_points": len(partition.twin),
+        "oval_vectors": len(strata.oval_vectors),
+        "twin_vectors": len(strata.twin_vectors),
+    }
+
+
+def _check_strata_counts(ctx):
+    counts = _strata_counts(ctx)
+    return counts == EXPECTED_STRATA_COUNTS, counts
+
+
+def _concurrency_connected(ctx):
+    graph = concurrency_graph(ctx["structure"])
+    degrees = set(graph.degrees())
+    connected = is_connected(graph)
+    payload = {"connected": connected, "degrees": sorted(degrees)}
+    return connected and degrees == {6}, payload
+
+
+def _group_order(ctx):
+    graph = incidence_graph(ctx["structure"])
+    generators = automorphism_generators(graph, [0] * 63 + [1] * 63)
+    group = PermutationGroup(126, generators)
+    ctx["generators"] = generators
+    ctx["group"] = group
+    return group.order == EXPECTED_GROUP_ORDER, {"order": group.order}
+
+
+def _generators_preserve_incidence(ctx):
+    bad = 0
+    for g in ctx["generators"]:
+        point_part = g[:63]
+        line_part = tuple(x - 63 for x in g[63:])
+        if not preserves_incidence(ctx["structure"], point_part, line_part):
+            bad += 1
+    return bad == 0, {"generators": len(ctx["generators"]), "bad": bad}
+
+
+def _induced_actions(ctx):
+    points_action, lines_action = induced_actions(ctx["group"], ctx["structure"])
+    ctx["actions"] = (points_action, lines_action)
+    payload = {
+        "point_action_order": points_action.order,
+        "line_action_order": lines_action.order,
+        "point_orbits": len(points_action.orbits()),
+        "line_orbits": len(lines_action.orbits()),
+        "point_subdegrees": list(points_action.stabilizer_orbit_sizes(0)),
+    }
+    ok = (
+        points_action.order == lines_action.order == EXPECTED_GROUP_ORDER
+        and payload["point_orbits"] == payload["line_orbits"] == 1
+        and tuple(payload["point_subdegrees"]) == EXPECTED_SUBDEGREES
+    )
+    return ok, payload
+
+
+def _character_witness(ctx):
+    witness = nonequivalence_certificate(*ctx["actions"])
+    if witness is None:
+        return False, "no character certificate"
+    return True, {"fixed_points": witness.fixed_points,
+                  "fixed_lines": witness.fixed_lines}
+
+
+BASE_STAGES = (
+    ("symplectic-counts",
+     "63 isotropic vectors, 315 totally isotropic lines and 135 totally "
+     "isotropic planes over GF(2); planes hold 7 vectors, every t.i. line "
+     "lies in exactly 3 t.i. planes, and a line meets a plane in 0, 1 or "
+     "3 vectors",
+     _symplectic_counts),
+    ("strata-counts",
+     "27 isotropic and 36 norm-one vectors; 9 unital and 12 exterior "
+     "points; two hyperoval halves of 6 points carrying 18 vectors each",
+     _check_strata_counts),
+    ("partial-linear-space",
+     "63 points and 63 lines (9 scalar + 27 oval + 27 twin), 3 points per "
+     "line, 3 lines per point, two points on at most one common line",
+     lambda ctx: _payload(verify_partial_linear_space(ctx["structure"]))),
+    ("point-plane-property",
+     "for every point, the union of its three lines is a 7-vector totally "
+     "isotropic plane",
+     lambda ctx: _payload(verify_plane_property(ctx["structure"]))),
+    ("concurrency-witnesses",
+     "every ordered pair of isotropic vectors with hermitian value 1 whose "
+     "span meets the hyperoval twice admits an orthogonal norm-one witness "
+     "placing their oval lines on a common point",
+     lambda ctx: _payload(
+         verify_concurrency_witnesses(ctx["strata"], ctx["partition"]))),
+    ("concurrency-connected",
+     "the line-concurrency graph on 63 lines is connected and 6-regular",
+     _concurrency_connected),
+    ("classification-hypotheses",
+     "every point lies on three lines spanning a plane and the concurrency "
+     "graph is connected; hypotheses only -- the hexagon conclusion is "
+     "verified independently by the generalized-hexagon check",
+     lambda ctx: _payload(verify_classification_hypotheses(ctx["structure"]))),
+    ("generalized-hexagon",
+     "the incidence graph has 126 vertices, 189 edges, diameter 6 and "
+     "girth 12; the point distance distribution is (1, 6, 24, 32) from "
+     "every base point",
+     lambda ctx: _payload(verify_generalized_hexagon(ctx["structure"]))),
+    ("dual-generalized-hexagon",
+     "the dual structure (points and lines interchanged) passes the same "
+     "generalized-hexagon check",
+     lambda ctx: _payload(verify_generalized_hexagon(dual(ctx["structure"])))),
+)
+
+AUT_STAGES = (
+    ("automorphism-group-order",
+     "the automorphism group of the structure has order exactly 12096",
+     _group_order),
+    ("generators-preserve-incidence",
+     "every generator maps lines to lines and preserves all 189 "
+     "incidences",
+     _generators_preserve_incidence),
+    ("induced-actions",
+     "the induced degree-63 actions on points and on lines are both "
+     "transitive and faithful of order 12096, with point subdegrees "
+     "1, 6, 24, 32",
+     _induced_actions),
+    ("character-witness",
+     "some automorphism fixes different numbers of points and lines, "
+     "separating the two degree-63 permutation characters",
+     _character_witness),
+)
+
+
 def run_verify(pairing: int = 0, with_aut: bool = False) -> VerificationReport:
     """Run the verification ladder for one hyperoval pairing."""
     if pairing not in (0, 1, 2):
         raise ValueError(f"pairing must be 0, 1 or 2, got {pairing}")
-    records = []
-
-    def record(name, anchor, fn):
-        start = time.perf_counter()
-        passed, witness = fn()
-        elapsed = round((time.perf_counter() - start) * 1000.0, 3)
-        records.append(
-            CheckRecord(name=name, anchor=anchor, passed=passed,
-                        witness=witness, millis=elapsed)
-        )
-
-    def check_symplectic_counts():
-        lines = ti_lines()
-        planes = ti_planes()
-        plane_sizes = {len(p.vectors) for p in planes}
-        per_line = {
-            sum(1 for M in planes if L.vectors <= M.vectors) for L in lines
-        }
-        meets = {len(L.vectors & M.vectors) for L in lines for M in planes}
-        counts = {
-            "vectors": len(nonzero_vectors()),
-            "ti_lines": len(lines),
-            "ti_planes": len(planes),
-            "plane_sizes": sorted(plane_sizes),
-            "planes_per_line": sorted(per_line),
-            "line_plane_meets": sorted(meets),
-        }
-        ok = (
-            counts["vectors"] == 63
-            and counts["ti_lines"] == 315
-            and counts["ti_planes"] == 135
-            and plane_sizes == {7}
-            and per_line == {3}
-            and meets <= {0, 1, 3}
-        )
-        return ok, counts
-
-    def check_strata_counts():
-        partition = hyperoval_partitions()[pairing]
-        strata = strata_for(partition)
-        counts = {
-            "isotropic_vectors": len(strata.isotropic),
-            "norm_one_vectors": len(strata.norm_one),
-            "unital_points": len(unital_points()),
-            "exterior_points": len(exterior_points()),
-            "oval_points": len(partition.oval),
-            "twin_points": len(partition.twin),
-            "oval_vectors": len(strata.oval_vectors),
-            "twin_vectors": len(strata.twin_vectors),
-        }
-        expected = {
-            "isotropic_vectors": 27,
-            "norm_one_vectors": 36,
-            "unital_points": 9,
-            "exterior_points": 12,
-            "oval_points": 6,
-            "twin_points": 6,
-            "oval_vectors": 18,
-            "twin_vectors": 18,
-        }
-        return counts == expected, counts
-
-    partition = hyperoval_partitions()[pairing]
-    strata = strata_for(partition)
-    structure = build(partition)
-
-    def from_report(make_report):
-        def fn():
-            report = make_report()
-            if report.passed:
-                payload = {
-                    c.name: c.detail for c in report.checks if c.detail is not None
-                } or None
-            else:
-                payload = {
-                    c.name: _jsonable(c.witness) for c in report.failures()
-                }
-            return report.passed, payload
-
-        return fn
-
-    record(
-        "symplectic-counts",
-        "63 isotropic vectors, 315 totally isotropic lines and 135 totally "
-        "isotropic planes over GF(2); planes hold 7 vectors, every t.i. line "
-        "lies in exactly 3 t.i. planes, and a line meets a plane in 0, 1 or "
-        "3 vectors",
-        check_symplectic_counts,
-    )
-    record(
-        "strata-counts",
-        "27 isotropic and 36 norm-one vectors; 9 unital and 12 exterior "
-        "points; two hyperoval halves of 6 points carrying 18 vectors each",
-        check_strata_counts,
-    )
-    record(
-        "partial-linear-space",
-        "63 points and 63 lines (9 scalar + 27 oval + 27 twin), 3 points per "
-        "line, 3 lines per point, two points on at most one common line",
-        from_report(lambda: verify_partial_linear_space(structure)),
-    )
-    record(
-        "point-plane-property",
-        "for every point, the union of its three lines is a 7-vector totally "
-        "isotropic plane",
-        from_report(lambda: verify_plane_property(structure)),
-    )
-    record(
-        "concurrency-witnesses",
-        "every ordered pair of isotropic vectors with hermitian value 1 whose "
-        "span meets the hyperoval twice admits an orthogonal norm-one witness "
-        "placing their oval lines on a common point",
-        from_report(lambda: verify_concurrency_witnesses(strata, partition)),
-    )
-
-    def check_concurrency_graph():
-        graph = concurrency_graph(structure)
-        degrees = set(graph.degrees())
-        connected = verify_connected(graph)
-        payload = {"connected": connected, "degrees": sorted(degrees)}
-        return connected and degrees == {6}, payload
-
-    record(
-        "concurrency-connected",
-        "the line-concurrency graph on 63 lines is connected and 6-regular",
-        check_concurrency_graph,
-    )
-    record(
-        "classification-hypotheses",
-        "every point lies on three lines spanning a plane and the concurrency "
-        "graph is connected; hypotheses only -- the hexagon conclusion is "
-        "verified independently by the generalized-hexagon check",
-        from_report(lambda: verify_classification_hypotheses(structure)),
-    )
-
-    def gh_payload(make_report):
-        def fn():
-            report = make_report()
-            details = {
-                c.name: c.detail for c in report.checks if c.detail is not None
-            }
-            if report.passed:
-                return True, details
-            details["failures"] = {
-                c.name: _jsonable(c.witness) for c in report.failures()
-            }
-            return False, details
-
-        return fn
-
-    record(
-        "generalized-hexagon",
-        "the incidence graph has 126 vertices, 189 edges, diameter 6 and "
-        "girth 12; the point distance distribution is (1, 6, 24, 32) from "
-        "every base point",
-        gh_payload(lambda: verify_generalized_hexagon(structure)),
-    )
-    record(
-        "dual-generalized-hexagon",
-        "the dual structure (points and lines interchanged) passes the same "
-        "generalized-hexagon check",
-        gh_payload(lambda: verify_generalized_hexagon(dual(structure))),
-    )
-
-    if with_aut:
-        state = {}
-
-        def check_order():
-            graph = incidence_graph(structure)
-            generators = automorphism_generators(graph, [0] * 63 + [1] * 63)
-            group = PermutationGroup(126, generators)
-            state["generators"] = generators
-            state["group"] = group
-            return group.order == EXPECTED_GROUP_ORDER, {"order": group.order}
-
-        def check_generators():
-            bad = 0
-            for g in state["generators"]:
-                point_part = g[:63]
-                line_part = tuple(x - 63 for x in g[63:])
-                if not preserves_incidence(structure, point_part, line_part):
-                    bad += 1
-            return bad == 0, {"generators": len(state["generators"]), "bad": bad}
-
-        def check_actions():
-            points_action, lines_action = induced_actions(state["group"], structure)
-            state["actions"] = (points_action, lines_action)
-            payload = {
-                "point_action_order": points_action.order,
-                "line_action_order": lines_action.order,
-                "point_orbits": len(points_action.orbits()),
-                "line_orbits": len(lines_action.orbits()),
-                "point_subdegrees": list(points_action.stabilizer_orbit_sizes(0)),
-            }
-            ok = (
-                payload["point_action_order"] == EXPECTED_GROUP_ORDER
-                and payload["line_action_order"] == EXPECTED_GROUP_ORDER
-                and payload["point_orbits"] == 1
-                and payload["line_orbits"] == 1
-                and tuple(payload["point_subdegrees"]) == EXPECTED_SUBDEGREES
-            )
-            return ok, payload
-
-        def check_witness():
-            witness = nonequivalence_certificate(*state["actions"])
-            if witness is None:
-                return False, "no character certificate"
-            payload = {
-                "fixed_points": witness.fixed_points,
-                "fixed_lines": witness.fixed_lines,
-            }
-            return True, payload
-
-        record(
-            "automorphism-group-order",
-            "the automorphism group of the structure has order exactly 12096",
-            check_order,
-        )
-        record(
-            "generators-preserve-incidence",
-            "every generator maps lines to lines and preserves all 189 "
-            "incidences",
-            check_generators,
-        )
-        record(
-            "induced-actions",
-            "the induced degree-63 actions on points and on lines are both "
-            "transitive and faithful of order 12096, with point subdegrees "
-            "1, 6, 24, 32",
-            check_actions,
-        )
-        record(
-            "character-witness",
-            "some automorphism fixes different numbers of points and lines, "
-            "separating the two degree-63 permutation characters",
-            check_witness,
-        )
-
+    stages = BASE_STAGES + AUT_STAGES if with_aut else BASE_STAGES
     return VerificationReport(
-        version=__version__, pairing=pairing, checks=tuple(records)
+        version=__version__, pairing=pairing,
+        checks=_run_stages(stages, _context(pairing)),
     )
 
 
@@ -387,28 +359,21 @@ def run_verify(pairing: int = 0, with_aut: bool = False) -> VerificationReport:
 
 
 def collect_counts(pairing: int) -> dict:
-    partition = hyperoval_partitions()[pairing]
-    strata = strata_for(partition)
-    structure = build(partition)
+    ctx = _context(pairing)
+    structure = ctx["structure"]
     kinds = {}
     for tag in structure.tags:
         kinds[tag.kind] = kinds.get(tag.kind, 0) + 1
-    lines = ti_lines()
-    planes = ti_planes()
+    # The triangle count sits between the unitary and the hyperoval strata.
+    strata = list(_strata_counts(ctx).items())
     return {
         "pairing": pairing,
         "nonzero_vectors": len(nonzero_vectors()),
-        "isotropic_vectors": len(strata.isotropic),
-        "norm_one_vectors": len(strata.norm_one),
-        "unital_points": len(unital_points()),
-        "exterior_points": len(exterior_points()),
+        **dict(strata[:4]),
         "self_polar_triangles": len(self_polar_triangles()),
-        "oval_points": len(partition.oval),
-        "twin_points": len(partition.twin),
-        "oval_vectors": len(strata.oval_vectors),
-        "twin_vectors": len(strata.twin_vectors),
-        "ti_lines": len(lines),
-        "ti_planes": len(planes),
+        **dict(strata[4:]),
+        "ti_lines": len(ti_lines()),
+        "ti_planes": len(ti_planes()),
         "hexagon_points": len(structure.points),
         "hexagon_lines": len(structure.lines),
         "line_kinds": {k: kinds[k] for k in sorted(kinds)},
@@ -431,29 +396,19 @@ def collect_pairings() -> list:
 
 
 def collect_aut(pairing: int) -> dict:
-    structure = build(hyperoval_partitions()[pairing])
-    graph = incidence_graph(structure)
-    generators = automorphism_generators(graph, [0] * 63 + [1] * 63)
-    group = PermutationGroup(126, generators)
-    points_action, lines_action = induced_actions(group, structure)
-    witness = nonequivalence_certificate(points_action, lines_action)
+    checks = {c.name: c for c in _run_stages(AUT_STAGES, _context(pairing))}
+    actions = checks["induced-actions"].witness
+    witness = checks["character-witness"]
     return {
         "pairing": pairing,
-        "generators": len(generators),
-        "order": group.order,
-        "point_action_order": points_action.order,
-        "line_action_order": lines_action.order,
-        "point_transitive": len(points_action.orbits()) == 1,
-        "line_transitive": len(lines_action.orbits()) == 1,
-        "point_subdegrees": list(points_action.stabilizer_orbit_sizes(0)),
-        "character_witness": (
-            None
-            if witness is None
-            else {
-                "fixed_points": witness.fixed_points,
-                "fixed_lines": witness.fixed_lines,
-            }
-        ),
+        "generators": checks["generators-preserve-incidence"].witness["generators"],
+        "order": checks["automorphism-group-order"].witness["order"],
+        "point_action_order": actions["point_action_order"],
+        "line_action_order": actions["line_action_order"],
+        "point_transitive": actions["point_orbits"] == 1,
+        "line_transitive": actions["line_orbits"] == 1,
+        "point_subdegrees": actions["point_subdegrees"],
+        "character_witness": witness.witness if witness.passed else None,
     }
 
 

@@ -214,26 +214,15 @@ def is_connected(graph: Graph) -> bool:
     return -1 not in bfs_distances(graph, 0)
 
 
-def verify_connected(graph: Graph) -> bool:
-    return is_connected(graph)
+def bfs_sweep(graph: Graph) -> tuple:
+    """Breadth-first search from every vertex, fused with the girth scan.
 
-
-def diameter(graph: Graph) -> int:
-    best = 0
-    for v in range(graph.vertex_count):
-        dist = bfs_distances(graph, v)
-        if -1 in dist:
-            raise ValueError("infinite diameter: graph is disconnected")
-        best = max(best, max(dist))
-    return best
-
-
-def girth(graph: Graph) -> int:
-    """Length of a shortest cycle, by breadth-first search from every vertex.
-
-    Each search records d(u)+d(w)+1 for every non-tree edge it meets; the
-    minimum over all start vertices is exact.
+    Returns each source's distance row (-1 marks unreachable vertices) and
+    the length of a shortest cycle, or None if the graph is acyclic.  Each
+    search records d(u)+d(w)+1 for every non-tree edge it meets; the minimum
+    over all sources is exact.
     """
+    rows = []
     best = None
     for s in range(graph.vertex_count):
         dist = [-1] * graph.vertex_count
@@ -251,19 +240,37 @@ def girth(graph: Graph) -> int:
                     cycle = dist[u] + dist[w] + 1
                     if best is None or cycle < best:
                         best = cycle
+        rows.append(dist)
+    return rows, best
+
+
+def diameter(graph: Graph) -> int:
+    rows, _ = bfs_sweep(graph)
+    if any(-1 in row for row in rows):
+        raise ValueError("infinite diameter: graph is disconnected")
+    return max(map(max, rows), default=0)
+
+
+def girth(graph: Graph) -> int:
+    """Length of a shortest cycle (see :func:`bfs_sweep`)."""
+    _, best = bfs_sweep(graph)
     if best is None:
         raise ValueError("acyclic graph has no girth")
     return best
 
 
-def distance_distribution(graph: Graph, base: int) -> tuple:
-    """Counts of vertices at each distance from base (unreachables dropped)."""
-    dist = bfs_distances(graph, base)
+def _histogram(dist) -> tuple:
+    """Counts of entries at each distance (negative entries dropped)."""
     reached = [d for d in dist if d >= 0]
     counts = [0] * (max(reached) + 1)
     for d in reached:
         counts[d] += 1
     return tuple(counts)
+
+
+def distance_distribution(graph: Graph, base: int) -> tuple:
+    """Counts of vertices at each distance from base (unreachables dropped)."""
+    return _histogram(bfs_distances(graph, base))
 
 
 def incidence_graph(structure: IncidenceStructure) -> Graph:
@@ -441,14 +448,16 @@ def verify_generalized_hexagon(structure: IncidenceStructure) -> Report:
     connected = is_connected(graph)
     checks.append(Check("incidence-connected", connected))
     if connected:
-        d = diameter(graph)
-        g = girth(graph)
+        rows, g = bfs_sweep(graph)
+        d = max(map(max, rows))
         checks.append(Check("incidence-diameter", d == 6, detail=d))
         checks.append(Check("incidence-girth", g == 12, detail=g))
-        pg = point_graph(structure)
+        # Points come first in the incidence graph, and two points at
+        # incidence distance 2k are at collinearity distance k.
+        npts = len(structure.points)
         bad = None
-        for base in range(pg.vertex_count):
-            dist = distance_distribution(pg, base)
+        for base in range(npts):
+            dist = _histogram([k // 2 for k in rows[base][:npts]])
             if dist != _DISTANCE_DISTRIBUTION:
                 bad = (base, dist)
                 break
@@ -469,9 +478,10 @@ def verify_classification_hypotheses(structure: IncidenceStructure) -> Report:
     set is connected.  Hypotheses only; the hexagon conclusion is verified
     independently by the generalized-hexagon check."""
     planes = verify_plane_property(structure)
-    connected = verify_connected(concurrency_graph(structure))
+    connected = is_connected(concurrency_graph(structure))
     checks = (
         Check("three-lines-span-a-plane", planes.passed,
+              witness=[c.name for c in planes.failures()] or None,
               detail="supplied by the point-plane-property check"),
         Check("concurrency-graph-connected", connected,
               detail="supplied by the concurrency-graph check"),

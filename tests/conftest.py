@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from splithex.geometry import hyperoval_partitions, strata_for
@@ -18,6 +20,16 @@ def strata(partition):
 @pytest.fixture(scope="session")
 def structure(partition):
     return build(partition)
+
+
+@pytest.fixture(scope="session")
+def corrupted(structure):
+    """The hexagon with one point of line 0 swapped for a point off that line."""
+    line = structure.lines[0]
+    old = min(line, key=structure.point_index().get)
+    new = next(p for p in structure.points if p not in line)
+    lines = ((line - {old}) | {new},) + structure.lines[1:]
+    return dataclasses.replace(structure, lines=lines)
 
 
 @pytest.fixture(scope="session")

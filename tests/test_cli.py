@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -110,6 +111,89 @@ def test_main_verify_reports_failure_with_exit_1(monkeypatch, capsys):
     assert cli_module.main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "verdict: FAIL" in out
+
+
+# sha256 of the indented JSON of each deterministic report; any change to a
+# verify, counts or aut output shows here.
+GOLDEN_VERIFY_DIGESTS = {
+    (0, False): "77e4f4560225a079cb9d3af87e67e0ae960dff8b5f5b6875e288dd5e9990dcc3",
+    (0, True): "7864c66759b0fd8ed0b4ef87a0201ac4b664a7e5043fa1d03a43057af5171824",
+    (1, False): "52f102a2d3420b333df064435c5da47a69b75d4de9710e1b70a3ea0b41b5232e",
+    (1, True): "9c1a71640bd6d0771f0dc08da570b0584f7ed3e99aa95f4808e11a2d020354b4",
+    (2, False): "f67812ab665022df6976af9c4823c0cecc427820a7aacf61da85a107ee1431f0",
+    (2, True): "7b3cd15e28d80f8a23199e0b911ec5c4c06ad69b1bca8202080821d28e21f1a6",
+}
+GOLDEN_COUNTS_DIGESTS = {
+    0: "804a31e003bc36bf39cf8c26fa3fc59a72054a392e72767bf6af72feed994a64",
+    1: "49d1ea6de9eed70b08175e579f3c34f519a5c9e73241ea84ff4aa51bf568eabf",
+    2: "62d8402bc34c6b468e24c33a7247becdffdea368c7afc374b2d633b455ec13e1",
+}
+GOLDEN_AUT_DIGEST = "41644ec8303f56c1f4a1712fa9a2c0cf8360fb94f80ab8e9aded7da3a6ff8e1c"
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(("pairing", "with_aut"), sorted(GOLDEN_VERIFY_DIGESTS))
+def test_verify_report_matches_golden_digest(pairing, with_aut):
+    report = run_verify(pairing, with_aut)
+    digest = _digest(strip_timing(report.to_dict()))
+    assert digest == GOLDEN_VERIFY_DIGESTS[(pairing, with_aut)]
+
+
+@pytest.mark.parametrize("pairing", sorted(GOLDEN_COUNTS_DIGESTS))
+def test_counts_match_golden_digest(pairing):
+    assert _digest(collect_counts(pairing)) == GOLDEN_COUNTS_DIGESTS[pairing]
+
+
+def test_aut_matches_golden_digest():
+    assert _digest(collect_aut(0)) == GOLDEN_AUT_DIGEST
+
+
+def test_verify_corrupted_structure_fails_with_witnesses(monkeypatch, capsys, corrupted):
+    import splithex.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "build", lambda partition: corrupted)
+    assert main(["verify", "--format", "json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    failed = {name for name, c in checks.items() if not c["pass"]}
+    assert failed == {
+        "partial-linear-space",
+        "point-plane-property",
+        "concurrency-connected",
+        "classification-hypotheses",
+        "generalized-hexagon",
+        "dual-generalized-hexagon",
+    }
+    assert checks["concurrency-witnesses"]["pass"]
+    # every failing report-backed step: the details of every check, then the
+    # failing checks with their witnesses
+    hexagon_keys = [
+        "incidence-vertex-count", "incidence-edge-count", "incidence-diameter",
+        "incidence-girth", "point-distance-distribution", "failures",
+    ]
+    expected_keys = {
+        "partial-linear-space": [
+            "point-count", "line-count", "line-kind-counts", "points-per-line",
+            "lines-per-point", "failures",
+        ],
+        "point-plane-property": ["plane-size-7", "failures"],
+        "classification-hypotheses": [
+            "three-lines-span-a-plane", "concurrency-graph-connected", "failures",
+        ],
+        "generalized-hexagon": hexagon_keys,
+        "dual-generalized-hexagon": hexagon_keys,
+    }
+    for name, keys in expected_keys.items():
+        payload = checks[name]["witness"]
+        assert list(payload) == keys
+        failures = payload["failures"]
+        assert failures and any(w is not None for w in failures.values())
+    assert checks["partial-linear-space"]["witness"]["failures"] == {
+        "lines-per-point": [0, 0, 2],
+        "order": None,
+    }
 
 
 def test_counts_values():

@@ -20,13 +20,13 @@ from splithex.hexagon import (
     dual,
     girth,
     incidence_graph,
+    is_connected,
     oval_line,
     point_graph,
     scalar_line,
     twin_line,
     verify_classification_hypotheses,
     verify_concurrency_witnesses,
-    verify_connected,
     verify_generalized_hexagon,
     verify_partial_linear_space,
     verify_plane_property,
@@ -242,12 +242,12 @@ def test_concurrency_graph_is_6_regular_and_connected(structure):
     graph = concurrency_graph(structure)
     assert graph.vertex_count == 63
     assert set(graph.degrees()) == {6}
-    assert verify_connected(graph)
+    assert is_connected(graph)
 
 
 def test_two_disjoint_edges_are_disconnected():
     graph = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert not verify_connected(graph)
+    assert not is_connected(graph)
 
 
 def test_incidence_graph_shape(structure):
@@ -267,6 +267,13 @@ def test_girth_and_diameter_on_small_graphs():
     hexagon = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
     assert girth(hexagon) == 6
     assert diameter(hexagon) == 3
+    pentagon = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert girth(pentagon) == 5
+    assert diameter(pentagon) == 2
+    two_triangles = Graph.from_edges(
+        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    )
+    assert girth(two_triangles) == 3
 
 
 def test_girth_and_diameter_errors():
@@ -314,6 +321,28 @@ def test_generalized_hexagon_verdict(structure):
         c for c in report.checks if c.name == "point-distance-distribution"
     )
     assert dist.detail == (1, 6, 24, 32)
+
+
+@pytest.mark.parametrize("case", ["genuine", "dual", "corrupted", "corrupted-dual"])
+def test_generalized_hexagon_sweep_matches_separate_passes(structure, corrupted, case):
+    base = corrupted if case.startswith("corrupted") else structure
+    s = dual(base) if case.endswith("dual") else base
+    checks = {c.name: c for c in verify_generalized_hexagon(s).checks}
+    graph = incidence_graph(s)
+    assert checks["incidence-diameter"].detail == diameter(graph)
+    assert checks["incidence-girth"].detail == girth(graph)
+    # the old route: one BFS per base point of the collinearity graph
+    pg = point_graph(s)
+    expected = next(
+        (
+            (b, distance_distribution(pg, b))
+            for b in range(pg.vertex_count)
+            if distance_distribution(pg, b) != (1, 6, 24, 32)
+        ),
+        None,
+    )
+    assert checks["point-distance-distribution"].witness == expected
+    assert (expected is None) == (case in ("genuine", "dual"))
 
 
 def test_classification_hypotheses(structure):
