@@ -9,8 +9,11 @@ leaf; discovered automorphisms prune later branches by orbits.
 
 Group orders come from a deterministic Schreier-Sims construction of a base
 and strong generating set; the order is the product of the fundamental
-orbit lengths.  Permutations are tuples ``p`` with ``p[i]`` the image of
-``i``; ``compose(p, q)`` applies p first, then q.
+orbit lengths.  Each transversal carries the inverse of every coset
+representative, built alongside it from the inverses of the strong
+generators, so sifting never inverts a permutation.  Permutations are
+tuples ``p`` with ``p[i]`` the image of ``i``; ``compose(p, q)`` applies p
+first, then q.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ def identity(n: int) -> Permutation:
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Apply p, then q."""
-    return tuple(map(q.__getitem__, p))
+    return tuple([q[i] for i in p])
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -73,19 +76,21 @@ def refine(graph: Graph, coloring) -> tuple:
 
     Each round recolors every vertex by the pair (current color, sorted
     multiset of neighbor colors) and renumbers the palette in sorted order,
-    so the result commutes with graph relabelings.
+    so the result commutes with graph relabelings.  A round that splits no
+    class only renumbers the classes monotonically onto 0..k-1, and the
+    next round would return that coloring unchanged, so it is the result.
     """
     adjacency = graph.adjacency
-    n = len(adjacency)
     colors = list(coloring)
     while True:
+        color_of = colors.__getitem__
         signatures = [
-            (colors[v], tuple(sorted(colors[w] for w in adjacency[v])))
-            for v in range(n)
+            (c, tuple(sorted(map(color_of, nbrs))))
+            for c, nbrs in zip(colors, adjacency)
         ]
         palette = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
         new = [palette[sig] for sig in signatures]
-        if new == colors:
+        if len(palette) == len(set(colors)):
             return tuple(new)
         colors = new
 
@@ -207,48 +212,58 @@ class PermutationGroup:
 
     def __init__(self, degree: int, generators, base_hint=()):
         self.degree = degree
-        self.generators = [tuple(g) for g in generators]
-        for g in self.generators:
-            if sorted(g) != list(range(degree)):
-                raise ValueError(f"not a permutation of degree {degree}: {g}")
+        self.generators = [self._checked(g) for g in generators]
         self.base: list[int] = []
         self._level_gens: list[list] = []
+        self._level_inverses: list[list] = []
         self._transversals: list[dict] = []
+        self._transversal_inverses: list[dict] = []
         self._identity = identity(degree)
         for b in base_hint:
             self._append_level(b)
         for g in self.generators:
             self._add(g, 0)
 
+    def _checked(self, g) -> Permutation:
+        g = tuple(g)
+        if sorted(g) != list(range(self.degree)):
+            raise ValueError(f"not a permutation of degree {self.degree}: {g}")
+        return g
+
     def _append_level(self, point: int) -> None:
         self.base.append(point)
         self._level_gens.append([])
+        self._level_inverses.append([])
         self._transversals.append({point: self._identity})
+        self._transversal_inverses.append({point: self._identity})
 
     def _rebuild_orbit(self, level: int) -> None:
         b = self.base[level]
         transversal = {b: self._identity}
+        inverses = {b: self._identity}
         frontier = [b]
-        gens = self._level_gens[level]
+        strong = list(zip(self._level_gens[level], self._level_inverses[level]))
         while frontier:
             new = []
             for x in frontier:
                 ux = transversal[x]
-                for s in gens:
+                ux_inv = inverses[x]
+                for s, s_inv in strong:
                     y = s[x]
                     if y not in transversal:
                         transversal[y] = compose(ux, s)
+                        inverses[y] = compose(s_inv, ux_inv)
                         new.append(y)
             frontier = new
         self._transversals[level] = transversal
+        self._transversal_inverses[level] = inverses
 
     def _strip(self, g: Permutation, start: int):
         for i in range(start, len(self.base)):
-            x = g[self.base[i]]
-            u = self._transversals[i].get(x)
-            if u is None:
+            u_inv = self._transversal_inverses[i].get(g[self.base[i]])
+            if u_inv is None:
                 return g, i
-            g = compose(g, inverse(u))
+            g = compose(g, u_inv)
         return g, len(self.base)
 
     def _add(self, g: Permutation, start: int) -> None:
@@ -257,18 +272,22 @@ class PermutationGroup:
             return
         if level == len(self.base):
             self._append_level(min(i for i in range(self.degree) if h[i] != i))
+        h_inv = inverse(h)
         for j in range(start, level + 1):
             self._level_gens[j].append(h)
+            self._level_inverses[j].append(h_inv)
         # Re-close the Schreier condition on every touched level, deepest
         # first; residues found on the way are inserted recursively.
         for j in range(level, start - 1, -1):
             self._rebuild_orbit(j)
             transversal = self._transversals[j]
+            inverses = self._transversal_inverses[j]
             for x in sorted(transversal):
                 ux = transversal[x]
                 for s in self._level_gens[j]:
-                    schreier = compose(compose(ux, s), inverse(transversal[s[x]]))
-                    self._add(schreier, j + 1)
+                    # u_x, then s, then the inverse of u_{s(x)}
+                    back = inverses[s[x]]
+                    self._add(tuple([back[s[i]] for i in ux]), j + 1)
 
     @property
     def order(self) -> int:
@@ -278,7 +297,7 @@ class PermutationGroup:
         return n
 
     def __contains__(self, g) -> bool:
-        h, _ = self._strip(tuple(g), 0)
+        h, _ = self._strip(self._checked(g), 0)
         return h == self._identity
 
     def orbits(self) -> tuple:

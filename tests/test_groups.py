@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splithex.groups import (
     PermutationGroup,
@@ -18,7 +21,7 @@ from splithex.groups import (
     preserves_incidence,
     refine,
 )
-from splithex.hexagon import Graph, incidence_graph
+from splithex.hexagon import Graph, IncidenceStructure, incidence_graph
 
 GOLDEN_WITNESS_FIXED = (0, 1)  # (fixed points, fixed lines) of the first witness
 
@@ -101,6 +104,42 @@ def test_refine_is_equitable_and_idempotent():
     colors = refine(graph, [0] * 7)
     assert is_equitable(graph, colors)
     assert refine(graph, colors) == colors
+
+
+def seed_refine(graph: Graph, coloring) -> tuple:
+    """Reference: the refinement loop that runs until a round changes nothing."""
+    adjacency = graph.adjacency
+    n = len(adjacency)
+    colors = list(coloring)
+    while True:
+        signatures = [
+            (colors[v], tuple(sorted(colors[w] for w in adjacency[v])))
+            for v in range(n)
+        ]
+        palette = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+        new = [palette[sig] for sig in signatures]
+        if new == colors:
+            return tuple(new)
+        colors = new
+
+
+@st.composite
+def colored_graphs(draw):
+    """Graphs on up to 14 vertices (often disconnected) with colorings that
+    skip values, like the doubled-minus-one colorings of ``individualize``."""
+    n = draw(st.integers(1, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    palette = draw(st.sampled_from([(0,), (0, 2, 5, 7), (-1, 0, 2, 4, 6), (1, 3, 8)]))
+    coloring = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    return Graph.from_edges(n, edges), coloring
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_graphs())
+def test_refine_matches_seed_loop(case):
+    graph, coloring = case
+    assert refine(graph, coloring) == seed_refine(graph, coloring)
 
 
 def test_refine_commutes_with_relabeling():
@@ -186,6 +225,9 @@ def test_membership():
     group = PermutationGroup(4, [cycle(4, [0, 1, 2])])
     assert cycle(4, [0, 2, 1]) in group
     assert cycle(4, [0, 1]) not in group
+    for bad in [(0, 1, 2), (0, 1, 2, 3, 4), (0, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="not a permutation of degree 4"):
+            bad in group
 
 
 def test_rejects_non_permutations():
@@ -200,6 +242,62 @@ def test_order_invariant_under_generator_shuffles(aut_generators):
         shuffled = list(aut_generators)
         rng.shuffle(shuffled)
         assert group_order(shuffled) == reference
+
+
+# sha256(repr(...)) of the generator list and of the chains
+# (base, sorted transversals per level, strong generators per level) of the
+# degree-126 group and of both induced actions, computed with the
+# Schreier-Sims that inverted every transversal representative on each sift.
+CHAIN_DIGESTS = {
+    "pairing-0": (
+        "6a0f7d974ba51fe4b9de5cd94d2c5bca844e93a0a9a7cb75c3051d27bccc27c3",
+        "a10e1b7d9e58c48373f3611450fdd034ffb1bd876913f8d62cf86804847ca1d6",
+        "de05f6d5f2812e273f99a0e380b66518853a470d0caa3e958a7f36813a5e6456",
+        "723e536f50da2118d3800c4cbb73846e2d44b82893cb1bd70b94bec836336dad",
+    ),
+    "shuffled-2026": (
+        "ce04827f9af3c652314993ddb17bc8db7cfdbe461e29431e8ff7ffd138039c81",
+        "ff7f9a86eb7e215d912a3a526f64a78d651548d0e3beb365d203886a817aae4a",
+        "a392b33e6ee21461916653eae12ecfbf449ac0759147f484632eebc0c875ef71",
+        "4ae4116c85138034ed0d82062913844d4a6bc08760e74cd922a66b56b7bc4ecd",
+    ),
+}
+
+
+def digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def chain(group):
+    transversals = [sorted(t.items()) for t in group._transversals]
+    return (group.base, transversals, group._level_gens)
+
+
+def assert_inverses_stored(group):
+    e = identity(group.degree)
+    for level, transversal in enumerate(group._transversals):
+        inverses = group._transversal_inverses[level]
+        assert inverses.keys() == transversal.keys()
+        assert all(compose(u, inverses[x]) == e for x, u in transversal.items())
+        strong = zip(group._level_gens[level], group._level_inverses[level])
+        assert all(compose(s, s_inv) == e for s, s_inv in strong)
+
+
+def test_chains_are_golden(structure):
+    rng = random.Random(2026)
+    points, lines = list(structure.points), list(structure.lines)
+    rng.shuffle(points)
+    rng.shuffle(lines)
+    shuffled = IncidenceStructure(tuple(points), tuple(lines))
+    for name, s in (("pairing-0", structure), ("shuffled-2026", shuffled)):
+        gens = automorphism_generators(incidence_graph(s), [0] * 63 + [1] * 63)
+        group = PermutationGroup(126, gens)
+        points_action, lines_action = induced_actions(group, s)
+        chains = (group, points_action, lines_action)
+        got = (digest(gens), *(digest(chain(g)) for g in chains))
+        assert got == CHAIN_DIGESTS[name]
+        for g in chains:
+            assert_inverses_stored(g)
 
 
 def test_base_hint_gives_point_stabilizer(aut_generators):
