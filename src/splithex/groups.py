@@ -11,7 +11,11 @@ Group orders come from a deterministic Schreier-Sims construction of a base
 and strong generating set; the order is the product of the fundamental
 orbit lengths.  Each transversal carries the inverse of every coset
 representative, built alongside it from the inverses of the strong
-generators, so sifting never inverts a permutation.  Permutations are
+generators, so sifting never inverts a permutation.  While the chain is
+built, each level remembers every permutation already sifted into it:
+the levels below are then a base and strong generating set of a group
+that only grows, so such a permutation would sift to the identity again
+and is skipped.  Permutations are
 tuples ``p`` with ``p[i]`` the image of ``i``; ``compose(p, q)`` applies p
 first, then q.
 """
@@ -76,23 +80,64 @@ def refine(graph: Graph, coloring) -> tuple:
 
     Each round recolors every vertex by the pair (current color, sorted
     multiset of neighbor colors) and renumbers the palette in sorted order,
-    so the result commutes with graph relabelings.  A round that splits no
-    class only renumbers the classes monotonically onto 0..k-1, and the
-    next round would return that coloring unchanged, so it is the result.
+    so the result commutes with graph relabelings; the result is the
+    coloring of the first round that splits no class.
+
+    A round re-examines only the classes with a neighbor in a part split
+    off in the round before (every class in the first round); the largest
+    part of a split class keeps its id and is not counted as split off.
+    Members of one class see equally many neighbors in each class of the
+    round before, so when none of them has a neighbor in a part split off
+    from that class, they all still see equally many in the part that kept
+    its id, and the class cannot split.  Ids stay stable across rounds and
+    ``rank[c]`` is the color of class ``c``: the parts of a split class take,
+    in signature order, the ranks after those of the classes ranked before
+    it.
     """
     adjacency = graph.adjacency
-    colors = list(coloring)
+    first = {c: i for i, c in enumerate(sorted(set(coloring)))}
+    cls = [first[c] for c in coloring]  # vertex -> class id
+    members = [[] for _ in first]
+    for v, c in enumerate(cls):
+        members[c].append(v)
+    order = list(range(len(members)))  # class ids by rank
+    rank = list(order)
+    stale = order
     while True:
-        color_of = colors.__getitem__
-        signatures = [
-            (c, tuple(sorted(map(color_of, nbrs))))
-            for c, nbrs in zip(colors, adjacency)
-        ]
-        palette = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        new = [palette[sig] for sig in signatures]
-        if len(palette) == len(set(colors)):
-            return tuple(new)
-        colors = new
+        color = [rank[c] for c in cls]
+        color_of = color.__getitem__
+        split = {}  # class id -> its parts in signature order
+        for c in stale:
+            if len(members[c]) == 1:
+                continue
+            parts = {}
+            for v in members[c]:
+                key = tuple(sorted(map(color_of, adjacency[v])))
+                parts.setdefault(key, []).append(v)
+            if len(parts) > 1:
+                split[c] = [parts[key] for key in sorted(parts)]
+        if not split:
+            return tuple(color)
+        ids_of = {}
+        touched = set()
+        for c, parts in split.items():
+            largest = max(parts, key=len)
+            ids_of[c] = ids = []
+            for part in parts:
+                if part is largest:
+                    ids.append(c)
+                    members[c] = part
+                    continue
+                ids.append(len(members))
+                for v in part:
+                    cls[v] = len(members)
+                    touched.update(adjacency[v])
+                members.append(part)
+                rank.append(0)
+        stale = {cls[v] for v in touched}
+        order = [i for c in order for i in ids_of.get(c, (c,))]
+        for i, c in enumerate(order):
+            rank[c] = i
 
 
 def is_equitable(graph: Graph, coloring) -> bool:
@@ -206,8 +251,9 @@ class PermutationGroup:
 
     Built deterministically from the generator list; the order is the
     product of the fundamental orbit lengths along the base.  ``base_hint``
-    pre-seeds base points, which makes the stabilizer of a chosen point
-    directly available as the second level of the chain.
+    pre-seeds base points (distinct ints in ``range(degree)``), which makes
+    the stabilizer of a chosen point directly available as the second level
+    of the chain.
     """
 
     def __init__(self, degree: int, generators, base_hint=()):
@@ -218,11 +264,13 @@ class PermutationGroup:
         self._level_inverses: list[list] = []
         self._transversals: list[dict] = []
         self._transversal_inverses: list[dict] = []
+        self._members: list[set] = []
         self._identity = identity(degree)
-        for b in base_hint:
+        for b in self._checked_points(base_hint):
             self._append_level(b)
         for g in self.generators:
             self._add(g, 0)
+        del self._members
 
     def _checked(self, g) -> Permutation:
         g = tuple(g)
@@ -230,12 +278,22 @@ class PermutationGroup:
             raise ValueError(f"not a permutation of degree {self.degree}: {g}")
         return g
 
+    def _checked_points(self, points) -> tuple:
+        points = tuple(points)
+        for b in points:
+            if not isinstance(b, int) or not 0 <= b < self.degree:
+                raise ValueError(f"base point {b!r} is not in range({self.degree})")
+        if len(set(points)) != len(points):
+            raise ValueError(f"base points repeat: {points}")
+        return points
+
     def _append_level(self, point: int) -> None:
         self.base.append(point)
         self._level_gens.append([])
         self._level_inverses.append([])
         self._transversals.append({point: self._identity})
         self._transversal_inverses.append({point: self._identity})
+        self._members.append(set())
 
     def _rebuild_orbit(self, level: int) -> None:
         b = self.base[level]
@@ -267,6 +325,15 @@ class PermutationGroup:
         return g, len(self.base)
 
     def _add(self, g: Permutation, start: int) -> None:
+        # Levels >= start are closed whenever this runs, so a permutation
+        # sifted here before lies in <level_gens[start]> and strips to the
+        # identity.  With start == len(base) there is no level to strip
+        # through: g is the identity or opens a new level.
+        if start < len(self.base):
+            members = self._members[start]
+            if g in members:
+                return
+            members.add(g)
         h, level = self._strip(g, start)
         if h == self._identity:
             return
@@ -305,6 +372,7 @@ class PermutationGroup:
 
     def stabilizer_generators(self, point: int) -> list:
         """Strong generators of the stabilizer of a point."""
+        self._checked_points((point,))
         if self.base and self.base[0] == point:
             chain = self
         else:

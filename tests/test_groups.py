@@ -1,9 +1,11 @@
 import hashlib
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
 from splithex.groups import (
     PermutationGroup,
@@ -123,19 +125,54 @@ def seed_refine(graph: Graph, coloring) -> tuple:
         colors = new
 
 
+PALETTES = [(0,), (0, 2, 5, 7), (-1, 0, 2, 4, 6), (1, 3, 8)]
+
+
 @st.composite
-def colored_graphs(draw):
-    """Graphs on up to 14 vertices (often disconnected) with colorings that
-    skip values, like the doubled-minus-one colorings of ``individualize``."""
-    n = draw(st.integers(1, 14))
+def random_colored_graphs(draw, max_vertices=14):
+    """Graphs (often disconnected) with colorings that skip values, like the
+    doubled-minus-one colorings of ``individualize``."""
+    n = draw(st.integers(1, max_vertices))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    palette = draw(st.sampled_from([(0,), (0, 2, 5, 7), (-1, 0, 2, 4, 6), (1, 3, 8)]))
+    palette = draw(st.sampled_from(PALETTES))
     coloring = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
     return Graph.from_edges(n, edges), coloring
 
 
-@settings(max_examples=300, deadline=None)
+@st.composite
+def regular_colored_graphs(draw):
+    """Relabeled cycles and cubic bipartite graphs on up to 24 vertices,
+    uniformly colored apart from a few vertices, so that refinement splits
+    few classes per round."""
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 24))
+        edges = [(i, (i + 1) % n) for i in range(n)]
+    else:
+        # three disjoint perfect matchings between 0..m-1 and m..2m-1, then
+        # edge switches (a-b, c-d -> a-d, c-b) that keep the graph simple
+        m = draw(st.integers(3, 12))
+        n = 2 * m
+        edges = [(i, m + (i + k) % m) for i in range(m) for k in range(3)]
+        for x, y in draw(st.lists(st.tuples(st.integers(0, 3 * m - 1),
+                                            st.integers(0, 3 * m - 1)))):
+            (a, b), (c, d) = edges[x], edges[y]
+            if a != c and b != d and (a, d) not in edges and (c, b) not in edges:
+                edges[x], edges[y] = (a, d), (c, b)
+    relabel = draw(st.permutations(range(n)))
+    palette = draw(st.sampled_from(PALETTES))
+    coloring = [palette[0]] * n
+    for v, c in draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(palette),
+                                     max_size=3)).items():
+        coloring[v] = c
+    return Graph.from_edges(n, [(relabel[u], relabel[v]) for u, v in edges]), coloring
+
+
+def colored_graphs():
+    return st.one_of(random_colored_graphs(), regular_colored_graphs())
+
+
+@settings(max_examples=500, deadline=None)
 @given(colored_graphs())
 def test_refine_matches_seed_loop(case):
     graph, coloring = case
@@ -191,6 +228,23 @@ def test_hexagon_automorphism_group(aut_generators, structure):
     coloring = [0] * 63 + [1] * 63
     assert all(is_automorphism(graph, coloring, g) for g in aut_generators)
     assert group_order(aut_generators) == 12096
+
+
+def self_isomorphism_count(graph: Graph, coloring) -> int:
+    """Oracle: color-preserving self-isomorphisms counted by networkx."""
+    g = nx.Graph()
+    g.add_nodes_from((v, {"color": c}) for v, c in enumerate(coloring))
+    g.add_edges_from((v, w) for v, nbrs in enumerate(graph.adjacency) for w in nbrs)
+    matcher = GraphMatcher(g, g, node_match=categorical_node_match("color", None))
+    return sum(1 for _ in matcher.isomorphisms_iter())
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_colored_graphs(max_vertices=7))
+def test_search_order_matches_networkx(case):
+    graph, coloring = case
+    gens = automorphism_generators(graph, coloring)
+    assert group_order(gens) == self_isomorphism_count(graph, coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +360,75 @@ def test_base_hint_gives_point_stabilizer(aut_generators):
     assert group.order == 12096
     sizes = group.stabilizer_orbit_sizes(0)
     assert sum(sizes) == 126
+
+
+@pytest.mark.parametrize(
+    "hint, message",
+    [
+        ((-1,), "base point -1 is not in range"),
+        ((7,), "base point 7 is not in range"),
+        ((0.0,), "base point 0.0 is not in range"),
+        ((0, 0), "base points repeat"),
+    ],
+)
+def test_base_hint_is_validated(hint, message):
+    with pytest.raises(ValueError, match=message):
+        PermutationGroup(4, [(1, 0, 2, 3)], base_hint=hint)
+
+
+@pytest.mark.parametrize("point", [-1, 7])
+def test_stabilizer_of_a_point_off_the_domain_is_refused(point):
+    group = PermutationGroup(4, [(1, 0, 2, 3)])
+    with pytest.raises(ValueError, match=f"base point {point} is not in range"):
+        group.stabilizer_orbit_sizes(point)
+
+
+class SeedSchreierSims(PermutationGroup):
+    """Reference: the insertion that sifts every Schreier generator again,
+    including those already sifted at the same level."""
+
+    def _add(self, g, start):
+        h, level = self._strip(g, start)
+        if h == self._identity:
+            return
+        if level == len(self.base):
+            self._append_level(min(i for i in range(self.degree) if h[i] != i))
+        h_inv = inverse(h)
+        for j in range(start, level + 1):
+            self._level_gens[j].append(h)
+            self._level_inverses[j].append(h_inv)
+        # Re-close the Schreier condition on every touched level, deepest
+        # first; residues found on the way are inserted recursively.
+        for j in range(level, start - 1, -1):
+            self._rebuild_orbit(j)
+            transversal = self._transversals[j]
+            inverses = self._transversal_inverses[j]
+            for x in sorted(transversal):
+                ux = transversal[x]
+                for s in self._level_gens[j]:
+                    # u_x, then s, then the inverse of u_{s(x)}
+                    back = inverses[s[x]]
+                    self._add(tuple([back[s[i]] for i in ux]), j + 1)
+
+
+@st.composite
+def generator_sets(draw):
+    """Up to four permutations of degree <= 8 and, sometimes, a base hint."""
+    n = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.permutations(range(n)).map(tuple), max_size=4))
+    hint = draw(st.one_of(st.just(()), st.lists(st.integers(0, n - 1), unique=True)))
+    return n, gens, tuple(hint)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_memo_leaves_the_chain_unchanged(case):
+    n, gens, hint = case
+    group = PermutationGroup(n, gens, base_hint=hint)
+    seed = SeedSchreierSims(n, gens, base_hint=hint)
+    assert chain(group) == chain(seed)
+    assert group._level_inverses == seed._level_inverses
+    assert group.order == closure_order(gens)
 
 
 # ---------------------------------------------------------------------------
