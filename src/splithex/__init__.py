@@ -15,7 +15,6 @@ from .algebra import (  # noqa: F401
     f4_inv,
     f4_mul,
     f4_trace,
-    from_gf2,
     hermitian,
     norm,
     symplectic,
@@ -44,6 +43,7 @@ from .groups import (  # noqa: F401
     CharacterWitness,
     PermutationGroup,
     automorphism_generators,
+    character_witness,
     group_order,
     induced_actions,
     nonequivalence_certificate,

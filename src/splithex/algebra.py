@@ -3,9 +3,11 @@
 Scalars are integers 0..3 encoding b0 + b1*w, where w generates the
 multiplicative group of GF(4) and satisfies w^2 = w + 1.  Addition is XOR;
 multiplication and conjugation are table lookups.  Vectors are triples of
-scalars.  A vector can also be viewed as 6 bits over GF(2), laid out as
+scalars, and every layer uses them: addition of triples is already addition
+over GF(2), so the rank-3 symplectic space (the trace of the hermitian form)
+lives on the triples themselves.  ``to_gf2`` writes a vector as 6 bits,
 (low bit of x1, high bit of x1, low bit of x2, ..., high bit of x3); that
-bit view is the coordinate system of the rank-3 symplectic space.
+layout only fixes the order of enumerations and the exported bit strings.
 """
 
 from __future__ import annotations
@@ -14,12 +16,6 @@ Scalar = int
 Vector3 = tuple[int, int, int]
 Vector6 = tuple[int, int, int, int, int, int]
 
-ZERO: Scalar = 0
-ONE: Scalar = 1
-OMEGA: Scalar = 2
-OMEGA_SQ: Scalar = 3  # w^2 = w + 1
-
-NONZERO_SCALARS = (1, 2, 3)
 ZERO_VECTOR: Vector3 = (0, 0, 0)
 
 # Multiplication table for b0 + b1*w with w^2 = w + 1.
@@ -100,12 +96,4 @@ def to_gf2(x: Vector3) -> Vector6:
         x[0] & 1, x[0] >> 1,
         x[1] & 1, x[1] >> 1,
         x[2] & 1, x[2] >> 1,
-    )
-
-
-def from_gf2(bits: Vector6) -> Vector3:
-    return (
-        bits[0] | (bits[1] << 1),
-        bits[2] | (bits[3] << 1),
-        bits[4] | (bits[5] << 1),
     )

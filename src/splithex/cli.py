@@ -34,8 +34,8 @@ from .geometry import (
 from .groups import (
     PermutationGroup,
     automorphism_generators,
+    character_witness,
     induced_actions,
-    nonequivalence_certificate,
     preserves_incidence,
 )
 from .hexagon import (
@@ -255,7 +255,6 @@ def _generators_preserve_incidence(ctx):
 
 def _induced_actions(ctx):
     points_action, lines_action = induced_actions(ctx["group"], ctx["structure"])
-    ctx["actions"] = (points_action, lines_action)
     payload = {
         "point_action_order": points_action.order,
         "line_action_order": lines_action.order,
@@ -272,7 +271,7 @@ def _induced_actions(ctx):
 
 
 def _character_witness(ctx):
-    witness = nonequivalence_certificate(*ctx["actions"])
+    witness = character_witness(ctx["group"], len(ctx["structure"].points))
     if witness is None:
         return False, "no character certificate"
     return True, {"fixed_points": witness.fixed_points,

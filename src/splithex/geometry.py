@@ -4,9 +4,10 @@ The 63 nonzero vectors of GF(4)^3 split under the hermitian norm into 27
 isotropic vectors and 36 norm-one vectors; projectively that is 9 unital
 points and 12 exterior points.  The exterior points fall into 4 self-polar
 triangles, and pairing those triangles yields the 3 candidate hyperoval
-partitions.  Viewing the same vectors over GF(2) gives the symplectic space
-whose totally isotropic lines and planes are enumerated here by closure
-under addition.
+partitions.  The trace of the hermitian form turns the same 63 triples into
+a rank-3 symplectic space over GF(2) (addition of triples is already
+addition over GF(2)); its totally isotropic lines and planes are enumerated
+here as sets of triples, by closure under addition.
 
 All enumerations are deterministic: vectors and points are ordered by their
 GF(2) bit layout, triangles and subspaces by their sorted members.
@@ -21,7 +22,6 @@ from itertools import combinations, product
 from .algebra import (
     ZERO_VECTOR,
     Vector3,
-    Vector6,
     f4_conj,
     f4_inv,
     f4_mul,
@@ -64,7 +64,8 @@ class HyperovalPartition:
 
 @dataclass(frozen=True)
 class TiSubspace:
-    """A totally isotropic line (rank 2) or plane (rank 3) over GF(2)."""
+    """A totally isotropic line (rank 2) or plane (rank 3) over GF(2): the
+    set of its 3 or 7 nonzero vectors, as triples."""
 
     vectors: frozenset
     rank: int
@@ -218,35 +219,23 @@ def strata_for(partition: HyperovalPartition) -> Strata:
     )
 
 
-def _xor6(u: Vector6, v: Vector6) -> Vector6:
-    return tuple(a ^ b for a, b in zip(u, v))
-
-
 @cache
-def _gf2_vectors() -> tuple[Vector6, ...]:
-    return tuple(to_gf2(v) for v in nonzero_vectors())
-
-
-@cache
-def _symplectic6() -> dict:
+def _perps() -> dict:
+    """Each nonzero vector mapped to the nonzero vectors symplectic-orthogonal
+    to it (itself included)."""
     vecs = nonzero_vectors()
-    bits = _gf2_vectors()
-    return {
-        (bits[i], bits[j]): symplectic(vecs[i], vecs[j])
-        for i in range(63)
-        for j in range(63)
-    }
+    return {u: frozenset(v for v in vecs if symplectic(u, v) == 0) for u in vecs}
 
 
 @cache
 def ti_lines() -> frozenset:
     """The 315 totally isotropic lines of the symplectic space over GF(2)."""
-    s = _symplectic6()
+    perps = _perps()
     lines = set()
-    for u, v in combinations(_gf2_vectors(), 2):
-        if s[u, v] == 0:
-            lines.add(TiSubspace(vectors=frozenset({u, v, _xor6(u, v)}), rank=2))
-    return frozenset(lines)
+    for u, v in combinations(nonzero_vectors(), 2):
+        if v in perps[u]:
+            lines.add(frozenset({u, v, v_add(u, v)}))
+    return frozenset(TiSubspace(vectors=L, rank=2) for L in lines)
 
 
 @cache
@@ -256,15 +245,11 @@ def ti_planes() -> frozenset:
     Every plane arises by extending a totally isotropic line with a vector
     orthogonal to it and closing under addition.
     """
-    s = _symplectic6()
+    perps = _perps()
     planes = set()
     for line in ti_lines():
-        u, v, _ = sorted(line.vectors)
-        for w in _gf2_vectors():
-            if w in line.vectors or s[w, u] != 0 or s[w, v] != 0:
-                continue
-            vectors = set(line.vectors)
-            vectors.update(_xor6(w, x) for x in line.vectors)
-            vectors.add(w)
-            planes.add(TiSubspace(vectors=frozenset(vectors), rank=3))
-    return frozenset(planes)
+        u, v, _ = line.vectors
+        for w in (perps[u] & perps[v]) - line.vectors:
+            shifted = (v_add(w, x) for x in line.vectors)
+            planes.add(frozenset({w, *line.vectors, *shifted}))
+    return frozenset(TiSubspace(vectors=p, rank=3) for p in planes)

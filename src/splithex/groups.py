@@ -463,26 +463,18 @@ def induced_actions(group: PermutationGroup, structure: IncidenceStructure):
     )
 
 
-def nonequivalence_certificate(point_action, line_action):
-    """Scan the group for an element with differing fixed-point counts.
+def character_witness(group: PermutationGroup, npts: int):
+    """Scan a group for an element with differing fixed-point counts.
 
-    The two actions must carry corresponding generator lists.  Elements are
-    enumerated in a fixed order and the first separating element is
-    returned; if the scan exhausts the group without finding one, returns
-    None (no certificate -- not a proof of equivalence).
+    The group acts on points then lines: 0..npts-1 are the points, the rest
+    are the lines.  Elements are enumerated in a fixed order and the first
+    separating element is returned; if the scan exhausts the group without
+    finding one, returns None (no certificate -- not a proof of
+    equivalence).
     """
-    if len(point_action.generators) != len(line_action.generators):
-        raise ValueError("generator lists do not correspond")
-    npts = point_action.degree
-    nlines = line_action.degree
-    diagonal = [
-        gp + tuple(x + npts for x in gl)
-        for gp, gl in zip(point_action.generators, line_action.generators)
-    ]
-    joint = PermutationGroup(npts + nlines, diagonal)
-    for g in joint.elements():
+    for g in group.elements():
         fixed_points = sum(1 for i in range(npts) if g[i] == i)
-        fixed_lines = sum(1 for i in range(npts, npts + nlines) if g[i] == i)
+        fixed_lines = sum(1 for i in range(npts, group.degree) if g[i] == i)
         if fixed_points != fixed_lines:
             return CharacterWitness(
                 on_points=g[:npts],
@@ -491,3 +483,20 @@ def nonequivalence_certificate(point_action, line_action):
                 fixed_lines=fixed_lines,
             )
     return None
+
+
+def nonequivalence_certificate(point_action, line_action):
+    """The :func:`character_witness` of the group acting on both sides.
+
+    The two actions must carry corresponding generator lists; each pair is
+    joined into one permutation of the points followed by the lines.
+    """
+    if len(point_action.generators) != len(line_action.generators):
+        raise ValueError("generator lists do not correspond")
+    npts = point_action.degree
+    diagonal = [
+        gp + tuple(x + npts for x in gl)
+        for gp, gl in zip(point_action.generators, line_action.generators)
+    ]
+    joint = PermutationGroup(npts + line_action.degree, diagonal)
+    return character_witness(joint, npts)

@@ -372,7 +372,7 @@ def verify_plane_property(structure: IncidenceStructure) -> Report:
             bad_closure.append(x)
         if any(symplectic(u, v) != 0 for u, v in combinations(union, 2)):
             bad_orthogonal.append(x)
-        if frozenset(map(to_gf2, union)) not in known_planes:
+        if frozenset(union) not in known_planes:
             bad_membership.append(x)
     checks = (
         Check("plane-size-7", not bad_size, witness=bad_size or None,
@@ -449,7 +449,7 @@ def verify_generalized_hexagon(structure: IncidenceStructure) -> Report:
     checks.append(Check("incidence-connected", connected))
     if connected:
         rows, g = bfs_sweep(graph)
-        d = max(map(max, rows))
+        d = max(map(max, rows), default=0)
         checks.append(Check("incidence-diameter", d == 6, detail=d))
         checks.append(Check("incidence-girth", g == 12, detail=g))
         # Points come first in the incidence graph, and two points at

@@ -6,7 +6,6 @@ from splithex.algebra import (
     f4_inv,
     f4_mul,
     f4_trace,
-    from_gf2,
     hermitian,
     symplectic,
     to_gf2,
@@ -154,14 +153,13 @@ def test_forms_nondegenerate_on_nonzero_vectors():
         assert any(hermitian(x, y) != 0 for y in nonzero)
 
 
-def test_gf2_roundtrip_and_layout():
+def test_gf2_layout_is_injective():
     assert to_gf2((0, 0, 0)) == (0, 0, 0, 0, 0, 0)
     assert to_gf2((1, 0, 0)) == (1, 0, 0, 0, 0, 0)
     assert to_gf2((2, 0, 1)) == (0, 1, 0, 0, 1, 0)
-    for x in VECTORS:
-        assert from_gf2(to_gf2(x)) == x
-    for bits in product((0, 1), repeat=6):
-        assert to_gf2(from_gf2(bits)) == bits
+    images = {to_gf2(x) for x in VECTORS}
+    assert len(images) == len(VECTORS) == 64
+    assert images == set(product((0, 1), repeat=6))
 
 
 def test_gf2_conversion_is_additive():

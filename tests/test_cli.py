@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import splithex.cli as cli_module
 from splithex.cli import (
     collect_aut,
     collect_counts,
@@ -12,6 +13,11 @@ from splithex.cli import (
     main,
     run_verify,
     strip_timing,
+)
+from splithex.groups import (
+    character_witness,
+    induced_actions,
+    nonequivalence_certificate,
 )
 
 
@@ -94,8 +100,6 @@ def test_main_verify_json(capsys):
 
 
 def test_main_verify_reports_failure_with_exit_1(monkeypatch, capsys):
-    import splithex.cli as cli_module
-
     failing = cli_module.VerificationReport(
         version="0.0.0",
         pairing=0,
@@ -130,6 +134,92 @@ GOLDEN_COUNTS_DIGESTS = {
 }
 GOLDEN_AUT_DIGEST = "41644ec8303f56c1f4a1712fa9a2c0cf8360fb94f80ab8e9aded7da3a6ff8e1c"
 
+# sha256 of the stdout of each CLI command below: every export, both
+# pairings formats and the text forms of counts and aut.
+GOLDEN_OUTPUT_DIGESTS = {
+    "export --pairing 0 --what hexagon --format json":
+        "f2237263814fe1b64805845e7e0c7441f2e629bbaed2e36c3c6f113ad6bcc981",
+    "export --pairing 0 --what hexagon --format text":
+        "993fb822a735d3bcbf3218bfd094d03b62f3f667dc2e617c6129f40984b82e58",
+    "export --pairing 0 --what incidence-graph --format json":
+        "88863de9b199ff2adccb3df06ea46f1b374024582d618795863a48249d9e619f",
+    "export --pairing 0 --what incidence-graph --format dot":
+        "67b50c2fdf9a512c39bbc84f11f23b248f00716aa1a6978de8d66ba5c54ed0b4",
+    "export --pairing 0 --what incidence-graph --format text":
+        "738e675ffe8068636b1008673310c3250c9746abd00d06bff61969c56888b8da",
+    "export --pairing 0 --what concurrency-graph --format json":
+        "0b2bb101aa3fa9ccd5f14df14f9876b333aadcdce6435fd8f697a968052d6b9b",
+    "export --pairing 0 --what concurrency-graph --format dot":
+        "54351df3b0ec390117b881c75353eb975c365f0aa49b1aeb2459aa3443cb0ba5",
+    "export --pairing 0 --what concurrency-graph --format text":
+        "9f39d6e1241558e75cc4c8fc68ee1f66e8e6335c5347b039475e1f34661862d0",
+    "export --pairing 0 --what point-graph --format json":
+        "108a440e6a8078a14a93c831afbdafc456858909c88dfb19c71e69ef4f15620b",
+    "export --pairing 0 --what point-graph --format dot":
+        "d82d51084a65ea5d421f44b235605548e129cbf7d9b1ec86b0613f0d0826920d",
+    "export --pairing 0 --what point-graph --format text":
+        "54dd849c67b3f2c1a43009f8e98b0858ccf5505d2b3981a4f59334899f4f5da9",
+    "export --pairing 1 --what hexagon --format json":
+        "7d4f75d07b3888075397347d8cd9821f6e89b5c5f2c3c10cb0c87a4f5d23b741",
+    "export --pairing 1 --what hexagon --format text":
+        "f85f66e11b4091eaa43a5c02b6491a38dcc7d79031d410375ec69ae9818adef3",
+    "export --pairing 1 --what incidence-graph --format json":
+        "7ea6f73d22b317a2658d9114c647b8cb58b2591f50e67fd603687e712a68e7f2",
+    "export --pairing 1 --what incidence-graph --format dot":
+        "d57f584313810e44bea918fa7d63030e98d262bb93443fb38043f90397de8b2e",
+    "export --pairing 1 --what incidence-graph --format text":
+        "2d45e56d339267ec35299ccc45c7a413f9a825de6aa0a50e3b1a1d89c82e26b1",
+    "export --pairing 1 --what concurrency-graph --format json":
+        "6b2774a84078b8196b34716515a89b1f6a72c848ff70897f5296e96a32a117aa",
+    "export --pairing 1 --what concurrency-graph --format dot":
+        "f7fad350eb8396c81ed9da5a65e99aae921aa632d105f89c28d3fcf650abdbbf",
+    "export --pairing 1 --what concurrency-graph --format text":
+        "4990f7301f447e311dfbb122a2ddf6b11768488e32d1be71e9a02c1f249222af",
+    "export --pairing 1 --what point-graph --format json":
+        "0d4a0f5dd870a75e9dbb6e1d43ba13a516acd20fd352756c196cd1611325d3cf",
+    "export --pairing 1 --what point-graph --format dot":
+        "50e9f1102ecdc1a9fb466e5ca1e0337dfe4b7e5dc483e3b9ee1cb31d0cef1512",
+    "export --pairing 1 --what point-graph --format text":
+        "611fd02698e8901e38d17cd3dde0b083cc24b8acb1efe0db0874b9be205284a0",
+    "export --pairing 2 --what hexagon --format json":
+        "3aa4e383a6931d6c3c66f678f57f95fdd64ba8239ef4972a3e45443b82440f08",
+    "export --pairing 2 --what hexagon --format text":
+        "f079df70af0a158e3d5fc7d2355532cc139d033b57e569738da976b97d644467",
+    "export --pairing 2 --what incidence-graph --format json":
+        "c1e5a427f91a0b6e4a0b9bb07b6e2df1f0803be15af94cc6620d7aae5b21e4ec",
+    "export --pairing 2 --what incidence-graph --format dot":
+        "02c3bc0498d137cc37d4ff171581d85924cb63b84a01c01dac7ebd1e6df7d334",
+    "export --pairing 2 --what incidence-graph --format text":
+        "eda4f9fcedaa9eb675bcce06f645902321aaeea362064a3951c53b0660867ac5",
+    "export --pairing 2 --what concurrency-graph --format json":
+        "8e1dbabe28ea8df0caffcf16e1342a1d8d1432c11e18fe5cf935ccea7b62c03a",
+    "export --pairing 2 --what concurrency-graph --format dot":
+        "ec1f1037487ac564a0293c37ef43edaac8a58165d261fce46271e3f9ec0b1c80",
+    "export --pairing 2 --what concurrency-graph --format text":
+        "d12d561c320248d6ae2d8e77c6bdab04566e1e4cc35d5d6b78e0f1faebd9d52c",
+    "export --pairing 2 --what point-graph --format json":
+        "0b76a8d8bb6afa0f97b97410af1d04bd322adf37c6e75babc144e7631835ef5a",
+    "export --pairing 2 --what point-graph --format dot":
+        "6d828533d1cda5d2343af35e55e6218f3b13a274c4dab42045d07660c27d05f3",
+    "export --pairing 2 --what point-graph --format text":
+        "66a21b5fd3b4880ec3ee438fbaa54e738ac291e3a245150e08bb768008875f25",
+    "pairings --format text":
+        "78c7dc5bd3c6e6409b95ee431868728c91d5c139552c762dfee8167503c02076",
+    "pairings --format json":
+        "b241cfa03ca3ad200e8b3b4da029732c17314ebba0c9d67c74d62ea204d290ac",
+    "counts --pairing 0":
+        "2dba0c196a3700c1d56fa3b116c71ad5f5c749fc7e45aaa51b569458f07be888",
+    "counts --pairing 1":
+        "c37f38f7c3c82c9f641ae44b3c19e16e038c9e5032f0829380a48560cd48880e",
+    "counts --pairing 2":
+        "e7db14b6176b865693d68e76456a8b4463f2eb00c9f4bf1560771535283bb116",
+    "aut --pairing 0":
+        "102f6d5a2679754e026ba84065a83794af3731c2db3c8c5b30e047765e413686",
+    "aut --pairing 1":
+        "59c947df5aad5f3f09d26cceedf8960a7687297e7a1896bba56752f834020770",
+    "aut --pairing 2":
+        "235f1fbd5ca70fe4c69b65161a6087716a424c4ae77bff865f7959a67fd98cba",
+}
 
 def _digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
@@ -151,9 +241,14 @@ def test_aut_matches_golden_digest():
     assert _digest(collect_aut(0)) == GOLDEN_AUT_DIGEST
 
 
-def test_verify_corrupted_structure_fails_with_witnesses(monkeypatch, capsys, corrupted):
-    import splithex.cli as cli_module
+@pytest.mark.parametrize("command", sorted(GOLDEN_OUTPUT_DIGESTS))
+def test_cli_output_matches_golden_digest(command, capsys):
+    assert main(command.split()) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_OUTPUT_DIGESTS[command]
 
+
+def test_verify_corrupted_structure_fails_with_witnesses(monkeypatch, capsys, corrupted):
     monkeypatch.setattr(cli_module, "build", lambda partition: corrupted)
     assert main(["verify", "--format", "json"]) == 1
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
@@ -210,6 +305,19 @@ def test_pairings_all_pass():
     verdicts = collect_pairings()
     assert [v["pairing"] for v in verdicts] == [0, 1, 2]
     assert [v["verdict"] for v in verdicts] == ["PASS", "PASS", "PASS"]
+
+
+@pytest.mark.parametrize("pairing", [0, 1, 2])
+def test_character_witness_stage_matches_certificate(pairing):
+    ctx = cli_module._context(pairing)
+    checks = {c.name: c for c in cli_module._run_stages(cli_module.AUT_STAGES, ctx)}
+    group, structure = ctx["group"], ctx["structure"]
+    certificate = nonequivalence_certificate(*induced_actions(group, structure))
+    assert character_witness(group, len(structure.points)) == certificate
+    assert checks["character-witness"].witness == {
+        "fixed_points": certificate.fixed_points,
+        "fixed_lines": certificate.fixed_lines,
+    }
 
 
 def test_aut_summary():

@@ -2,7 +2,14 @@ from itertools import combinations
 
 import pytest
 
-from splithex.algebra import from_gf2, hermitian, symplectic, to_gf2, v_scale
+from splithex.algebra import (
+    ZERO_VECTOR,
+    hermitian,
+    symplectic,
+    to_gf2,
+    v_add,
+    v_scale,
+)
 from splithex.geometry import (
     all_pg_lines,
     enumerate_strata,
@@ -221,15 +228,13 @@ def test_ti_lines_and_planes_counts():
 
 
 def test_ti_subspaces_are_closed_and_orthogonal():
-    def xor(u, v):
-        return tuple(a ^ b for a, b in zip(u, v))
-
-    zero = (0, 0, 0, 0, 0, 0)
+    vectors = set(nonzero_vectors())
     for sub in list(ti_lines()) + list(ti_planes()):
+        assert sub.vectors <= vectors
         for u, v in combinations(sub.vectors, 2):
-            s = xor(u, v)
-            assert s in sub.vectors or s == zero
-            assert symplectic(from_gf2(u), from_gf2(v)) == 0
+            s = v_add(u, v)
+            assert s in sub.vectors or s == ZERO_VECTOR
+            assert symplectic(u, v) == 0
 
 
 def test_each_ti_line_in_exactly_3_planes():

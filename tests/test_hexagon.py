@@ -153,7 +153,7 @@ def test_build_is_deterministic(partition, structure):
 def test_every_line_is_a_ti_line_of_the_symplectic_space(structure):
     known = {line.vectors for line in ti_lines()}
     for line in structure.lines:
-        assert frozenset(map(to_gf2, line)) in known
+        assert line in known
 
 
 def test_line_kind_incidence_per_point_class(structure, strata):
@@ -343,6 +343,15 @@ def test_generalized_hexagon_sweep_matches_separate_passes(structure, corrupted,
     )
     assert checks["point-distance-distribution"].witness == expected
     assert (expected is None) == (case in ("genuine", "dual"))
+
+
+def test_empty_structure_fails_instead_of_raising():
+    # an empty incidence graph is connected, so the sweep runs on no rows
+    report = verify_generalized_hexagon(IncidenceStructure(points=(), lines=()))
+    assert not report.passed
+    checks = {c.name: c for c in report.checks}
+    assert not checks["incidence-vertex-count"].passed
+    assert checks["incidence-vertex-count"].detail == 0
 
 
 def test_classification_hypotheses(structure):
