@@ -81,7 +81,9 @@ def nonzero_vectors() -> tuple[Vector3, ...]:
 
 def proj_rep(v: Vector3) -> Vector3:
     """Canonical representative of [v]: first nonzero coordinate scaled to 1."""
-    first = next(c for c in v if c != 0)
+    first = next((c for c in v if c != 0), 0)
+    if not first:
+        raise ValueError(f"the zero vector spans no projective point: {v}")
     return v_scale(f4_inv(first), v)
 
 
@@ -134,16 +136,12 @@ def all_pg_lines() -> tuple[frozenset, ...]:
 
 
 def pg_line_through(p: Vector3, q: Vector3) -> frozenset:
-    """The 5 points of the PG(2,4) line spanned by two independent vectors."""
-    pts = set()
-    for c1 in range(4):
-        for c2 in range(4):
-            v = v_add(v_scale(c1, p), v_scale(c2, q))
-            if v != ZERO_VECTOR:
-                pts.add(proj_rep(v))
-    if len(pts) != 5:
+    """The 5 points of the PG(2,4) line spanned by two independent vectors:
+    [p] and [c*p + q] for the four scalars c."""
+    rest = [v_add(v_scale(c, p), q) for c in range(4)]
+    if p == ZERO_VECTOR or ZERO_VECTOR in rest:
         raise ValueError(f"degenerate span: {p} and {q} are dependent")
-    return frozenset(pts)
+    return frozenset([proj_rep(p), *map(proj_rep, rest)])
 
 
 def span_perp(a: Vector3, b: Vector3) -> Vector3:

@@ -13,6 +13,11 @@ the three lines through any point fill a totally isotropic plane, that the
 line-concurrency graph is connected, and that the incidence graph has
 diameter 6 and girth 12 -- i.e. that the structure is a generalized hexagon,
 the split Cayley hexagon of order 2.
+
+Diameter, girth and the point distance distribution come from one
+bit-parallel sweep (:func:`sphere_sweep`): the balls around all vertices
+grow together as int bitmasks, their differences are the distance spheres,
+and two rules on the spheres give the exact girth.
 """
 
 from __future__ import annotations
@@ -214,63 +219,85 @@ def is_connected(graph: Graph) -> bool:
     return -1 not in bfs_distances(graph, 0)
 
 
-def bfs_sweep(graph: Graph) -> tuple:
-    """Breadth-first search from every vertex, fused with the girth scan.
+def sphere_sweep(graph: Graph) -> tuple:
+    """Distance spheres of every vertex at once, fused with the girth scan.
 
-    Returns each source's distance row (-1 marks unreachable vertices) and
-    the length of a shortest cycle, or None if the graph is acyclic.  Each
-    search records d(u)+d(w)+1 for every non-tree edge it meets; the minimum
-    over all sources is exact.
+    Each vertex's ball is an int bitmask over the vertices, and all balls
+    grow together: B_0(v) = 1<<v and B_{k+1}(v) is B_k(v) together with the
+    balls B_k(w) of the neighbours w of v, until no ball grows.  Returns
+    ``(spheres, girth)``, where ``spheres[k][v]`` = B_k(v) & ~B_{k-1}(v) is
+    the bitmask of the vertices at distance exactly k from v (the spheres
+    of the round in which nothing grew are not kept, so the largest finite
+    distance is ``len(spheres) - 1``), and ``girth`` is the length of a
+    shortest cycle, or None if the graph is acyclic.
+
+    The girth is exact: it is the first of 2k, 2k+1 (k = 1, 2, ...) at
+    which one of these rules fires.
+
+    * 2k: some w has neighbours u1 != u2 with S_{k-1}(u1) & S_{k-1}(u2) &
+      S_k(w) != 0 -- two geodesics from w to a common vertex that leave w
+      apart, so a cycle of length at most 2k;
+    * 2k+1: some edge (u, w) has S_k(u) & S_k(w) != 0 -- an odd closed
+      walk of length 2k+1, so an odd cycle of length at most 2k+1.
+
+    Conversely, on a shortest cycle graph distance is cycle distance, so a
+    shortest cycle of length 2k fires the first rule at the vertex opposite
+    a vertex of it, and one of length 2k+1 fires the second at the edge
+    opposite a vertex.
     """
-    rows = []
+    adjacency = graph.adjacency
+    balls = [1 << v for v in range(len(adjacency))]
+    spheres = [balls]
     best = None
-    for s in range(graph.vertex_count):
-        dist = [-1] * graph.vertex_count
-        parent = [-1] * graph.vertex_count
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in graph.adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w:
-                    cycle = dist[u] + dist[w] + 1
-                    if best is None or cycle < best:
-                        best = cycle
-        rows.append(dist)
-    return rows, best
+    while True:
+        grown = []
+        for ball, nbrs in zip(balls, adjacency):
+            for w in nbrs:
+                ball |= balls[w]
+            grown.append(ball)
+        shell = [new & ~old for new, old in zip(grown, balls)]
+        if not any(shell):
+            return spheres, best
+        if best is None:
+            k, inner = len(spheres), spheres[-1]
+            for s, nbrs in zip(shell, adjacency):
+                once = twice = 0
+                for u in nbrs:
+                    twice |= once & inner[u]
+                    once |= inner[u]
+                if twice & s:
+                    best = 2 * k
+                    break
+            else:
+                if any(s & shell[u] for s, nbrs in zip(shell, adjacency) for u in nbrs):
+                    best = 2 * k + 1
+        balls = grown
+        spheres.append(shell)
 
 
 def diameter(graph: Graph) -> int:
-    rows, _ = bfs_sweep(graph)
-    if any(-1 in row for row in rows):
+    spheres, _ = sphere_sweep(graph)
+    n = graph.vertex_count
+    if n and sum(layer[0].bit_count() for layer in spheres) < n:
         raise ValueError("infinite diameter: graph is disconnected")
-    return max(map(max, rows), default=0)
+    return len(spheres) - 1
 
 
 def girth(graph: Graph) -> int:
-    """Length of a shortest cycle (see :func:`bfs_sweep`)."""
-    _, best = bfs_sweep(graph)
+    """Length of a shortest cycle (see :func:`sphere_sweep`)."""
+    _, best = sphere_sweep(graph)
     if best is None:
         raise ValueError("acyclic graph has no girth")
     return best
 
 
-def _histogram(dist) -> tuple:
-    """Counts of entries at each distance (negative entries dropped)."""
-    reached = [d for d in dist if d >= 0]
+def distance_distribution(graph: Graph, base: int) -> tuple:
+    """Counts of vertices at each distance from base (unreachables dropped)."""
+    reached = [d for d in bfs_distances(graph, base) if d >= 0]
     counts = [0] * (max(reached) + 1)
     for d in reached:
         counts[d] += 1
     return tuple(counts)
-
-
-def distance_distribution(graph: Graph, base: int) -> tuple:
-    """Counts of vertices at each distance from base (unreachables dropped)."""
-    return _histogram(bfs_distances(graph, base))
 
 
 def incidence_graph(structure: IncidenceStructure) -> Graph:
@@ -285,14 +312,14 @@ def incidence_graph(structure: IncidenceStructure) -> Graph:
 
 
 def concurrency_graph(structure: IncidenceStructure) -> Graph:
-    """Graph on lines, adjacent when they share a point."""
-    nlines = len(structure.lines)
-    edges = [
-        (i, j)
-        for i, j in combinations(range(nlines), 2)
-        if structure.lines[i] & structure.lines[j]
-    ]
-    return Graph.from_edges(nlines, edges)
+    """Graph on lines, adjacent when they share a point: each point's pencil
+    of lines is a clique."""
+    pencils = {}
+    for i, line in enumerate(structure.lines):
+        for p in line:
+            pencils.setdefault(p, []).append(i)
+    edges = [pair for pencil in pencils.values() for pair in combinations(pencil, 2)]
+    return Graph.from_edges(len(structure.lines), edges)
 
 
 def point_graph(structure: IncidenceStructure) -> Graph:
@@ -448,16 +475,20 @@ def verify_generalized_hexagon(structure: IncidenceStructure) -> Report:
     connected = is_connected(graph)
     checks.append(Check("incidence-connected", connected))
     if connected:
-        rows, g = bfs_sweep(graph)
-        d = max(map(max, rows), default=0)
+        spheres, g = sphere_sweep(graph)
+        d = len(spheres) - 1
         checks.append(Check("incidence-diameter", d == 6, detail=d))
         checks.append(Check("incidence-girth", g == 12, detail=g))
         # Points come first in the incidence graph, and two points at
         # incidence distance 2k are at collinearity distance k.
         npts = len(structure.points)
+        points = (1 << npts) - 1
         bad = None
         for base in range(npts):
-            dist = _histogram([k // 2 for k in rows[base][:npts]])
+            counts = [(layer[base] & points).bit_count() for layer in spheres[::2]]
+            while counts and not counts[-1]:
+                counts.pop()
+            dist = tuple(counts)
             if dist != _DISTANCE_DISTRIBUTION:
                 bad = (base, dist)
                 break

@@ -80,6 +80,11 @@ def test_proj_rep_idempotent_and_scale_invariant():
             assert proj_rep(v_scale(c, v)) == p
 
 
+def test_proj_rep_of_zero_raises_value_error():
+    with pytest.raises(ValueError, match="zero vector"):
+        proj_rep(ZERO_VECTOR)
+
+
 def test_perp_line_against_enumeration_oracle():
     for p in projective_points():
         expected = frozenset(
@@ -131,6 +136,43 @@ def test_pg_lines():
     assert through in set(lines)
     with pytest.raises(ValueError, match="degenerate span"):
         pg_line_through((1, 0, 0), (3, 0, 0))
+
+
+@pytest.mark.parametrize("p, q", [((1, 2, 3), ZERO_VECTOR), (ZERO_VECTOR, (1, 2, 3)),
+                                  (ZERO_VECTOR, ZERO_VECTOR)])
+def test_pg_line_through_zero_is_degenerate(p, q):
+    with pytest.raises(ValueError, match="degenerate span"):
+        pg_line_through(p, q)
+
+
+def seed_pg_line_through(p, q):
+    """The 16-combination definition pg_line_through replaced."""
+    pts = set()
+    for c1 in range(4):
+        for c2 in range(4):
+            v = v_add(v_scale(c1, p), v_scale(c2, q))
+            if v != ZERO_VECTOR:
+                pts.add(proj_rep(v))
+    if len(pts) != 5:
+        raise ValueError(f"degenerate span: {p} and {q} are dependent")
+    return frozenset(pts)
+
+
+def test_pg_line_through_matches_sixteen_combinations():
+    vectors = (ZERO_VECTOR,) + nonzero_vectors()
+    degenerate = 0
+    for p in vectors:
+        for q in vectors:
+            try:
+                expected = seed_pg_line_through(p, q)
+            except ValueError:
+                degenerate += 1
+                with pytest.raises(ValueError, match="degenerate span"):
+                    pg_line_through(p, q)
+            else:
+                assert pg_line_through(p, q) == expected
+    # zero against anything (127 pairs) and the 63 * 3 dependent nonzero pairs
+    assert degenerate == 127 + 63 * 3
 
 
 def test_self_polar_triangles_partition_the_exterior_points():

@@ -1,4 +1,11 @@
+from collections import deque
+from itertools import combinations
+from math import inf
+
+import networkx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splithex.algebra import to_gf2, v_add
 from splithex.geometry import (
@@ -24,6 +31,7 @@ from splithex.hexagon import (
     oval_line,
     point_graph,
     scalar_line,
+    sphere_sweep,
     twin_line,
     verify_classification_hypotheses,
     verify_concurrency_witnesses,
@@ -238,6 +246,18 @@ def test_concurrency_witnesses(strata, partition):
 # graphs
 
 
+@pytest.mark.parametrize("case", ["genuine", "dual", "corrupted", "corrupted-dual"])
+def test_concurrency_graph_matches_pair_definition(structure, corrupted, case):
+    base = corrupted if case.startswith("corrupted") else structure
+    s = dual(base) if case.endswith("dual") else base
+    pairs = [
+        (i, j)
+        for i, j in combinations(range(len(s.lines)), 2)
+        if s.lines[i] & s.lines[j]
+    ]
+    assert concurrency_graph(s) == Graph.from_edges(len(s.lines), pairs)
+
+
 def test_concurrency_graph_is_6_regular_and_connected(structure):
     graph = concurrency_graph(structure)
     assert graph.vertex_count == 63
@@ -274,6 +294,16 @@ def test_girth_and_diameter_on_small_graphs():
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
     )
     assert girth(two_triangles) == 3
+    k4 = Graph.from_edges(4, combinations(range(4), 2))
+    assert girth(k4) == 3
+    assert diameter(k4) == 1
+    petersen = Graph.from_edges(10, networkx.petersen_graph().edges)
+    assert girth(petersen) == 5
+    assert diameter(petersen) == 2
+    k33 = Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    assert girth(k33) == 4
+    assert diameter(k33) == 2
+    assert diameter(Graph.from_edges(1, [])) == 0
 
 
 def test_girth_and_diameter_errors():
@@ -283,6 +313,93 @@ def test_girth_and_diameter_errors():
     disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError, match="infinite"):
         diameter(disconnected)
+
+
+def seed_bfs_sweep(graph: Graph) -> tuple:
+    """Breadth-first search from every vertex, fused with the girth scan.
+
+    Returns each source's distance row (-1 marks unreachable vertices) and
+    the length of a shortest cycle, or None if the graph is acyclic.  Each
+    search records d(u)+d(w)+1 for every non-tree edge it meets; the minimum
+    over all sources is exact.
+    """
+    rows = []
+    best = None
+    for s in range(graph.vertex_count):
+        dist = [-1] * graph.vertex_count
+        parent = [-1] * graph.vertex_count
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in graph.adjacency[u]:
+                if dist[w] < 0:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif parent[u] != w:
+                    cycle = dist[u] + dist[w] + 1
+                    if best is None or cycle < best:
+                        best = cycle
+        rows.append(dist)
+    return rows, best
+
+
+@st.composite
+def sweep_graphs(draw, max_vertices=30):
+    """Relabeled graphs on up to 30 vertices: random edge sets (often
+    disconnected, and including the empty and one-vertex graphs), random
+    trees, and odd or even cycles with a few extra edges."""
+    kind = draw(st.sampled_from(["random", "tree", "cycle"]))
+    if kind == "random":
+        n = draw(st.integers(0, max_vertices))
+        pairs = list(combinations(range(n), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    elif kind == "tree":
+        n = draw(st.integers(1, max_vertices))
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    else:
+        n = draw(st.integers(3, max_vertices))
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        pairs = list(combinations(range(n), 2))
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    relabel = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(relabel[u], relabel[v]) for u, v in edges])
+
+
+@settings(max_examples=400, deadline=None)
+@given(sweep_graphs())
+@example(Graph.from_edges(0, []))
+@example(Graph.from_edges(1, []))
+def test_sphere_sweep_matches_seed_sweep(graph):
+    rows, seed_girth = seed_bfs_sweep(graph)
+    spheres, best = sphere_sweep(graph)
+    n = graph.vertex_count
+    recovered = [[-1] * n for _ in range(n)]
+    for k, layer in enumerate(spheres):
+        assert len(layer) == n
+        for v, sphere in enumerate(layer):
+            for w in range(n):
+                if sphere >> w & 1:
+                    assert recovered[v][w] == -1
+                    recovered[v][w] = k
+    assert recovered == rows
+    assert best == seed_girth
+    nx_graph = networkx.Graph()
+    nx_graph.add_nodes_from(range(n))
+    nx_graph.add_edges_from((u, w) for u in range(n) for w in graph.adjacency[u])
+    nx_girth = networkx.girth(nx_graph)
+    assert best == (None if nx_girth == inf else nx_girth)
+    if any(-1 in row for row in rows):
+        with pytest.raises(ValueError, match="infinite"):
+            diameter(graph)
+    else:
+        assert diameter(graph) == max(map(max, rows), default=0)
+    if seed_girth is None:
+        with pytest.raises(ValueError, match="acyclic"):
+            girth(graph)
+    else:
+        assert girth(graph) == seed_girth
 
 
 def test_loops_rejected():
