@@ -25,7 +25,6 @@ from .algebra import (  # noqa: F401
 from .geometry import (  # noqa: F401
     HyperovalPartition,
     Strata,
-    TiSubspace,
     enumerate_strata,
     exterior_points,
     hyperoval_partitions,

@@ -152,6 +152,8 @@ def _compact(value) -> str:
 
 def _context(pairing: int) -> dict:
     """Shared inputs of the stages; the automorphism stages add their results."""
+    if pairing not in (0, 1, 2):
+        raise ValueError(f"pairing must be 0, 1 or 2, got {pairing}")
     partition = hyperoval_partitions()[pairing]
     return {
         "partition": partition,
@@ -183,11 +185,14 @@ def _payload(report) -> tuple:
 def _symplectic_counts(ctx):
     lines = ti_lines()
     planes = ti_planes()
-    plane_sizes = {len(p.vectors) for p in planes}
-    per_line = {
-        sum(1 for M in planes if L.vectors <= M.vectors) for L in lines
-    }
-    meets = {len(L.vectors & M.vectors) for L in lines for M in planes}
+    plane_sizes = {len(M) for M in planes}
+    # One intersection per line-plane pair gives both counts: a line lies
+    # in a plane exactly when they meet in all of its vectors.
+    per_line, meets = set(), set()
+    for L in lines:
+        sizes = [len(L & M) for M in planes]
+        per_line.add(sizes.count(len(L)))
+        meets.update(sizes)
     counts = {
         "vectors": len(nonzero_vectors()),
         "ti_lines": len(lines),
@@ -235,20 +240,24 @@ def _concurrency_connected(ctx):
 
 
 def _group_order(ctx):
-    graph = incidence_graph(ctx["structure"])
-    generators = automorphism_generators(graph, [0] * 63 + [1] * 63)
-    group = PermutationGroup(126, generators)
+    structure = ctx["structure"]
+    npts, nlines = len(structure.points), len(structure.lines)
+    generators = automorphism_generators(
+        incidence_graph(structure), [0] * npts + [1] * nlines
+    )
+    group = PermutationGroup(npts + nlines, generators)
     ctx["generators"] = generators
     ctx["group"] = group
     return group.order == EXPECTED_GROUP_ORDER, {"order": group.order}
 
 
 def _generators_preserve_incidence(ctx):
+    structure = ctx["structure"]
+    npts = len(structure.points)
     bad = 0
     for g in ctx["generators"]:
-        point_part = g[:63]
-        line_part = tuple(x - 63 for x in g[63:])
-        if not preserves_incidence(ctx["structure"], point_part, line_part):
+        line_part = tuple(x - npts for x in g[npts:])
+        if not preserves_incidence(structure, g[:npts], line_part):
             bad += 1
     return bad == 0, {"generators": len(ctx["generators"]), "bad": bad}
 
@@ -344,8 +353,6 @@ AUT_STAGES = (
 
 def run_verify(pairing: int = 0, with_aut: bool = False) -> VerificationReport:
     """Run the verification ladder for one hyperoval pairing."""
-    if pairing not in (0, 1, 2):
-        raise ValueError(f"pairing must be 0, 1 or 2, got {pairing}")
     stages = BASE_STAGES + AUT_STAGES if with_aut else BASE_STAGES
     return VerificationReport(
         version=__version__, pairing=pairing,
@@ -420,17 +427,14 @@ def _bit_string(v) -> str:
 
 
 def export_hexagon(structure: IncidenceStructure, fmt: str) -> str:
-    index = structure.point_index()
-    lines = []
-    for i, tag in enumerate(structure.tags):
-        members = sorted(index[p] for p in tag.points)
-        lines.append(
-            {
-                "points": members,
-                "kind": tag.kind,
-                "seed": index[tag.seed],
-            }
-        )
+    lines = [
+        {
+            "points": list(members),
+            "kind": tag.kind,
+            "seed": structure.points.index(tag.seed),
+        }
+        for tag, members in zip(structure.tags, structure.incidences)
+    ]
     if fmt == "json":
         payload = {
             "points": [_bit_string(p) for p in structure.points],

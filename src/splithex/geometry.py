@@ -62,15 +62,6 @@ class HyperovalPartition:
     index: int
 
 
-@dataclass(frozen=True)
-class TiSubspace:
-    """A totally isotropic line (rank 2) or plane (rank 3) over GF(2): the
-    set of its 3 or 7 nonzero vectors, as triples."""
-
-    vectors: frozenset
-    rank: int
-
-
 @cache
 def nonzero_vectors() -> tuple[Vector3, ...]:
     """The 63 nonzero vectors, ordered by their GF(2) bit layout."""
@@ -119,6 +110,7 @@ def enumerate_strata() -> Strata:
     return Strata(isotropic=iso, norm_one=one)
 
 
+@cache
 def perp_line(p: Vector3) -> frozenset:
     """The PG(2,4) line of points hermitian-orthogonal to p.
 
@@ -135,20 +127,12 @@ def all_pg_lines() -> tuple[frozenset, ...]:
     return tuple(sorted(lines, key=lambda L: sorted(map(to_gf2, L))))
 
 
-def pg_line_through(p: Vector3, q: Vector3) -> frozenset:
-    """The 5 points of the PG(2,4) line spanned by two independent vectors:
-    [p] and [c*p + q] for the four scalars c."""
-    rest = [v_add(v_scale(c, p), q) for c in range(4)]
-    if p == ZERO_VECTOR or ZERO_VECTOR in rest:
-        raise ValueError(f"degenerate span: {p} and {q} are dependent")
-    return frozenset([proj_rep(p), *map(proj_rep, rest)])
-
-
 def span_perp(a: Vector3, b: Vector3) -> Vector3:
     """The unique projective point hermitian-orthogonal to both a and b.
 
     Computed as the cross product of the conjugated vectors, which realises
-    the perp of the span for the identity Gram matrix.
+    the perp of the span for the identity Gram matrix.  Its polar
+    ``perp_line`` is the PG(2,4) line spanned by a and b.
     """
     ca = (f4_conj(a[0]), f4_conj(a[1]), f4_conj(a[2]))
     cb = (f4_conj(b[0]), f4_conj(b[1]), f4_conj(b[2]))
@@ -227,13 +211,14 @@ def _perps() -> dict:
 
 @cache
 def ti_lines() -> frozenset:
-    """The 315 totally isotropic lines of the symplectic space over GF(2)."""
+    """The 315 totally isotropic lines of the symplectic space over GF(2),
+    each the frozenset of its 3 nonzero vectors."""
     perps = _perps()
     lines = set()
     for u, v in combinations(nonzero_vectors(), 2):
         if v in perps[u]:
             lines.add(frozenset({u, v, v_add(u, v)}))
-    return frozenset(TiSubspace(vectors=L, rank=2) for L in lines)
+    return frozenset(lines)
 
 
 @cache
@@ -246,8 +231,8 @@ def ti_planes() -> frozenset:
     perps = _perps()
     planes = set()
     for line in ti_lines():
-        u, v, _ = line.vectors
-        for w in (perps[u] & perps[v]) - line.vectors:
-            shifted = (v_add(w, x) for x in line.vectors)
-            planes.add(frozenset({w, *line.vectors, *shifted}))
-    return frozenset(TiSubspace(vectors=p, rank=3) for p in planes)
+        u, v, _ = line
+        for w in (perps[u] & perps[v]) - line:
+            shifted = (v_add(w, x) for x in line)
+            planes.add(frozenset({w, *line, *shifted}))
+    return frozenset(planes)

@@ -186,18 +186,6 @@ def automorphism_generators(graph: Graph, coloring) -> list:
         doubled[v] -= 1
         return doubled
 
-    def orbit_of(v, gens):
-        orbit = {v}
-        frontier = [v]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = g[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        return orbit
-
     def search(colors, prefix, on_spine) -> bool:
         colors = refine(graph, colors)
         cells = {}
@@ -222,13 +210,17 @@ def automorphism_generators(graph: Graph, coloring) -> list:
             return False
 
         target = min(non_singleton, key=lambda c: (len(cells[c]), c))
-        cell = sorted(cells[target])
         explored = []
         delivered = False
-        for v in cell:
+        known = None  # how many automorphisms orbit_id was computed from
+        for v in sorted(cells[target]):
             if explored:
-                stabilizing = [g for g in found if all(g[u] == u for u in prefix)]
-                if stabilizing and orbit_of(v, stabilizing) & set(explored):
+                if known != len(found):
+                    known = len(found)
+                    stabilizing = [g for g in found if all(g[u] == u for u in prefix)]
+                    orbit_id = {x: k for k, orbit in enumerate(orbits(stabilizing, n))
+                                for x in orbit}
+                if any(orbit_id[u] == orbit_id[v] for u in explored):
                     continue
             child_on_spine = on_spine and not explored
             got = search(individualize(colors, v), prefix + [v], child_on_spine)
@@ -431,11 +423,10 @@ def preserves_incidence(
 ) -> bool:
     """Post-hoc check that a (point, line) permutation pair maps every line
     onto the line its index is sent to, preserving all incidences."""
-    index = structure.point_index()
-    as_indices = [frozenset(index[p] for p in line) for line in structure.lines]
+    incidences = structure.incidences
     return all(
-        frozenset(point_perm[i] for i in line) == as_indices[line_perm[j]]
-        for j, line in enumerate(as_indices)
+        tuple(sorted(point_perm[i] for i in line)) == incidences[line_perm[j]]
+        for j, line in enumerate(incidences)
     )
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .algebra import ZERO_VECTOR, Vector3, hermitian, symplectic, to_gf2, v_add
@@ -31,7 +32,7 @@ from .geometry import (
     HyperovalPartition,
     Strata,
     nonzero_vectors,
-    pg_line_through,
+    perp_line,
     point_vectors,
     proj_rep,
     span_perp,
@@ -62,21 +63,35 @@ class HexLine:
 
 @dataclass(frozen=True)
 class IncidenceStructure:
-    """Points, lines (as frozensets of points) and optional line metadata."""
+    """Points, lines (as frozensets of points) and optional line metadata.
+
+    The incidences are indexed once per instance, in two views that every
+    graph builder and verifier reads: ``incidences`` and ``pencils``.
+    """
 
     points: tuple
     lines: tuple
     tags: tuple | None = None
 
-    def point_index(self) -> dict:
-        return {p: i for i, p in enumerate(self.points)}
+    @cached_property
+    def incidences(self) -> tuple:
+        """Each line as the ascending indices of its points."""
+        index = {p: i for i, p in enumerate(self.points)}
+        try:
+            return tuple(tuple(sorted(index[p] for p in line)) for line in self.lines)
+        except KeyError as exc:
+            raise ValueError(
+                f"a line holds {exc.args[0]!r}, which is not one of the points"
+            ) from None
 
-    def lines_of(self) -> dict:
-        through = {p: [] for p in self.points}
-        for i, line in enumerate(self.lines):
-            for p in line:
-                through[p].append(i)
-        return through
+    @cached_property
+    def pencils(self) -> tuple:
+        """For each point index, the ascending indices of the lines through it."""
+        pencils = [[] for _ in self.points]
+        for j, line in enumerate(self.incidences):
+            for i in line:
+                pencils[i].append(j)
+        return tuple(map(tuple, pencils))
 
 
 @dataclass(frozen=True)
@@ -301,34 +316,25 @@ def distance_distribution(graph: Graph, base: int) -> tuple:
 
 
 def incidence_graph(structure: IncidenceStructure) -> Graph:
-    """Bipartite graph on points then lines; edges are incident pairs."""
+    """Bipartite graph on points then lines; edges are incident pairs.
+
+    A point's neighbours are its pencil and a line's are its points, both
+    already ascending."""
     npts = len(structure.points)
-    index = structure.point_index()
-    edges = []
-    for i, line in enumerate(structure.lines):
-        for p in line:
-            edges.append((index[p], npts + i))
-    return Graph.from_edges(npts + len(structure.lines), edges)
+    points = (tuple(npts + j for j in pencil) for pencil in structure.pencils)
+    return Graph(adjacency=(*points, *structure.incidences))
 
 
 def concurrency_graph(structure: IncidenceStructure) -> Graph:
     """Graph on lines, adjacent when they share a point: each point's pencil
     of lines is a clique."""
-    pencils = {}
-    for i, line in enumerate(structure.lines):
-        for p in line:
-            pencils.setdefault(p, []).append(i)
-    edges = [pair for pencil in pencils.values() for pair in combinations(pencil, 2)]
+    edges = (pair for pencil in structure.pencils for pair in combinations(pencil, 2))
     return Graph.from_edges(len(structure.lines), edges)
 
 
 def point_graph(structure: IncidenceStructure) -> Graph:
     """Collinearity graph on points."""
-    index = structure.point_index()
-    edges = set()
-    for line in structure.lines:
-        for p, q in combinations(sorted(line, key=lambda x: index[x]), 2):
-            edges.add((index[p], index[q]))
+    edges = (pair for line in structure.incidences for pair in combinations(line, 2))
     return Graph.from_edges(len(structure.points), edges)
 
 
@@ -353,8 +359,8 @@ def verify_partial_linear_space(structure: IncidenceStructure) -> Report:
     bad_line = next((i for i, L in enumerate(structure.lines) if len(L) != 3), None)
     checks.append(Check("points-per-line", bad_line is None, witness=bad_line, detail=3))
 
-    through = structure.lines_of()
-    bad_point = next((p for p, ls in through.items() if len(ls) != 3), None)
+    bad_point = next((p for p, pencil in zip(structure.points, structure.pencils)
+                      if len(pencil) != 3), None)
     checks.append(
         Check("lines-per-point", bad_point is None, witness=bad_point, detail=3)
     )
@@ -382,12 +388,11 @@ def verify_plane_property(structure: IncidenceStructure) -> Report:
     totally isotropic plane: closed under addition with 0 adjoined and
     pairwise symplectic-orthogonal.  Cross-checked against the enumerated
     planes of the symplectic space."""
-    through = structure.lines_of()
-    known_planes = {p.vectors for p in ti_planes()}
+    known_planes = ti_planes()
     bad_size, bad_closure, bad_orthogonal, bad_membership = [], [], [], []
-    for x in structure.points:
+    for x, pencil in zip(structure.points, structure.pencils):
         union = set()
-        for i in through[x]:
+        for i in pencil:
             union |= structure.lines[i]
         if len(union) != 7:
             bad_size.append(x)
@@ -420,7 +425,10 @@ def verify_concurrency_witnesses(
     whose spanned projective line meets the hyperoval in two points, exhibit
     a norm-one vector u over the hyperoval, orthogonal to both, with [u+a]
     and [u+b] again over the hyperoval.  Such a u puts the oval lines of a
-    and b on a common point."""
+    and b on a common point.
+
+    Since hermitian(a, b) = 1, a and b are independent, and the projective
+    line they span is the polar of ``span_perp(a, b)``."""
     oval_vecs = strata.oval_vectors
     if oval_vecs is None:
         raise ValueError("strata carry no hyperoval selection")
@@ -432,10 +440,10 @@ def verify_concurrency_witnesses(
         for b in isotropic:
             if hermitian(a, b) != 1:
                 continue
-            if len(pg_line_through(a, b) & partition.oval) != 2:
+            perp = span_perp(a, b)
+            if len(perp_line(perp) & partition.oval) != 2:
                 continue
             qualifying += 1
-            perp = span_perp(a, b)
             witness = None
             for u in point_vectors(perp):
                 if (
@@ -530,13 +538,8 @@ def verify_classification_hypotheses(structure: IncidenceStructure) -> Report:
 def dual(structure: IncidenceStructure) -> IncidenceStructure:
     """Swap points and lines: dual points are line indices, dual lines are
     the pencils of lines through each point."""
-    index = {p: i for i, p in enumerate(structure.points)}
-    pencils = [[] for _ in structure.points]
-    for i, line in enumerate(structure.lines):
-        for p in line:
-            pencils[index[p]].append(i)
     return IncidenceStructure(
         points=tuple(range(len(structure.lines))),
-        lines=tuple(frozenset(pencil) for pencil in pencils),
+        lines=tuple(map(frozenset, structure.pencils)),
         tags=None,
     )

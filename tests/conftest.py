@@ -26,7 +26,7 @@ def structure(partition):
 def corrupted(structure):
     """The hexagon with one point of line 0 swapped for a point off that line."""
     line = structure.lines[0]
-    old = min(line, key=structure.point_index().get)
+    old = min(line, key=structure.points.index)
     new = next(p for p in structure.points if p not in line)
     lines = ((line - {old}) | {new},) + structure.lines[1:]
     return dataclasses.replace(structure, lines=lines)

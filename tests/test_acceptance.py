@@ -7,6 +7,7 @@ desk-scale and fully reproducible.
 
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 from splithex.cli import run_verify, strip_timing
@@ -63,15 +64,13 @@ def test_criterion_01_strata_counts(partition, strata):
 def test_criterion_02_symplectic_facts():
     lines = ti_lines()
     planes = ti_planes()
-    meets = {
-        len(line.vectors & plane.vectors) for line in lines for plane in planes
-    }
+    meets = {len(line & plane) for line in lines for plane in planes}
     ok = (
         len(lines) == 315
         and len(planes) == 135
-        and all(len(plane.vectors) == 7 for plane in planes)
+        and all(len(plane) == 7 for plane in planes)
         and all(
-            sum(1 for plane in planes if line.vectors <= plane.vectors) == 3
+            sum(1 for plane in planes if line <= plane) == 3
             for line in lines
         )
         and meets <= {0, 1, 3}
@@ -82,7 +81,7 @@ def test_criterion_02_symplectic_facts():
 def test_criterion_03_partial_linear_space(structure):
     report = verify_partial_linear_space(structure)
     kinds = [t.kind for t in structure.tags]
-    through = structure.lines_of()
+    through = Counter(p for line in structure.lines for p in line)
     ok = (
         report.passed
         and len(structure.points) == 63
@@ -90,7 +89,7 @@ def test_criterion_03_partial_linear_space(structure):
         and (kinds.count("scalar"), kinds.count("oval"), kinds.count("twin"))
         == (9, 27, 27)
         and all(len(line) == 3 for line in structure.lines)
-        and all(len(ls) == 3 for ls in through.values())
+        and all(through[p] == 3 for p in structure.points)
         and _no_pair_on_two_lines(structure)
     )
     _line(3, "partial-linear-space", ok)

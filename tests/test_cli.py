@@ -58,9 +58,11 @@ def test_run_verify_with_aut_adds_group_checks():
     assert order_check.witness == {"order": 12096}
 
 
-def test_run_verify_rejects_bad_pairing():
-    with pytest.raises(ValueError, match="pairing"):
-        run_verify(pairing=7)
+@pytest.mark.parametrize("entry", [run_verify, collect_counts, collect_aut])
+@pytest.mark.parametrize("pairing", [-1, 3, 7])
+def test_every_entry_point_rejects_a_pairing_out_of_range(entry, pairing):
+    with pytest.raises(ValueError, match="pairing must be 0, 1 or 2"):
+        entry(pairing)
 
 
 @pytest.mark.parametrize("pairing", [1, 2])

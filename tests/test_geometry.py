@@ -17,7 +17,6 @@ from splithex.geometry import (
     hyperoval_partitions,
     nonzero_vectors,
     perp_line,
-    pg_line_through,
     point_vectors,
     proj_rep,
     projective_points,
@@ -132,21 +131,13 @@ def test_pg_lines():
     lines = all_pg_lines()
     assert len(lines) == 21
     assert all(len(L) == 5 for L in lines)
-    through = pg_line_through((1, 0, 0), (0, 1, 0))
+    through = perp_line(span_perp((1, 0, 0), (0, 1, 0)))
     assert through in set(lines)
-    with pytest.raises(ValueError, match="degenerate span"):
-        pg_line_through((1, 0, 0), (3, 0, 0))
-
-
-@pytest.mark.parametrize("p, q", [((1, 2, 3), ZERO_VECTOR), (ZERO_VECTOR, (1, 2, 3)),
-                                  (ZERO_VECTOR, ZERO_VECTOR)])
-def test_pg_line_through_zero_is_degenerate(p, q):
-    with pytest.raises(ValueError, match="degenerate span"):
-        pg_line_through(p, q)
+    assert {(1, 0, 0), (0, 1, 0)} <= through
 
 
 def seed_pg_line_through(p, q):
-    """The 16-combination definition pg_line_through replaced."""
+    """The PG(2,4) line spanned by p and q, from all 16 combinations."""
     pts = set()
     for c1 in range(4):
         for c2 in range(4):
@@ -158,7 +149,7 @@ def seed_pg_line_through(p, q):
     return frozenset(pts)
 
 
-def test_pg_line_through_matches_sixteen_combinations():
+def test_polar_of_span_perp_is_the_spanned_line():
     vectors = (ZERO_VECTOR,) + nonzero_vectors()
     degenerate = 0
     for p in vectors:
@@ -168,9 +159,9 @@ def test_pg_line_through_matches_sixteen_combinations():
             except ValueError:
                 degenerate += 1
                 with pytest.raises(ValueError, match="degenerate span"):
-                    pg_line_through(p, q)
+                    span_perp(p, q)
             else:
-                assert pg_line_through(p, q) == expected
+                assert perp_line(span_perp(p, q)) == expected
     # zero against anything (127 pairs) and the 63 * 3 dependent nonzero pairs
     assert degenerate == 127 + 63 * 3
 
@@ -265,30 +256,30 @@ def test_ti_lines_and_planes_counts():
     planes = ti_planes()
     assert len(lines) == 315
     assert len(planes) == 135
-    assert all(line.rank == 2 and len(line.vectors) == 3 for line in lines)
-    assert all(plane.rank == 3 and len(plane.vectors) == 7 for plane in planes)
+    assert all(len(line) == 3 for line in lines)
+    assert all(len(plane) == 7 for plane in planes)
 
 
 def test_ti_subspaces_are_closed_and_orthogonal():
     vectors = set(nonzero_vectors())
     for sub in list(ti_lines()) + list(ti_planes()):
-        assert sub.vectors <= vectors
-        for u, v in combinations(sub.vectors, 2):
+        assert sub <= vectors
+        for u, v in combinations(sub, 2):
             s = v_add(u, v)
-            assert s in sub.vectors or s == ZERO_VECTOR
+            assert s in sub or s == ZERO_VECTOR
             assert symplectic(u, v) == 0
 
 
 def test_each_ti_line_in_exactly_3_planes():
     planes = ti_planes()
     for line in ti_lines():
-        count = sum(1 for plane in planes if line.vectors <= plane.vectors)
+        count = sum(1 for plane in planes if line <= plane)
         assert count == 3
 
 
 def test_line_plane_intersections():
     sizes = {
-        len(line.vectors & plane.vectors)
+        len(line & plane)
         for line in ti_lines()
         for plane in ti_planes()
     }

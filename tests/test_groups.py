@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
 from splithex.groups import (
+    Permutation,
     PermutationGroup,
     automorphism_generators,
     compose,
@@ -245,6 +246,99 @@ def test_search_order_matches_networkx(case):
     graph, coloring = case
     gens = automorphism_generators(graph, coloring)
     assert group_order(gens) == self_isomorphism_count(graph, coloring)
+
+
+def seed_automorphism_generators(graph: Graph, coloring) -> list:
+    """Reference: the search that recomputed the orbit of every vertex of a
+    target cell after the first, by a fresh breadth-first search (``orbit_of``).
+
+    Generators of the color-preserving automorphism group.
+
+    Deterministic: the target cell is the first smallest non-singleton
+    class and vertices branch in ascending order, so the generator list is
+    reproducible.  Branches reaching a vertex in the same orbit as an
+    already-explored sibling (under the automorphisms found so far that fix
+    the current individualized prefix) are skipped; off-spine subtrees are
+    abandoned as soon as they deliver one automorphism.
+    """
+    n = graph.vertex_count
+    initial = list(coloring)
+    found: list[Permutation] = []
+    first_leaf: list = [None]
+
+    def individualize(colors, v):
+        doubled = [2 * c for c in colors]
+        doubled[v] -= 1
+        return doubled
+
+    def orbit_of(v, gens):
+        orbit = {v}
+        frontier = [v]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = g[x]
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        return orbit
+
+    def search(colors, prefix, on_spine) -> bool:
+        colors = refine(graph, colors)
+        cells = {}
+        for v in range(n):
+            cells.setdefault(colors[v], []).append(v)
+        non_singleton = [c for c in sorted(cells) if len(cells[c]) > 1]
+
+        if not non_singleton:
+            ordering = [0] * n
+            for v in range(n):
+                ordering[colors[v]] = v
+            if first_leaf[0] is None:
+                first_leaf[0] = ordering
+                return False
+            candidate = [0] * n
+            for i in range(n):
+                candidate[first_leaf[0][i]] = ordering[i]
+            candidate = tuple(candidate)
+            if candidate != identity(n) and is_automorphism(graph, initial, candidate):
+                found.append(candidate)
+                return True
+            return False
+
+        target = min(non_singleton, key=lambda c: (len(cells[c]), c))
+        cell = sorted(cells[target])
+        explored = []
+        delivered = False
+        for v in cell:
+            if explored:
+                stabilizing = [g for g in found if all(g[u] == u for u in prefix)]
+                if stabilizing and orbit_of(v, stabilizing) & set(explored):
+                    continue
+            child_on_spine = on_spine and not explored
+            got = search(individualize(colors, v), prefix + [v], child_on_spine)
+            explored.append(v)
+            delivered = delivered or got
+            if got and not on_spine:
+                return True
+        return delivered
+
+    search(initial, [], True)
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_graphs())
+def test_search_matches_seed_orbit_pruning(case):
+    graph, coloring = case
+    assert automorphism_generators(graph, coloring) == seed_automorphism_generators(
+        graph, coloring
+    )
+
+
+def test_search_matches_seed_orbit_pruning_on_the_hexagon(structure, aut_generators):
+    graph = incidence_graph(structure)
+    assert aut_generators == seed_automorphism_generators(graph, [0] * 63 + [1] * 63)
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def test_build_is_deterministic(partition, structure):
 
 
 def test_every_line_is_a_ti_line_of_the_symplectic_space(structure):
-    known = {line.vectors for line in ti_lines()}
+    known = ti_lines()
     for line in structure.lines:
         assert line in known
 
@@ -206,7 +206,6 @@ def test_plane_property_passes_for_all_63_points(structure):
 
 
 def test_plane_of_isotropic_point_is_union_of_its_three_lines(structure, strata):
-    through = structure.lines_of()
     for a in sorted(strata.isotropic, key=to_gf2)[:5]:
         expected = (
             scalar_line(a).points
@@ -214,7 +213,7 @@ def test_plane_of_isotropic_point_is_union_of_its_three_lines(structure, strata)
             | twin_line(a, strata).points
         )
         union = set()
-        for i in through[a]:
+        for i in structure.pencils[structure.points.index(a)]:
             union |= structure.lines[i]
         assert union == expected
 
@@ -256,6 +255,33 @@ def test_concurrency_graph_matches_pair_definition(structure, corrupted, case):
         if s.lines[i] & s.lines[j]
     ]
     assert concurrency_graph(s) == Graph.from_edges(len(s.lines), pairs)
+
+
+@pytest.mark.parametrize("case", ["genuine", "dual", "corrupted", "corrupted-dual"])
+def test_incidences_and_pencils_match_membership(structure, corrupted, case):
+    base = corrupted if case.startswith("corrupted") else structure
+    s = dual(base) if case.endswith("dual") else base
+    assert s.incidences == tuple(
+        tuple(i for i, p in enumerate(s.points) if p in line) for line in s.lines
+    )
+    assert s.pencils == tuple(
+        tuple(j for j, line in enumerate(s.lines) if p in line) for p in s.points
+    )
+    assert s.incidences is s.incidences and s.pencils is s.pencils
+    npts = len(s.points)
+    edges = [(i, npts + j) for j, line in enumerate(s.lines)
+             for i, p in enumerate(s.points) if p in line]
+    assert incidence_graph(s) == Graph.from_edges(npts + len(s.lines), edges)
+
+
+@pytest.mark.parametrize("reader", [
+    incidence_graph, concurrency_graph, point_graph, dual,
+    verify_partial_linear_space, verify_plane_property,
+])
+def test_a_line_point_off_the_point_set_is_refused(structure, reader):
+    stray = IncidenceStructure(points=structure.points[1:], lines=structure.lines)
+    with pytest.raises(ValueError, match="not one of the points"):
+        reader(stray)
 
 
 def test_concurrency_graph_is_6_regular_and_connected(structure):
@@ -502,7 +528,7 @@ def test_dual_counts_and_verdict(structure):
 
 def test_double_dual_is_the_original_up_to_indexing(structure):
     co2 = dual(dual(structure))
-    index = structure.point_index()
+    index = {p: i for i, p in enumerate(structure.points)}
     relabeled = tuple(
         frozenset(index[p] for p in line) for line in structure.lines
     )
