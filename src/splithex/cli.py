@@ -186,11 +186,15 @@ def _symplectic_counts(ctx):
     lines = ti_lines()
     planes = ti_planes()
     plane_sizes = {len(M) for M in planes}
-    # One intersection per line-plane pair gives both counts: a line lies
-    # in a plane exactly when they meet in all of its vectors.
+    # Each line and plane as a 63-bit mask over nonzero_vectors(); one
+    # intersection per line-plane pair gives both counts: a line lies in a
+    # plane exactly when they meet in all of its vectors.
+    bit = {v: 1 << i for i, v in enumerate(nonzero_vectors())}
+    plane_masks = [sum(bit[v] for v in M) for M in planes]
     per_line, meets = set(), set()
     for L in lines:
-        sizes = [len(L & M) for M in planes]
+        mask = sum(bit[v] for v in L)
+        sizes = [(mask & M).bit_count() for M in plane_masks]
         per_line.add(sizes.count(len(L)))
         meets.update(sizes)
     counts = {

@@ -3,9 +3,11 @@
 The automorphism search is a deterministic individualization-refinement
 backtracker: colorings are refined to the coarsest equitable refinement,
 the first smallest non-singleton color class is chosen as target cell, and
-its vertices are individualized in ascending order.  Candidate
-automorphisms are read off discrete colorings by comparison with the first
-leaf; discovered automorphisms prune later branches by orbits.
+its vertices are individualized in ascending order.  The coloring is
+equitable before a vertex is individualized, so the first refinement round
+after it re-examines only the classes of that vertex's neighbours.
+Candidate automorphisms are read off discrete colorings by comparison with
+the first leaf; discovered automorphisms prune later branches by orbits.
 
 Group orders come from a deterministic Schreier-Sims construction of a base
 and strong generating set; the order is the product of the fundamental
@@ -15,7 +17,11 @@ generators, so sifting never inverts a permutation.  While the chain is
 built, each level remembers every permutation already sifted into it:
 the levels below are then a base and strong generating set of a group
 that only grows, so such a permutation would sift to the identity again
-and is skipped.  Permutations are
+and is skipped.  The point and line actions are images of the
+incidence-graph group, so that group's order bounds theirs: their chains
+stop sifting as soon as the product of the orbit lengths reaches it, and
+the certificate that the two actions differ scans that group itself
+instead of building it again.  Permutations are
 tuples ``p`` with ``p[i]`` the image of ``i``; ``compose(p, q)`` applies p
 first, then q.
 """
@@ -75,7 +81,14 @@ def is_transitive(generators, degree: int) -> bool:
 # equitable refinement
 
 
-def refine(graph: Graph, coloring) -> tuple:
+def individualize(colors, v) -> list:
+    """The coloring with v alone in a new class just before its old one."""
+    doubled = [2 * c for c in colors]
+    doubled[v] -= 1
+    return doubled
+
+
+def refine(graph: Graph, coloring, individualized=None) -> tuple:
     """Coarsest equitable coloring finer than the given one.
 
     Each round recolors every vertex by the pair (current color, sorted
@@ -84,28 +97,49 @@ def refine(graph: Graph, coloring) -> tuple:
     coloring of the first round that splits no class.
 
     A round re-examines only the classes with a neighbor in a part split
-    off in the round before (every class in the first round); the largest
-    part of a split class keeps its id and is not counted as split off.
-    Members of one class see equally many neighbors in each class of the
-    round before, so when none of them has a neighbor in a part split off
-    from that class, they all still see equally many in the part that kept
-    its id, and the class cannot split.  Ids stay stable across rounds and
-    ``rank[c]`` is the color of class ``c``: the parts of a split class take,
-    in signature order, the ranks after those of the classes ranked before
-    it.
+    off in the round before; the largest part of a split class keeps its
+    id and is not counted as split off.  Members of one class see equally
+    many neighbors in each class of the round before, so when none of them
+    has a neighbor in a part split off from that class, they all still see
+    equally many in the part that kept its id, and the class cannot split.
+
+    Inside the loop a vertex's color is where its class starts when the
+    classes are laid out by rank (``start``), which is a strictly
+    increasing function of the rank and so sorts signatures alike; the
+    parts of a split class are laid out in signature order from where the
+    class started, so no other class moves and a round only recolors the
+    parts it split off.  The starts are renumbered into ranks on return.
+
+    The first round re-examines every class, unless ``individualized`` is
+    a vertex v and the coloring is ``individualize(c, v)`` of an equitable
+    coloring c.  Then {v} is the one part split off from an equitable
+    coloring, so the first round re-examines only the classes of v's
+    neighbours; it splits the same classes, and the result and the number
+    of rounds are those of a first round over every class.
     """
+    return _refine(graph, coloring, individualized)[0]
+
+
+def _refine(graph: Graph, coloring, individualized) -> tuple:
+    """:func:`refine`, and the number of rounds it took."""
     adjacency = graph.adjacency
     first = {c: i for i, c in enumerate(sorted(set(coloring)))}
     cls = [first[c] for c in coloring]  # vertex -> class id
     members = [[] for _ in first]
     for v, c in enumerate(cls):
         members[c].append(v)
-    order = list(range(len(members)))  # class ids by rank
-    rank = list(order)
-    stale = order
+    start = [0] * len(members)  # class id -> where it starts, classes by rank
+    for c in range(1, len(members)):
+        start[c] = start[c - 1] + len(members[c - 1])
+    color = [start[c] for c in cls]
+    color_of = color.__getitem__
+    if individualized is None:
+        stale = range(len(members))
+    else:
+        stale = {cls[w] for w in adjacency[individualized]}
+    rounds = 0
     while True:
-        color = [rank[c] for c in cls]
-        color_of = color.__getitem__
+        rounds += 1
         split = {}  # class id -> its parts in signature order
         for c in stale:
             if len(members[c]) == 1:
@@ -117,27 +151,28 @@ def refine(graph: Graph, coloring) -> tuple:
             if len(parts) > 1:
                 split[c] = [parts[key] for key in sorted(parts)]
         if not split:
-            return tuple(color)
-        ids_of = {}
+            rank = {x: i for i, x in enumerate(sorted(set(color)))}
+            return tuple([rank[x] for x in color]), rounds
         touched = set()
         for c, parts in split.items():
             largest = max(parts, key=len)
-            ids_of[c] = ids = []
+            position = start[c]
             for part in parts:
                 if part is largest:
-                    ids.append(c)
                     members[c] = part
-                    continue
-                ids.append(len(members))
+                    new = c
+                else:
+                    new = len(members)
+                    members.append(part)
+                    start.append(0)
+                    for v in part:
+                        touched.update(adjacency[v])
+                start[new] = position
                 for v in part:
-                    cls[v] = len(members)
-                    touched.update(adjacency[v])
-                members.append(part)
-                rank.append(0)
+                    cls[v] = new
+                    color[v] = position
+                position += len(part)
         stale = {cls[v] for v in touched}
-        order = [i for c in order for i in ids_of.get(c, (c,))]
-        for i, c in enumerate(order):
-            rank[c] = i
 
 
 def is_equitable(graph: Graph, coloring) -> bool:
@@ -181,13 +216,9 @@ def automorphism_generators(graph: Graph, coloring) -> list:
     found: list[Permutation] = []
     first_leaf: list = [None]
 
-    def individualize(colors, v):
-        doubled = [2 * c for c in colors]
-        doubled[v] -= 1
-        return doubled
-
     def search(colors, prefix, on_spine) -> bool:
-        colors = refine(graph, colors)
+        # below the root, colors is individualize(equitable coloring, prefix[-1])
+        colors = refine(graph, colors, individualized=prefix[-1] if prefix else None)
         cells = {}
         for v in range(n):
             cells.setdefault(colors[v], []).append(v)
@@ -246,9 +277,23 @@ class PermutationGroup:
     pre-seeds base points (distinct ints in ``range(degree)``), which makes
     the stabilizer of a chosen point directly available as the second level
     of the chain.
+
+    ``_order_bound`` is for :func:`induced_actions` only: an upper bound on
+    the order, such as the order of a group the generators are images of.
+    At every moment of the build each orbit length is at most the index of
+    the next stabilizer in the true chain, so the product of the orbit
+    lengths is at most the order.  Once the product reaches the bound, the
+    order equals the bound, the base is complete and every level already
+    holds its full orbit, so no Schreier generator can add a strong
+    generator and sifting stops.  Levels above the one that reached the
+    bound may have gained strong generators since their last rebuild; each
+    such level is still rebuilt from its final strong generators as the
+    insertions that touched it unwind, so the chain is the one a full build
+    gives.  A product past the bound raises ``ValueError``; a bound never
+    reached (a non-faithful image) lets the build run to the end.
     """
 
-    def __init__(self, degree: int, generators, base_hint=()):
+    def __init__(self, degree: int, generators, base_hint=(), *, _order_bound=None):
         self.degree = degree
         self.generators = [self._checked(g) for g in generators]
         self.base: list[int] = []
@@ -258,11 +303,16 @@ class PermutationGroup:
         self._transversal_inverses: list[dict] = []
         self._members: list[set] = []
         self._identity = identity(degree)
+        self._source = None  # the group this is an action of (induced_actions)
+        self._bound = _order_bound
+        self._complete = False
         for b in self._checked_points(base_hint):
             self._append_level(b)
         for g in self.generators:
+            if self._complete:
+                break
             self._add(g, 0)
-        del self._members
+        del self._members, self._bound, self._complete
 
     def _checked(self, g) -> Permutation:
         g = tuple(g)
@@ -336,17 +386,36 @@ class PermutationGroup:
             self._level_gens[j].append(h)
             self._level_inverses[j].append(h_inv)
         # Re-close the Schreier condition on every touched level, deepest
-        # first; residues found on the way are inserted recursively.
+        # first; residues found on the way are inserted recursively.  Once
+        # the order bound is reached, only the rebuilds of the levels that
+        # gained a strong generator are left.
         for j in range(level, start - 1, -1):
             self._rebuild_orbit(j)
-            transversal = self._transversals[j]
-            inverses = self._transversal_inverses[j]
-            for x in sorted(transversal):
-                ux = transversal[x]
-                for s in self._level_gens[j]:
-                    # u_x, then s, then the inverse of u_{s(x)}
-                    back = inverses[s[x]]
-                    self._add(tuple([back[s[i]] for i in ux]), j + 1)
+            if not self._complete:
+                self._sift_schreier_generators(j)
+
+    def _sift_schreier_generators(self, j: int) -> None:
+        if self._reaches_bound():
+            return
+        transversal = self._transversals[j]
+        inverses = self._transversal_inverses[j]
+        for x in sorted(transversal):
+            ux = transversal[x]
+            for s in self._level_gens[j]:
+                # u_x, then s, then the inverse of u_{s(x)}
+                back = inverses[s[x]]
+                self._add(tuple([back[s[i]] for i in ux]), j + 1)
+                if self._complete:
+                    return
+
+    def _reaches_bound(self) -> bool:
+        if self._bound is None:
+            return False
+        order = self.order
+        if order > self._bound:
+            raise ValueError(f"order reached {order}, past the bound {self._bound}")
+        self._complete = order == self._bound
+        return self._complete
 
     @property
     def order(self) -> int:
@@ -434,7 +503,10 @@ def induced_actions(group: PermutationGroup, structure: IncidenceStructure):
     """Split incidence-graph automorphisms into the point and line actions.
 
     Generators must preserve the bipartition (points first, then lines);
-    a part-swapping generator raises ``duality detected``.
+    a part-swapping generator raises ``duality detected``.  Each action is
+    an image of ``group``, so its chain is built with ``group.order`` as
+    the known-order bound of :class:`PermutationGroup`, and both actions
+    remember ``group`` for :func:`nonequivalence_certificate`.
     """
     npts = len(structure.points)
     nlines = len(structure.lines)
@@ -448,10 +520,13 @@ def induced_actions(group: PermutationGroup, structure: IncidenceStructure):
             raise ValueError("duality detected: a generator exchanges points and lines")
         point_gens.append(g[:npts])
         line_gens.append(tuple(x - npts for x in g[npts:]))
-    return (
-        PermutationGroup(npts, point_gens, base_hint=(0,)),
-        PermutationGroup(nlines, line_gens, base_hint=(0,)),
+    actions = (
+        PermutationGroup(npts, point_gens, base_hint=(0,), _order_bound=group.order),
+        PermutationGroup(nlines, line_gens, base_hint=(0,), _order_bound=group.order),
     )
+    for action in actions:
+        action._source = group
+    return actions
 
 
 def character_witness(group: PermutationGroup, npts: int):
@@ -480,7 +555,12 @@ def nonequivalence_certificate(point_action, line_action):
     """The :func:`character_witness` of the group acting on both sides.
 
     The two actions must carry corresponding generator lists; each pair is
-    joined into one permutation of the points followed by the lines.
+    joined into one permutation of the points followed by the lines.  When
+    both actions came from one ``induced_actions(group, ...)``, passed in
+    that order, the joined generators are exactly ``group.generators``, so
+    ``group`` itself is scanned instead of being built again (for a
+    ``group`` built without ``base_hint``, as every caller builds it, that
+    is the same chain and the same witness).
     """
     if len(point_action.generators) != len(line_action.generators):
         raise ValueError("generator lists do not correspond")
@@ -489,5 +569,9 @@ def nonequivalence_certificate(point_action, line_action):
         gp + tuple(x + npts for x in gl)
         for gp, gl in zip(point_action.generators, line_action.generators)
     ]
+    source = point_action._source
+    if (source is not None and source is line_action._source
+            and source.generators == diagonal):
+        return character_witness(source, npts)
     joint = PermutationGroup(npts + line_action.degree, diagonal)
     return character_witness(joint, npts)

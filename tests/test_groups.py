@@ -7,13 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
+import splithex.groups as groups_module
+from splithex.geometry import hyperoval_partitions
 from splithex.groups import (
     Permutation,
     PermutationGroup,
+    _refine,
     automorphism_generators,
+    character_witness,
     compose,
     group_order,
     identity,
+    individualize,
     induced_actions,
     inverse,
     is_automorphism,
@@ -24,7 +29,7 @@ from splithex.groups import (
     preserves_incidence,
     refine,
 )
-from splithex.hexagon import Graph, IncidenceStructure, incidence_graph
+from splithex.hexagon import Graph, IncidenceStructure, build, incidence_graph
 
 GOLDEN_WITNESS_FIXED = (0, 1)  # (fixed points, fixed lines) of the first witness
 
@@ -177,7 +182,13 @@ def colored_graphs():
 @given(colored_graphs())
 def test_refine_matches_seed_loop(case):
     graph, coloring = case
-    assert refine(graph, coloring) == seed_refine(graph, coloring)
+    colors = refine(graph, coloring)
+    assert colors == seed_refine(graph, coloring)
+    # the search refines an individualized equitable coloring with the first
+    # round seeded by the individualized vertex: same colors, same rounds
+    for v in range(graph.vertex_count):
+        individualized = individualize(colors, v)
+        assert _refine(graph, individualized, v) == _refine(graph, individualized, None)
 
 
 def test_refine_commutes_with_relabeling():
@@ -525,6 +536,86 @@ def test_memo_leaves_the_chain_unchanged(case):
     assert group.order == closure_order(gens)
 
 
+def full_chain(group):
+    """The chain plus the stored inverses of transversals and strong generators."""
+    inverses = [sorted(t.items()) for t in group._transversal_inverses]
+    return chain(group), inverses, group._level_inverses
+
+
+@st.composite
+def images(draw):
+    """A parent group and the generators of one of its actions, with a hint.
+
+    The action is the parent relabeled (faithful), the first factor of a
+    diagonal product (faithful or not), or the action on the blocks
+    {0, 1}, {2, 3}, ... (not faithful once a block is flipped in place).
+    """
+    kind = draw(st.sampled_from(("relabeled", "diagonal", "blocks")))
+    if kind == "relabeled":
+        n = draw(st.integers(1, 8))
+        parent_gens = draw(st.lists(st.permutations(range(n)).map(tuple), max_size=4))
+        r = draw(st.permutations(range(n)))
+        r_inv = inverse(r)
+        image = [tuple(r[g[r_inv[y]]] for y in range(n)) for g in parent_gens]
+    elif kind == "diagonal":
+        n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        pairs = draw(st.lists(st.tuples(st.permutations(range(n)),
+                                        st.permutations(range(m))), max_size=3))
+        parent_gens = [tuple(a) + tuple(n + x for x in b) for a, b in pairs]
+        image = [tuple(a) for a, _ in pairs]
+        n += m
+    else:
+        k = draw(st.integers(1, 4))
+        flip_lists = st.lists(st.booleans(), min_size=k, max_size=k)
+        moves = draw(st.lists(st.tuples(st.permutations(range(k)), flip_lists),
+                              max_size=3))
+        parent_gens = [tuple(2 * sigma[x // 2] + (x % 2 ^ flips[x // 2])
+                             for x in range(2 * k)) for sigma, flips in moves]
+        image = [tuple(sigma) for sigma, _ in moves]
+        n = 2 * k
+    parent = PermutationGroup(n, parent_gens)
+    degree = len(image[0]) if image else draw(st.integers(1, 4))
+    hint = draw(st.one_of(st.just(()),
+                          st.lists(st.integers(0, degree - 1), unique=True)))
+    return parent, degree, image, tuple(hint)
+
+
+@settings(max_examples=200, deadline=None)
+@given(images())
+def test_order_bound_leaves_the_chain_unchanged(case):
+    parent, degree, gens, hint = case
+    bounded = PermutationGroup(degree, gens, base_hint=hint, _order_bound=parent.order)
+    unbounded = PermutationGroup(degree, gens, base_hint=hint)
+    assert full_chain(bounded) == full_chain(unbounded)
+    if bounded.order < parent.order:  # not faithful: the bound was never reached
+        assert bounded.order == closure_order(gens)
+    if bounded.order > 1:
+        # Every orbit length divides the order, so the product of the orbit
+        # lengths (at least 2 after the first rebuild) never equals the
+        # coprime order - 1 and must pass it on its way to the order.
+        with pytest.raises(ValueError, match="past the bound"):
+            PermutationGroup(degree, gens, base_hint=hint,
+                             _order_bound=bounded.order - 1)
+
+
+def test_action_chains_stop_at_the_parent_order(aut_group, structure, monkeypatch):
+    def compose_calls(build_chain):
+        calls = []
+        monkeypatch.setattr(groups_module, "compose",
+                            lambda p, q: calls.append(1) or compose(p, q))
+        group = build_chain()
+        monkeypatch.setattr(groups_module, "compose", compose)
+        return group, len(calls)
+
+    point_gens = [g[:63] for g in aut_group.generators]
+    bounded, bounded_calls = compose_calls(lambda: PermutationGroup(
+        63, point_gens, base_hint=(0,), _order_bound=aut_group.order))
+    full, full_calls = compose_calls(lambda: PermutationGroup(
+        63, point_gens, base_hint=(0,)))
+    assert full_chain(bounded) == full_chain(full)
+    assert bounded_calls < full_calls
+
+
 # ---------------------------------------------------------------------------
 # the two degree-63 actions
 
@@ -587,6 +678,36 @@ def test_identity_fixes_everything(actions):
     assert identity(63) in points_action
     # the identity can never separate the characters
     assert sum(1 for i in range(63) if identity(63)[i] == i) == 63
+
+
+@pytest.mark.parametrize("pairing", [0, 1, 2])
+@pytest.mark.parametrize("seed", [None, 2026])
+def test_certificate_scans_the_group_the_actions_came_from(pairing, seed, monkeypatch):
+    structure = build(hyperoval_partitions()[pairing])
+    if seed is not None:
+        rng = random.Random(seed)
+        points, lines = list(structure.points), list(structure.lines)
+        rng.shuffle(points)
+        rng.shuffle(lines)
+        structure = IncidenceStructure(tuple(points), tuple(lines))
+    gens = automorphism_generators(incidence_graph(structure), [0] * 63 + [1] * 63)
+    point_action, line_action = induced_actions(PermutationGroup(126, gens), structure)
+
+    def rebuilt(first, second):
+        joined = [a + tuple(x + 63 for x in b)
+                  for a, b in zip(first.generators, second.generators)]
+        return character_witness(PermutationGroup(126, joined), 63)
+
+    # passed the other way round, the actions join into another group
+    swapped = nonequivalence_certificate(line_action, point_action)
+    assert swapped == rebuilt(line_action, point_action)
+    expected = rebuilt(point_action, line_action)
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("the joint group was built again")
+
+    monkeypatch.setattr(groups_module, "PermutationGroup", no_rebuild)
+    assert nonequivalence_certificate(point_action, line_action) == expected
 
 
 def test_equivalent_actions_have_no_certificate():
