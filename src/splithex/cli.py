@@ -28,8 +28,10 @@ from .geometry import (
     self_polar_triangles,
     strata_for,
     ti_lines,
+    ti_plane_masks,
     ti_planes,
     unital_points,
+    vector_mask,
 )
 from .groups import (
     PermutationGroup,
@@ -186,14 +188,13 @@ def _symplectic_counts(ctx):
     lines = ti_lines()
     planes = ti_planes()
     plane_sizes = {len(M) for M in planes}
-    # Each line and plane as a 63-bit mask over nonzero_vectors(); one
-    # intersection per line-plane pair gives both counts: a line lies in a
-    # plane exactly when they meet in all of its vectors.
-    bit = {v: 1 << i for i, v in enumerate(nonzero_vectors())}
-    plane_masks = [sum(bit[v] for v in M) for M in planes]
+    # Each line and plane as a mask over the vector codes; one intersection
+    # per line-plane pair gives both counts: a line lies in a plane exactly
+    # when they meet in all of its vectors.
+    plane_masks = ti_plane_masks()
     per_line, meets = set(), set()
     for L in lines:
-        mask = sum(bit[v] for v in L)
+        mask = vector_mask(L)
         sizes = [(mask & M).bit_count() for M in plane_masks]
         per_line.add(sizes.count(len(L)))
         meets.update(sizes)

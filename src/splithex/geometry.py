@@ -7,7 +7,9 @@ triangles, and pairing those triangles yields the 3 candidate hyperoval
 partitions.  The trace of the hermitian form turns the same 63 triples into
 a rank-3 symplectic space over GF(2) (addition of triples is already
 addition over GF(2)); its totally isotropic lines and planes are enumerated
-here as sets of triples, by closure under addition.
+here as sets of triples, by closure under addition.  For table-driven
+checks each nonzero triple also has a 6-bit int code, under which addition
+is XOR and a set of triples is an int mask (:func:`vector_codes`).
 
 All enumerations are deterministic: vectors and points are ordered by their
 GF(2) bit layout, triangles and subspaces by their sorted members.
@@ -127,6 +129,7 @@ def all_pg_lines() -> tuple[frozenset, ...]:
     return tuple(sorted(lines, key=lambda L: sorted(map(to_gf2, L))))
 
 
+@cache
 def span_perp(a: Vector3, b: Vector3) -> Vector3:
     """The unique projective point hermitian-orthogonal to both a and b.
 
@@ -207,6 +210,47 @@ def _perps() -> dict:
     to it (itself included)."""
     vecs = nonzero_vectors()
     return {u: frozenset(v for v in vecs if symplectic(u, v) == 0) for u in vecs}
+
+
+@cache
+def vector_codes() -> dict:
+    """Each nonzero vector mapped to its 6-bit code v[0] | v[1]<<2 | v[2]<<4.
+
+    The code of a sum of vectors is the XOR of their codes, so a set of
+    vectors is an int mask with bit ``code`` set for each member."""
+    return {v: v[0] | v[1] << 2 | v[2] << 4 for v in nonzero_vectors()}
+
+
+def vector_mask(vectors) -> int:
+    """The set of nonzero vectors as a mask over their codes."""
+    code = vector_codes()
+    return sum(1 << code[v] for v in vectors)
+
+
+@cache
+def perp_masks() -> tuple:
+    """Indexed by code: the mask of the vectors symplectic-orthogonal to that
+    vector (itself included); code 0, the zero vector, is orthogonal to all."""
+    code = vector_codes()
+    masks = [vector_mask(nonzero_vectors())] * 64
+    for u, perp in _perps().items():
+        masks[code[u]] = vector_mask(perp)
+    return tuple(masks)
+
+
+@cache
+def ti_plane_masks() -> frozenset:
+    """The 135 totally isotropic planes as masks (see :func:`vector_mask`)."""
+    return frozenset(map(vector_mask, ti_planes()))
+
+
+@cache
+def proj_reps() -> tuple:
+    """Indexed by code: ``proj_rep`` of that vector (None for code 0)."""
+    reps = [None] * 64
+    for v, c in vector_codes().items():
+        reps[c] = proj_rep(v)
+    return tuple(reps)
 
 
 @cache

@@ -17,7 +17,12 @@ the split Cayley hexagon of order 2.
 Diameter, girth and the point distance distribution come from one
 bit-parallel sweep (:func:`sphere_sweep`): the balls around all vertices
 grow together as int bitmasks, their differences are the distance spheres,
-and two rules on the spheres give the exact girth.
+and two rules on the spheres give the exact girth.  A structure keeps its
+sweep (``IncidenceStructure.sweep``), and the one :func:`dual` makes reads
+it off its primal's, whose incidence graph is the same with the parts
+swapped.  The plane and concurrency-witness checks work on 6-bit vector
+codes (:func:`geometry.vector_codes`), under which addition is XOR and a set
+of vectors is an int mask.
 """
 
 from __future__ import annotations
@@ -27,17 +32,20 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .algebra import ZERO_VECTOR, Vector3, hermitian, symplectic, to_gf2, v_add
+from .algebra import ZERO_VECTOR, Vector3, hermitian, to_gf2, v_add
 from .geometry import (
     HyperovalPartition,
     Strata,
     nonzero_vectors,
     perp_line,
+    perp_masks,
     point_vectors,
     proj_rep,
+    proj_reps,
     span_perp,
     strata_for,
-    ti_planes,
+    ti_plane_masks,
+    vector_codes,
 )
 
 SCALAR = "scalar"
@@ -66,12 +74,18 @@ class IncidenceStructure:
     """Points, lines (as frozensets of points) and optional line metadata.
 
     The incidences are indexed once per instance, in two views that every
-    graph builder and verifier reads: ``incidences`` and ``pencils``.
+    graph builder and verifier reads: ``incidences`` and ``pencils``.  Two
+    more views hold the incidence graph (``adjacency``) and its distance
+    sweep (``sweep``).
     """
 
     points: tuple
     lines: tuple
     tags: tuple | None = None
+
+    # Set only by dual(): the structure this one is the dual of.  Not a field,
+    # so dataclasses.replace() and == ignore it.
+    _primal = None
 
     @cached_property
     def incidences(self) -> tuple:
@@ -92,6 +106,34 @@ class IncidenceStructure:
             for i in line:
                 pencils[i].append(j)
         return tuple(map(tuple, pencils))
+
+    @cached_property
+    def adjacency(self) -> tuple:
+        """The incidence graph's neighbour tuples, points then lines: a
+        point's neighbours are its pencil and a line's are its points, both
+        already ascending."""
+        npts = len(self.points)
+        points = (tuple(npts + j for j in pencil) for pencil in self.pencils)
+        return (*points, *self.incidences)
+
+    @cached_property
+    def sweep(self) -> tuple:
+        """:func:`sphere_sweep` of the incidence graph: (spheres, girth).
+
+        The incidence graph of a dual is its primal's with the parts
+        swapped, so a structure made by :func:`dual` relabels its primal's
+        sweep instead of sweeping again."""
+        primal = self._primal
+        if primal is None:
+            return sphere_sweep(Graph(adjacency=self.adjacency))
+        (spheres, girth), npts = primal.sweep, len(primal.points)
+        # Dual vertex v is primal vertex (v + npts) mod n: rotate every
+        # sphere list and every mask by npts.
+        low, nlines = (1 << npts) - 1, len(self.points)
+        return [
+            [(m >> npts) | ((m & low) << nlines) for m in layer[npts:] + layer[:npts]]
+            for layer in spheres
+        ], girth
 
 
 @dataclass(frozen=True)
@@ -316,13 +358,9 @@ def distance_distribution(graph: Graph, base: int) -> tuple:
 
 
 def incidence_graph(structure: IncidenceStructure) -> Graph:
-    """Bipartite graph on points then lines; edges are incident pairs.
-
-    A point's neighbours are its pencil and a line's are its points, both
-    already ascending."""
-    npts = len(structure.points)
-    points = (tuple(npts + j for j in pencil) for pencil in structure.pencils)
-    return Graph(adjacency=(*points, *structure.incidences))
+    """Bipartite graph on points then lines; edges are incident pairs (see
+    ``IncidenceStructure.adjacency``)."""
+    return Graph(adjacency=structure.adjacency)
 
 
 def concurrency_graph(structure: IncidenceStructure) -> Graph:
@@ -387,24 +425,39 @@ def verify_plane_property(structure: IncidenceStructure) -> Report:
     """For every point, the union of its 3 lines must be a 7-vector
     totally isotropic plane: closed under addition with 0 adjoined and
     pairwise symplectic-orthogonal.  Cross-checked against the enumerated
-    planes of the symplectic space."""
-    known_planes = ti_planes()
+    planes of the symplectic space.
+
+    Each union is an int mask over the vector codes (see
+    :func:`geometry.vector_codes`), under which addition is XOR, so the
+    four checks are bit tests against the union and the cached perp and
+    plane masks.  Raises ValueError if a point is not a nonzero GF(4)
+    triple."""
+    code, perps, known_planes = vector_codes(), perp_masks(), ti_plane_masks()
+    bits = []
+    for p in structure.points:
+        if p not in code:
+            raise ValueError(f"point {p!r} is not a nonzero GF(4) triple")
+        bits.append(1 << code[p])
+    line_masks = [sum(bits[i] for i in line) for line in structure.incidences]
     bad_size, bad_closure, bad_orthogonal, bad_membership = [], [], [], []
     for x, pencil in zip(structure.points, structure.pencils):
-        union = set()
+        union = 0
         for i in pencil:
-            union |= structure.lines[i]
-        if len(union) != 7:
+            union |= line_masks[i]
+        if union.bit_count() != 7:
             bad_size.append(x)
             continue
-        if any(
-            v_add(u, v) not in union and v_add(u, v) != ZERO_VECTOR
-            for u, v in combinations(union, 2)
-        ):
+        members, rest = [], union
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
+        # u != v, so u ^ v is the code of a nonzero sum.
+        if not all(union >> (u ^ v) & 1 for u, v in combinations(members, 2)):
             bad_closure.append(x)
-        if any(symplectic(u, v) != 0 for u, v in combinations(union, 2)):
+        if any(perps[u] & union != union for u in members):
             bad_orthogonal.append(x)
-        if frozenset(union) not in known_planes:
+        if union not in known_planes:
             bad_membership.append(x)
     checks = (
         Check("plane-size-7", not bad_size, witness=bad_size or None,
@@ -428,28 +481,33 @@ def verify_concurrency_witnesses(
     and b on a common point.
 
     Since hermitian(a, b) = 1, a and b are independent, and the projective
-    line they span is the polar of ``span_perp(a, b)``."""
+    line they span is the polar of ``span_perp(a, b)``.  The projective
+    points [u+a], [u+b] are looked up by vector code (u+a has code
+    code(u) ^ code(a))."""
     oval_vecs = strata.oval_vectors
     if oval_vecs is None:
         raise ValueError("strata carry no hyperoval selection")
+    code, reps, oval = vector_codes(), proj_reps(), partition.oval
     isotropic = sorted(strata.isotropic, key=to_gf2)
     qualifying = 0
     failures = []
     nonorthogonal = []
     for a in isotropic:
+        ca = code[a]
         for b in isotropic:
             if hermitian(a, b) != 1:
                 continue
             perp = span_perp(a, b)
-            if len(perp_line(perp) & partition.oval) != 2:
+            if len(perp_line(perp) & oval) != 2:
                 continue
             qualifying += 1
+            cb = code[b]
             witness = None
             for u in point_vectors(perp):
                 if (
                     u in oval_vecs
-                    and proj_rep(v_add(u, a)) in partition.oval
-                    and proj_rep(v_add(u, b)) in partition.oval
+                    and reps[code[u] ^ ca] in oval
+                    and reps[code[u] ^ cb] in oval
                 ):
                     witness = u
                     break
@@ -469,7 +527,9 @@ def verify_concurrency_witnesses(
 def verify_generalized_hexagon(structure: IncidenceStructure) -> Report:
     """The headline verdict: a partial linear space of order (2,2) whose
     incidence graph has diameter 6 and girth 12.  Also records the point
-    distance distribution, which must be (1, 6, 24, 32) from every point."""
+    distance distribution, which must be (1, 6, 24, 32) from every point.
+    All three are read off the structure's ``sweep``, which a dual shares
+    with its primal."""
     pls = verify_partial_linear_space(structure)
     graph = incidence_graph(structure)
     checks = [
@@ -483,7 +543,7 @@ def verify_generalized_hexagon(structure: IncidenceStructure) -> Report:
     connected = is_connected(graph)
     checks.append(Check("incidence-connected", connected))
     if connected:
-        spheres, g = sphere_sweep(graph)
+        spheres, g = structure.sweep
         d = len(spheres) - 1
         checks.append(Check("incidence-diameter", d == 6, detail=d))
         checks.append(Check("incidence-girth", g == 12, detail=g))
@@ -537,9 +597,12 @@ def verify_classification_hypotheses(structure: IncidenceStructure) -> Report:
 
 def dual(structure: IncidenceStructure) -> IncidenceStructure:
     """Swap points and lines: dual points are line indices, dual lines are
-    the pencils of lines through each point."""
-    return IncidenceStructure(
+    the pencils of lines through each point.  The result's ``sweep`` is
+    read off the structure's own."""
+    result = IncidenceStructure(
         points=tuple(range(len(structure.lines))),
         lines=tuple(map(frozenset, structure.pencils)),
         tags=None,
     )
+    object.__setattr__(result, "_primal", structure)
+    return result

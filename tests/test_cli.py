@@ -15,9 +15,9 @@ from splithex.cli import (
     strip_timing,
 )
 from splithex.groups import (
+    PermutationGroup,
     character_witness,
     induced_actions,
-    nonequivalence_certificate,
 )
 
 
@@ -293,6 +293,27 @@ def test_verify_corrupted_structure_fails_with_witnesses(monkeypatch, capsys, co
     }
 
 
+# sha256 of the corrupted fixture's ``verify`` output, computed before the
+# table-driven plane and concurrency-witness checks: the millis-stripped JSON
+# (hashed like the digests above) and the text report.
+GOLDEN_CORRUPTED_DIGESTS = {
+    "json": "14ad79986f1cef5e1fe6c47ffd6405670e612db5f093e4a13dfd89da3babdd08",
+    "text": "13328ffc39ee2cd0af2814486f6c37537df0392f78f677d5c2e411efece800d4",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_CORRUPTED_DIGESTS))
+def test_corrupted_report_matches_golden_digest(monkeypatch, capsys, corrupted, fmt):
+    monkeypatch.setattr(cli_module, "build", lambda partition: corrupted)
+    assert main(["verify", "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    if fmt == "json":
+        digest = _digest(strip_timing(json.loads(out)))
+    else:
+        digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GOLDEN_CORRUPTED_DIGESTS[fmt]
+
+
 def test_counts_values():
     counts = collect_counts(0)
     assert counts["nonzero_vectors"] == 63
@@ -313,9 +334,16 @@ def test_pairings_all_pass():
 def test_character_witness_stage_matches_certificate(pairing):
     ctx = cli_module._context(pairing)
     checks = {c.name: c for c in cli_module._run_stages(cli_module.AUT_STAGES, ctx)}
-    group, structure = ctx["group"], ctx["structure"]
-    certificate = nonequivalence_certificate(*induced_actions(group, structure))
-    assert character_witness(group, len(structure.points)) == certificate
+    structure = ctx["structure"]
+    npts = len(structure.points)
+    # the joint group rebuilt from the two actions' generators, not the
+    # group object the stage scanned
+    point_action, line_action = induced_actions(ctx["group"], structure)
+    joined = [a + tuple(x + npts for x in b)
+              for a, b in zip(point_action.generators, line_action.generators)]
+    degree = npts + len(structure.lines)
+    certificate = character_witness(PermutationGroup(degree, joined), npts)
+    assert certificate is not None
     assert checks["character-witness"].witness == {
         "fixed_points": certificate.fixed_points,
         "fixed_lines": certificate.fixed_lines,

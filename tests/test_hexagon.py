@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from collections import deque
 from itertools import combinations
 from math import inf
@@ -7,19 +9,32 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splithex.algebra import to_gf2, v_add
+import splithex.hexagon as hexagon_module
+from splithex.algebra import ZERO_VECTOR, hermitian, symplectic, to_gf2, v_add
 from splithex.geometry import (
+    HyperovalPartition,
     Strata,
+    exterior_points,
     hyperoval_partitions,
+    nonzero_vectors,
+    perp_line,
+    point_vectors,
+    proj_rep,
+    self_polar_triangles,
+    span_perp,
+    strata_for,
     ti_lines,
+    ti_planes,
 )
 from splithex.hexagon import (
     OVAL,
     SCALAR,
     TWIN,
+    Check,
     Graph,
     IncidenceStructure,
     OvalSelectionError,
+    Report,
     build,
     concurrency_graph,
     diameter,
@@ -543,3 +558,247 @@ def test_all_three_pairings_yield_hexagons():
         verdicts.append(report.passed)
     # golden outcome from the first computation: every pairing passes
     assert verdicts == [True, True, True]
+
+
+# ---------------------------------------------------------------------------
+# table-driven kernels against verbatim copies of the vector-level checks
+
+
+def seed_verify_plane_property(structure: IncidenceStructure) -> Report:
+    known_planes = ti_planes()
+    bad_size, bad_closure, bad_orthogonal, bad_membership = [], [], [], []
+    for x, pencil in zip(structure.points, structure.pencils):
+        union = set()
+        for i in pencil:
+            union |= structure.lines[i]
+        if len(union) != 7:
+            bad_size.append(x)
+            continue
+        if any(
+            v_add(u, v) not in union and v_add(u, v) != ZERO_VECTOR
+            for u, v in combinations(union, 2)
+        ):
+            bad_closure.append(x)
+        if any(symplectic(u, v) != 0 for u, v in combinations(union, 2)):
+            bad_orthogonal.append(x)
+        if frozenset(union) not in known_planes:
+            bad_membership.append(x)
+    checks = (
+        Check("plane-size-7", not bad_size, witness=bad_size or None,
+              detail=len(structure.points)),
+        Check("plane-closed-under-addition", not bad_closure, witness=bad_closure or None),
+        Check("plane-symplectic-orthogonal", not bad_orthogonal,
+              witness=bad_orthogonal or None),
+        Check("plane-among-enumerated", not bad_membership,
+              witness=bad_membership or None),
+    )
+    return Report(title="point-plane-property", checks=checks)
+
+
+def seed_verify_concurrency_witnesses(
+    strata: Strata, partition: HyperovalPartition
+) -> Report:
+    oval_vecs = strata.oval_vectors
+    if oval_vecs is None:
+        raise ValueError("strata carry no hyperoval selection")
+    isotropic = sorted(strata.isotropic, key=to_gf2)
+    qualifying = 0
+    failures = []
+    nonorthogonal = []
+    for a in isotropic:
+        for b in isotropic:
+            if hermitian(a, b) != 1:
+                continue
+            perp = span_perp(a, b)
+            if len(perp_line(perp) & partition.oval) != 2:
+                continue
+            qualifying += 1
+            witness = None
+            for u in point_vectors(perp):
+                if (
+                    u in oval_vecs
+                    and proj_rep(v_add(u, a)) in partition.oval
+                    and proj_rep(v_add(u, b)) in partition.oval
+                ):
+                    witness = u
+                    break
+            if witness is None:
+                failures.append((a, b))
+            elif hermitian(a, witness) != 0 or hermitian(b, witness) != 0:
+                nonorthogonal.append((a, b, witness))
+    checks = (
+        Check("qualifying-pairs-have-witness", not failures,
+              witness=failures or None, detail=qualifying),
+        Check("witnesses-orthogonal-to-both", not nonorthogonal,
+              witness=nonorthogonal or None),
+    )
+    return Report(title="concurrency-witnesses", checks=checks)
+
+
+HEXAGONS = tuple(build(p) for p in hyperoval_partitions())
+VECTORS = nonzero_vectors()
+# every GF(2) line {u, v, u+v}, totally isotropic or not: unions of such
+# lines through a point are 7-sets that pass or fail each plane check
+GF2_LINES = sorted({frozenset({u, v, v_add(u, v)}) for u, v in combinations(VECTORS, 2)},
+                   key=lambda line: sorted(map(to_gf2, line)))
+TI_LINES = [line for line in GF2_LINES if line in ti_lines()]
+
+
+@st.composite
+def line_sets(draw):
+    """Structures on a shuffle of the 63 vectors: a genuine hexagon (lines
+    shuffled), one with a single point of one line substituted, or random
+    lines -- arbitrary small sets, or GF(2) lines, t.i. or not."""
+    points = tuple(draw(st.permutations(VECTORS)))
+    kind = draw(st.sampled_from(["genuine", "substituted", "random", "gf2", "ti"]))
+    if kind in ("genuine", "substituted"):
+        lines = list(draw(st.permutations(draw(st.sampled_from(HEXAGONS)).lines)))
+        if kind == "substituted":
+            i = draw(st.integers(0, len(lines) - 1))
+            old = draw(st.sampled_from(sorted(lines[i], key=to_gf2)))
+            new = draw(st.sampled_from([p for p in VECTORS if p not in lines[i]]))
+            lines[i] = (lines[i] - {old}) | {new}
+    elif kind == "random":
+        lines = draw(st.lists(st.frozensets(st.sampled_from(VECTORS), min_size=1,
+                                            max_size=4), max_size=80))
+    else:
+        pool = GF2_LINES if kind == "gf2" else TI_LINES
+        lines = draw(st.lists(st.sampled_from(pool), min_size=40, max_size=120))
+    return IncidenceStructure(points, tuple(lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_sets())
+def test_plane_kernel_matches_seed(structure):
+    assert verify_plane_property(structure) == seed_verify_plane_property(structure)
+
+
+def test_plane_kernel_fails_each_check_like_the_seed():
+    x = (1, 0, 0)
+    # three lines through x whose union is the subspace {(a, b, 0): a in
+    # GF(4), b in GF(2)} minus 0, closed but not t.i.: symplectic(x, 2x) = 1
+    closed = ((x, (0, 1, 0), (1, 1, 0)), (x, (2, 0, 0), (3, 0, 0)),
+              (x, (2, 1, 0), (3, 1, 0)))
+    # three lines through x whose union is not closed: (0, 1, 0) + (0, 0, 1)
+    # is missing
+    open_ = ((x, (0, 1, 0), (0, 2, 0)), (x, (0, 0, 1), (0, 0, 2)),
+             (x, (0, 1, 1), (0, 3, 3)))
+    failing = {}
+    for case, lines in (("closed", closed), ("open", open_)):
+        s = IncidenceStructure(VECTORS, tuple(map(frozenset, lines)))
+        report = verify_plane_property(s)
+        assert report == seed_verify_plane_property(s)
+        failing[case] = {c.name: c.witness for c in report.failures()}
+    # every other point lies on at most one of the three lines
+    assert len(failing["closed"].pop("plane-size-7")) == 62
+    assert len(failing["open"].pop("plane-size-7")) == 62
+    assert failing == {
+        "closed": {"plane-symplectic-orthogonal": [x], "plane-among-enumerated": [x]},
+        "open": {"plane-closed-under-addition": [x],
+                 "plane-symplectic-orthogonal": [x], "plane-among-enumerated": [x]},
+    }
+
+
+def test_plane_kernel_names_the_first_point_that_is_not_a_vector(structure):
+    with pytest.raises(ValueError, match=r"point 0 is not a nonzero GF\(4\) triple"):
+        verify_plane_property(dual(structure))
+    for bad in ((0, 0, 0), (4, 0, 0), "x"):
+        points = structure.points[:5] + (bad,) + structure.points[6:]
+        with pytest.raises(ValueError, match=re.escape(f"point {bad!r} is not a")):
+            verify_plane_property(IncidenceStructure(points, ()))
+
+
+EXTERIOR = sorted(exterior_points(), key=to_gf2)
+
+
+@st.composite
+def partitions(draw):
+    """The three genuine partitions, each with oval and twin swapped, and
+    bogus ones: any set of exterior points against its complement."""
+    kind = draw(st.sampled_from(["genuine", "swapped", "mixed"]))
+    if kind == "mixed":
+        oval = frozenset(draw(st.sets(st.sampled_from(EXTERIOR))))
+        return HyperovalPartition(oval=oval, twin=frozenset(EXTERIOR) - oval, index=-1)
+    p = draw(st.sampled_from(hyperoval_partitions()))
+    if kind == "swapped":
+        return HyperovalPartition(oval=p.twin, twin=p.oval, index=p.index)
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(partitions())
+def test_concurrency_kernel_matches_seed(partition):
+    strata = strata_for(partition)
+    assert verify_concurrency_witnesses(strata, partition) == \
+        seed_verify_concurrency_witnesses(strata, partition)
+
+
+def test_mixed_halves_fail_with_witnesses():
+    # one self-polar triangle and one point of each other triangle: six
+    # exterior points that are not a union of two triangles
+    first, *others = self_polar_triangles()
+    oval = first | {min(t, key=to_gf2) for t in others}
+    partition = HyperovalPartition(oval=oval, twin=frozenset(EXTERIOR) - oval, index=-1)
+    strata = strata_for(partition)
+    report = verify_concurrency_witnesses(strata, partition)
+    assert report == seed_verify_concurrency_witnesses(strata, partition)
+    assert not report.passed
+    assert report.failures()[0].witness
+
+
+# ---------------------------------------------------------------------------
+# one sweep for a structure and its dual
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """The graphs that hexagon's ``sphere_sweep`` is called on from now on."""
+    graphs = []
+
+    def counted(graph):
+        graphs.append(graph)
+        return sphere_sweep(graph)
+
+    monkeypatch.setattr(hexagon_module, "sphere_sweep", counted)
+    return graphs
+
+
+def _fresh(case, structure, corrupted):
+    """A copy of the genuine, corrupted or empty structure with no view cached."""
+    base = {"genuine": structure, "corrupted": corrupted,
+            "empty": IncidenceStructure(points=(), lines=())}[case]
+    return IncidenceStructure(base.points, base.lines, base.tags)
+
+
+@pytest.mark.parametrize("case", ["genuine", "corrupted", "empty"])
+def test_dual_report_equals_the_hand_built_dual(structure, corrupted, case):
+    d = dual(_fresh(case, structure, corrupted))
+    by_hand = IncidenceStructure(d.points, d.lines)
+    assert verify_generalized_hexagon(d) == verify_generalized_hexagon(by_hand)
+    assert d.sweep == sphere_sweep(incidence_graph(by_hand))
+    assert verify_generalized_hexagon(d).passed == (case == "genuine")
+
+
+@pytest.mark.parametrize("case", ["genuine", "corrupted", "empty"])
+def test_the_dual_of_a_verified_structure_sweeps_nothing(structure, corrupted, case,
+                                                         swept):
+    s = _fresh(case, structure, corrupted)
+    verify_generalized_hexagon(s)
+    assert len(swept) == 1
+    d = dual(s)
+    report = verify_generalized_hexagon(d)
+    assert len(swept) == 1
+    assert report == verify_generalized_hexagon(IncidenceStructure(d.points, d.lines))
+
+
+def test_a_replaced_dual_sweeps_its_own_graph(structure, swept):
+    d = dual(_fresh("genuine", structure, None))
+    assert d.sweep == sphere_sweep(incidence_graph(d))
+    # drop one dual line: the graph, and so its sweep, changes
+    other = dataclasses.replace(d, lines=d.lines[1:])
+    del swept[:]
+    assert other.sweep == sphere_sweep(incidence_graph(other))
+    assert swept == [incidence_graph(other)]
+    assert other.sweep != d.sweep
+    assert verify_generalized_hexagon(other) == verify_generalized_hexagon(
+        IncidenceStructure(other.points, other.lines))
