@@ -13,11 +13,16 @@ Group orders come from a deterministic Schreier-Sims construction of a base
 and strong generating set; the order is the product of the fundamental
 orbit lengths.  Each transversal carries the inverse of every coset
 representative, built alongside it from the inverses of the strong
-generators, so sifting never inverts a permutation.  While the chain is
-built, each level remembers every permutation already sifted into it:
-the levels below are then a base and strong generating set of a group
-that only grows, so such a permutation would sift to the identity again
-and is skipped.  The point and line actions are images of the
+generators, so sifting never inverts a permutation.  Levels are extended,
+never rebuilt (Seress, *Permutation Group Algorithms*, ch. 4): a level
+that gains a strong generator keeps its coset representatives, composes
+only for the orbit points it adds, and sifts only the Schreier generators
+of (orbit point, strong generator) pairs it has not sifted before, so
+over a complete build each pair is formed once per level.  Each level
+also remembers every permutation already sifted into it: the levels
+below are then a base and strong generating set of a group that only
+grows, so such a permutation would sift to the identity again and is
+skipped.  The point and line actions are images of the
 incidence-graph group, so that group's order bounds theirs: their chains
 stop sifting as soon as the product of the orbit lengths reaches it, and
 the certificate that the two actions differ scans that group itself
@@ -190,8 +195,16 @@ def is_equitable(graph: Graph, coloring) -> bool:
 # automorphism search
 
 
+def _check_length(graph: Graph, what: str, sequence) -> None:
+    if len(sequence) != graph.vertex_count:
+        raise ValueError(f"{what} has length {len(sequence)}, "
+                         f"but the graph has {graph.vertex_count} vertices")
+
+
 def is_automorphism(graph: Graph, coloring, p: Permutation) -> bool:
     """Does p preserve both the coloring and the adjacency?"""
+    _check_length(graph, "coloring", coloring)
+    _check_length(graph, "permutation", p)
     adjacency = graph.adjacency
     if any(coloring[p[v]] != coloring[v] for v in range(len(p))):
         return False
@@ -211,6 +224,7 @@ def automorphism_generators(graph: Graph, coloring) -> list:
     the current individualized prefix) are skipped; off-spine subtrees are
     abandoned as soon as they deliver one automorphism.
     """
+    _check_length(graph, "coloring", coloring)
     n = graph.vertex_count
     initial = list(coloring)
     found: list[Permutation] = []
@@ -284,13 +298,12 @@ class PermutationGroup:
     the next stabilizer in the true chain, so the product of the orbit
     lengths is at most the order.  Once the product reaches the bound, the
     order equals the bound, the base is complete and every level already
-    holds its full orbit, so no Schreier generator can add a strong
-    generator and sifting stops.  Levels above the one that reached the
-    bound may have gained strong generators since their last rebuild; each
-    such level is still rebuilt from its final strong generators as the
-    insertions that touched it unwind, so the chain is the one a full build
-    gives.  A product past the bound raises ``ValueError``; a bound never
-    reached (a non-faithful image) lets the build run to the end.
+    holds its full orbit.  Levels above the one that reached the bound may
+    have gained strong generators since they were last extended, but an
+    extension of a full orbit adds no point and no Schreier generator can
+    add a strong generator, so the build stops there with the chain a full
+    build gives.  A product past the bound raises ``ValueError``; a bound
+    never reached (a non-faithful image) lets the build run to the end.
     """
 
     def __init__(self, degree: int, generators, base_hint=(), *, _order_bound=None):
@@ -302,6 +315,7 @@ class PermutationGroup:
         self._transversals: list[dict] = []
         self._transversal_inverses: list[dict] = []
         self._members: list[set] = []
+        self._sifted: list[tuple] = []  # (orbit points, strong generators) sifted
         self._identity = identity(degree)
         self._source = None  # the group this is an action of (induced_actions)
         self._bound = _order_bound
@@ -312,7 +326,7 @@ class PermutationGroup:
             if self._complete:
                 break
             self._add(g, 0)
-        del self._members, self._bound, self._complete
+        del self._members, self._sifted, self._bound, self._complete
 
     def _checked(self, g) -> Permutation:
         g = tuple(g)
@@ -336,27 +350,24 @@ class PermutationGroup:
         self._transversals.append({point: self._identity})
         self._transversal_inverses.append({point: self._identity})
         self._members.append(set())
+        self._sifted.append((set(), 0))
 
-    def _rebuild_orbit(self, level: int) -> None:
-        b = self.base[level]
-        transversal = {b: self._identity}
-        inverses = {b: self._identity}
-        frontier = [b]
+    def _extend_orbit(self, level: int) -> None:
+        # The representatives found so far stay; the walk visits the orbit
+        # in insertion order and composes only for the points it adds.
+        transversal = self._transversals[level]
+        inverses = self._transversal_inverses[level]
         strong = list(zip(self._level_gens[level], self._level_inverses[level]))
-        while frontier:
-            new = []
-            for x in frontier:
-                ux = transversal[x]
-                ux_inv = inverses[x]
-                for s, s_inv in strong:
-                    y = s[x]
-                    if y not in transversal:
-                        transversal[y] = compose(ux, s)
-                        inverses[y] = compose(s_inv, ux_inv)
-                        new.append(y)
-            frontier = new
-        self._transversals[level] = transversal
-        self._transversal_inverses[level] = inverses
+        walk = list(transversal)
+        for x in walk:
+            ux = transversal[x]
+            ux_inv = inverses[x]
+            for s, s_inv in strong:
+                y = s[x]
+                if y not in transversal:
+                    transversal[y] = compose(ux, s)
+                    inverses[y] = compose(s_inv, ux_inv)
+                    walk.append(y)
 
     def _strip(self, g: Permutation, start: int):
         for i in range(start, len(self.base)):
@@ -387,26 +398,33 @@ class PermutationGroup:
             self._level_inverses[j].append(h_inv)
         # Re-close the Schreier condition on every touched level, deepest
         # first; residues found on the way are inserted recursively.  Once
-        # the order bound is reached, only the rebuilds of the levels that
-        # gained a strong generator are left.
+        # the order bound is reached every orbit is full, so nothing is left.
         for j in range(level, start - 1, -1):
-            self._rebuild_orbit(j)
-            if not self._complete:
-                self._sift_schreier_generators(j)
+            if self._complete:
+                return
+            self._extend_orbit(j)
+            self._sift_schreier_generators(j)
 
     def _sift_schreier_generators(self, j: int) -> None:
+        # A pair (x, s) sifted by an earlier complete sift of this level gave
+        # the same Schreier generator it would give now, and that generator
+        # lies in <level_gens[j + 1]>, which only grows: only pairs with a
+        # new orbit point or a new strong generator are formed.
         if self._reaches_bound():
             return
         transversal = self._transversals[j]
         inverses = self._transversal_inverses[j]
+        gens = self._level_gens[j]
+        sifted_points, sifted_gens = self._sifted[j]
         for x in sorted(transversal):
             ux = transversal[x]
-            for s in self._level_gens[j]:
+            for s in gens[sifted_gens:] if x in sifted_points else gens:
                 # u_x, then s, then the inverse of u_{s(x)}
                 back = inverses[s[x]]
                 self._add(tuple([back[s[i]] for i in ux]), j + 1)
                 if self._complete:
                     return
+        self._sifted[j] = (set(transversal), len(gens))
 
     def _reaches_bound(self) -> bool:
         if self._bound is None:

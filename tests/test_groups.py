@@ -1,11 +1,14 @@
 import hashlib
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
+from sympy.combinatorics import Permutation as SympyPermutation
+from sympy.combinatorics import PermutationGroup as SympyGroup
 
 import splithex.groups as groups_module
 from splithex.geometry import hyperoval_partitions
@@ -235,6 +238,33 @@ def test_coloring_constrains_the_search():
     assert group_order(gens) == 6  # only vertex 0 is pinned
 
 
+@pytest.mark.parametrize("length", [125, 127])
+def test_a_coloring_of_the_wrong_length_is_refused(structure, length, monkeypatch):
+    def no_refine(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(groups_module, "refine", no_refine)
+    graph = incidence_graph(structure)
+    with pytest.raises(ValueError, match=f"coloring has length {length}, "
+                                         "but the graph has 126 vertices"):
+        automorphism_generators(graph, [0] * length)
+
+
+@pytest.mark.parametrize(
+    "coloring_length, permutation_length, message",
+    [
+        (126, 125, "permutation has length 125"),
+        (126, 127, "permutation has length 127"),
+        (125, 126, "coloring has length 125"),
+    ],
+)
+def test_a_permutation_of_the_wrong_length_is_refused(
+        structure, coloring_length, permutation_length, message):
+    graph = incidence_graph(structure)
+    with pytest.raises(ValueError, match=f"{message}, but the graph has 126 vertices"):
+        is_automorphism(graph, [0] * coloring_length, identity(permutation_length))
+
+
 def test_hexagon_automorphism_group(aut_generators, structure):
     graph = incidence_graph(structure)
     coloring = [0] * 63 + [1] * 63
@@ -405,20 +435,20 @@ def test_order_invariant_under_generator_shuffles(aut_generators):
 
 # sha256(repr(...)) of the generator list and of the chains
 # (base, sorted transversals per level, strong generators per level) of the
-# degree-126 group and of both induced actions, computed with the
-# Schreier-Sims that inverted every transversal representative on each sift.
+# degree-126 group and of both induced actions, built by the Schreier-Sims
+# whose levels keep their coset representatives as their orbits grow.
 CHAIN_DIGESTS = {
     "pairing-0": (
         "6a0f7d974ba51fe4b9de5cd94d2c5bca844e93a0a9a7cb75c3051d27bccc27c3",
-        "a10e1b7d9e58c48373f3611450fdd034ffb1bd876913f8d62cf86804847ca1d6",
-        "de05f6d5f2812e273f99a0e380b66518853a470d0caa3e958a7f36813a5e6456",
-        "723e536f50da2118d3800c4cbb73846e2d44b82893cb1bd70b94bec836336dad",
+        "031f6770c24b9efd78697beb657c2f5e19d440a2e264fb5cd8f4b4ff080ff709",
+        "66aad30529bf0da730a4a8d38c07dcdbb4b3e927a4dc32656e9025e4d1efeffe",
+        "a2c2cd698523f679cbc1e53e7f7797a39c1d64055274466fe775ab883eaa806f",
     ),
     "shuffled-2026": (
         "ce04827f9af3c652314993ddb17bc8db7cfdbe461e29431e8ff7ffd138039c81",
-        "ff7f9a86eb7e215d912a3a526f64a78d651548d0e3beb365d203886a817aae4a",
-        "a392b33e6ee21461916653eae12ecfbf449ac0759147f484632eebc0c875ef71",
-        "4ae4116c85138034ed0d82062913844d4a6bc08760e74cd922a66b56b7bc4ecd",
+        "621065ee7f2ad46cee2621c3f5bec978d760d6f10d52f0497d96875c489a1441",
+        "7b23c22eeeb392c7d94b33d135890591f612505b16acfeee75586511631aceed",
+        "0ca3d4234a8a46b5ccc1fa4d96901720beef637f15dcd9a6fb71914d501794af",
     ),
 }
 
@@ -456,7 +486,7 @@ def test_chains_are_golden(structure):
         got = (digest(gens), *(digest(chain(g)) for g in chains))
         assert got == CHAIN_DIGESTS[name]
         for g in chains:
-            assert_inverses_stored(g)
+            assert_base_and_strong_generating_set(g)
 
 
 def test_base_hint_gives_point_stabilizer(aut_generators):
@@ -489,8 +519,9 @@ def test_stabilizer_of_a_point_off_the_domain_is_refused(point):
 
 
 class SeedSchreierSims(PermutationGroup):
-    """Reference: the insertion that sifts every Schreier generator again,
-    including those already sifted at the same level."""
+    """Reference: the insertion that forms and sifts the Schreier generator
+    of every (orbit point, strong generator) pair again, including the
+    pairs and the permutations already sifted at the same level."""
 
     def _add(self, g, start):
         h, level = self._strip(g, start)
@@ -505,7 +536,7 @@ class SeedSchreierSims(PermutationGroup):
         # Re-close the Schreier condition on every touched level, deepest
         # first; residues found on the way are inserted recursively.
         for j in range(level, start - 1, -1):
-            self._rebuild_orbit(j)
+            self._extend_orbit(j)
             transversal = self._transversals[j]
             inverses = self._transversal_inverses[j]
             for x in sorted(transversal):
@@ -614,6 +645,87 @@ def test_action_chains_stop_at_the_parent_order(aut_group, structure, monkeypatc
         63, point_gens, base_hint=(0,)))
     assert full_chain(bounded) == full_chain(full)
     assert bounded_calls < full_calls
+
+
+class CountingSchreierSims(PermutationGroup):
+    """Counts the Schreier generators each level forms and sifts."""
+
+    def __init__(self, *args, **kwargs):
+        self.formed = Counter()  # level j -> _add(g, j + 1) calls
+        super().__init__(*args, **kwargs)
+
+    def _add(self, g, start):
+        if start:  # only the input generators are added at level 0
+            self.formed[start - 1] += 1
+        super()._add(g, start)
+
+
+def pair_counts(group):
+    """Formed Schreier generators and (orbit point, strong generator) pairs."""
+    return [(group.formed[j], len(t) * len(group._level_gens[j]))
+            for j, t in enumerate(group._transversals)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_each_pair_is_formed_once_per_level(case):
+    n, gens, hint = case
+    group = CountingSchreierSims(n, gens, base_hint=hint)
+    assert all(formed == pairs for formed, pairs in pair_counts(group))
+
+
+@settings(max_examples=150, deadline=None)
+@given(images())
+def test_a_bounded_build_forms_each_pair_at_most_once(case):
+    parent, degree, gens, hint = case
+    group = CountingSchreierSims(degree, gens, base_hint=hint,
+                                 _order_bound=parent.order)
+    assert all(formed <= pairs for formed, pairs in pair_counts(group))
+
+
+def test_each_pair_is_formed_once_on_the_hexagon(aut_generators):
+    group = CountingSchreierSims(126, aut_generators)
+    assert group.order == 12096
+    assert all(formed == pairs for formed, pairs in pair_counts(group))
+    point_gens = [g[:63] for g in aut_generators]
+    action = CountingSchreierSims(63, point_gens, base_hint=(0,),
+                                  _order_bound=group.order)
+    assert action.order == 12096
+    assert all(formed <= pairs for formed, pairs in pair_counts(action))
+
+
+def sympy_order(gens) -> int:
+    """Oracle: the order sympy's own Schreier-Sims gives."""
+    if not gens:
+        return 1
+    return SympyGroup([SympyPermutation(list(g)) for g in gens]).order()
+
+
+def assert_base_and_strong_generating_set(group):
+    """Each u_x maps base[j] to x and fixes base[:j], each level's strong
+    generators fix base[:j], and every stored inverse is right."""
+    for j, transversal in enumerate(group._transversals):
+        fixed = group.base[:j]
+        for x, u in transversal.items():
+            assert u[group.base[j]] == x
+            assert all(u[b] == b for b in fixed)
+        assert all(s[b] == b for s in group._level_gens[j] for b in fixed)
+    assert_inverses_stored(group)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_orders_match_sympy(case):
+    n, gens, hint = case
+    group = PermutationGroup(n, gens, base_hint=hint)
+    assert group.order == sympy_order(gens)
+    assert_base_and_strong_generating_set(group)
+
+
+def test_hexagon_order_matches_sympy(aut_group, actions):
+    assert aut_group.order == sympy_order(aut_group.generators) == 12096
+    for group in (aut_group, *actions):
+        assert_base_and_strong_generating_set(group)
 
 
 # ---------------------------------------------------------------------------
