@@ -2,10 +2,12 @@
 
 A deterministic individualization-refinement search on the incidence graph
 finds a handful of generators; Schreier-Sims pins the exact group order at
-12096 = 2^6 * 3^3 * 7.  Restricting to points and to lines gives two
-transitive, faithful degree-63 actions -- and an exhaustive scan finds an
-element whose fixed-point counts differ, so the two permutation characters
-(hence the two representations) are genuinely different.
+12096 = 2^6 * 3^3 * 7.  No two lines share all their points and no two
+points lie on the same lines, so restricting to points and to lines gives
+two faithful degree-63 actions of that one group, with its order, without
+building either; both are transitive.  An exhaustive scan finds an element
+whose fixed-point counts differ, so the two permutation characters (hence
+the two representations) are genuinely different.
 """
 
 import time

@@ -22,13 +22,11 @@ over a complete build each pair is formed once per level.  Each level
 also remembers every permutation already sifted into it: the levels
 below are then a base and strong generating set of a group that only
 grows, so such a permutation would sift to the identity again and is
-skipped.  The point and line actions are images of the
-incidence-graph group, so that group's order bounds theirs: their chains
-stop sifting as soon as the product of the orbit lengths reaches it, and
-the certificate that the two actions differ scans that group itself
-instead of building it again.  Permutations are
-tuples ``p`` with ``p[i]`` the image of ``i``; ``compose(p, q)`` applies p
-first, then q.
+skipped.  A point's stabilizer is the first base point's, conjugated by
+the point's coset representative.  The point and line actions are
+faithful views of the incidence-graph group (see :func:`induced_actions`),
+so one chain serves a whole run.  Permutations are tuples ``p`` with
+``p[i]`` the image of ``i``; ``compose(p, q)`` applies p first, then q.
 """
 
 from __future__ import annotations
@@ -291,22 +289,9 @@ class PermutationGroup:
     pre-seeds base points (distinct ints in ``range(degree)``), which makes
     the stabilizer of a chosen point directly available as the second level
     of the chain.
-
-    ``_order_bound`` is for :func:`induced_actions` only: an upper bound on
-    the order, such as the order of a group the generators are images of.
-    At every moment of the build each orbit length is at most the index of
-    the next stabilizer in the true chain, so the product of the orbit
-    lengths is at most the order.  Once the product reaches the bound, the
-    order equals the bound, the base is complete and every level already
-    holds its full orbit.  Levels above the one that reached the bound may
-    have gained strong generators since they were last extended, but an
-    extension of a full orbit adds no point and no Schreier generator can
-    add a strong generator, so the build stops there with the chain a full
-    build gives.  A product past the bound raises ``ValueError``; a bound
-    never reached (a non-faithful image) lets the build run to the end.
     """
 
-    def __init__(self, degree: int, generators, base_hint=(), *, _order_bound=None):
+    def __init__(self, degree: int, generators, base_hint=()):
         self.degree = degree
         self.generators = [self._checked(g) for g in generators]
         self.base: list[int] = []
@@ -317,31 +302,17 @@ class PermutationGroup:
         self._members: list[set] = []
         self._sifted: list[tuple] = []  # (orbit points, strong generators) sifted
         self._identity = identity(degree)
-        self._source = None  # the group this is an action of (induced_actions)
-        self._bound = _order_bound
-        self._complete = False
-        for b in self._checked_points(base_hint):
+        for b in _checked_points(base_hint, degree):
             self._append_level(b)
         for g in self.generators:
-            if self._complete:
-                break
             self._add(g, 0)
-        del self._members, self._sifted, self._bound, self._complete
+        del self._members, self._sifted
 
     def _checked(self, g) -> Permutation:
         g = tuple(g)
         if sorted(g) != list(range(self.degree)):
             raise ValueError(f"not a permutation of degree {self.degree}: {g}")
         return g
-
-    def _checked_points(self, points) -> tuple:
-        points = tuple(points)
-        for b in points:
-            if not isinstance(b, int) or not 0 <= b < self.degree:
-                raise ValueError(f"base point {b!r} is not in range({self.degree})")
-        if len(set(points)) != len(points):
-            raise ValueError(f"base points repeat: {points}")
-        return points
 
     def _append_level(self, point: int) -> None:
         self.base.append(point)
@@ -397,11 +368,8 @@ class PermutationGroup:
             self._level_gens[j].append(h)
             self._level_inverses[j].append(h_inv)
         # Re-close the Schreier condition on every touched level, deepest
-        # first; residues found on the way are inserted recursively.  Once
-        # the order bound is reached every orbit is full, so nothing is left.
+        # first; residues found on the way are inserted recursively.
         for j in range(level, start - 1, -1):
-            if self._complete:
-                return
             self._extend_orbit(j)
             self._sift_schreier_generators(j)
 
@@ -410,8 +378,6 @@ class PermutationGroup:
         # the same Schreier generator it would give now, and that generator
         # lies in <level_gens[j + 1]>, which only grows: only pairs with a
         # new orbit point or a new strong generator are formed.
-        if self._reaches_bound():
-            return
         transversal = self._transversals[j]
         inverses = self._transversal_inverses[j]
         gens = self._level_gens[j]
@@ -422,18 +388,7 @@ class PermutationGroup:
                 # u_x, then s, then the inverse of u_{s(x)}
                 back = inverses[s[x]]
                 self._add(tuple([back[s[i]] for i in ux]), j + 1)
-                if self._complete:
-                    return
         self._sifted[j] = (set(transversal), len(gens))
-
-    def _reaches_bound(self) -> bool:
-        if self._bound is None:
-            return False
-        order = self.order
-        if order > self._bound:
-            raise ValueError(f"order reached {order}, past the bound {self._bound}")
-        self._complete = order == self._bound
-        return self._complete
 
     @property
     def order(self) -> int:
@@ -450,13 +405,19 @@ class PermutationGroup:
         return orbits(self.generators, self.degree)
 
     def stabilizer_generators(self, point: int) -> list:
-        """Strong generators of the stabilizer of a point."""
-        self._checked_points((point,))
-        if self.base and self.base[0] == point:
-            chain = self
-        else:
+        """Strong generators of the stabilizer of a point: the second
+        level's, conjugated by the point's first-level coset representative
+        u, or those of a new chain for a point off the first orbit."""
+        _checked_points((point,), self.degree)
+        u = self._transversals[0].get(point) if self.base else None
+        if u is None:
             chain = PermutationGroup(self.degree, self.generators, base_hint=(point,))
-        return list(chain._level_gens[1]) if len(chain.base) > 1 else []
+            return chain.stabilizer_generators(point)
+        if len(self.base) == 1:
+            return []
+        u_inv = self._transversal_inverses[0][point]
+        # u^-1, then s, then u
+        return [tuple([u[s[x]] for x in u_inv]) for s in self._level_gens[1]]
 
     def stabilizer_orbit_sizes(self, point: int) -> tuple:
         """Sorted orbit sizes of the point stabilizer (the subdegrees)."""
@@ -477,6 +438,16 @@ class PermutationGroup:
                     yield compose(rest, transversal[x])
 
         return rec(0)
+
+
+def _checked_points(points, degree: int) -> tuple:
+    points = tuple(points)
+    for b in points:
+        if not isinstance(b, int) or not 0 <= b < degree:
+            raise ValueError(f"base point {b!r} is not in range({degree})")
+    if len(set(points)) != len(points):
+        raise ValueError(f"base points repeat: {points}")
+    return points
 
 
 def group_order(generators) -> int:
@@ -517,14 +488,46 @@ def preserves_incidence(
     )
 
 
+@dataclass(frozen=True)
+class InducedAction:
+    """A faithful action of ``group`` on the ``degree`` vertices from
+    ``offset`` on: its points or its lines, made by :func:`induced_actions`."""
+
+    group: PermutationGroup
+    offset: int
+    degree: int
+
+    def _restrict(self, g: Permutation) -> Permutation:
+        return tuple([x - self.offset for x in g[self.offset:self.offset + self.degree]])
+
+    @property
+    def generators(self) -> list:
+        return [self._restrict(g) for g in self.group.generators]
+
+    @property
+    def order(self) -> int:
+        return self.group.order
+
+    def orbits(self) -> tuple:
+        return orbits(self.generators, self.degree)
+
+    def stabilizer_orbit_sizes(self, point: int) -> tuple:
+        """Sorted orbit sizes of the point stabilizer (the subdegrees)."""
+        _checked_points((point,), self.degree)
+        stabilizer = self.group.stabilizer_generators(self.offset + point)
+        gens = [self._restrict(g) for g in stabilizer]
+        return tuple(sorted(len(o) for o in orbits(gens, self.degree)))
+
+
 def induced_actions(group: PermutationGroup, structure: IncidenceStructure):
-    """Split incidence-graph automorphisms into the point and line actions.
+    """The point and line actions of a group of incidence-graph automorphisms.
 
     Generators must preserve the bipartition (points first, then lines);
-    a part-swapping generator raises ``duality detected``.  Each action is
-    an image of ``group``, so its chain is built with ``group.order`` as
-    the known-order bound of :class:`PermutationGroup`, and both actions
-    remember ``group`` for :func:`nonequivalence_certificate`.
+    a part-swapping generator raises ``duality detected``.  If no two lines
+    have the same points and no two points the same pencil, an automorphism
+    fixing every point or every line fixes both, so the two actions are
+    faithful: :class:`InducedAction` views of ``group``, with its order.
+    Two coinciding lines or pencils raise ``ValueError``.
     """
     npts = len(structure.points)
     nlines = len(structure.lines)
@@ -532,19 +535,16 @@ def induced_actions(group: PermutationGroup, structure: IncidenceStructure):
         raise ValueError(
             f"degree {group.degree} does not match {npts} points + {nlines} lines"
         )
-    point_gens, line_gens = [], []
-    for g in group.generators:
-        if any(g[i] >= npts for i in range(npts)):
-            raise ValueError("duality detected: a generator exchanges points and lines")
-        point_gens.append(g[:npts])
-        line_gens.append(tuple(x - npts for x in g[npts:]))
-    actions = (
-        PermutationGroup(npts, point_gens, base_hint=(0,), _order_bound=group.order),
-        PermutationGroup(nlines, line_gens, base_hint=(0,), _order_bound=group.order),
-    )
-    for action in actions:
-        action._source = group
-    return actions
+    if any(g[i] >= npts for g in group.generators for i in range(npts)):
+        raise ValueError("duality detected: a generator exchanges points and lines")
+    for kind, items, shared in (("lines", structure.incidences, "points"),
+                                ("points", structure.pencils, "pencil")):
+        first = {}
+        for j, item in enumerate(items):
+            if first.setdefault(item, j) != j:
+                raise ValueError(f"{kind} {first[item]} and {j} have the same "
+                                 f"{shared}: the actions need not be faithful")
+    return InducedAction(group, 0, npts), InducedAction(group, npts, nlines)
 
 
 def character_witness(group: PermutationGroup, npts: int):
@@ -573,12 +573,10 @@ def nonequivalence_certificate(point_action, line_action):
     """The :func:`character_witness` of the group acting on both sides.
 
     The two actions must carry corresponding generator lists; each pair is
-    joined into one permutation of the points followed by the lines.  When
-    both actions came from one ``induced_actions(group, ...)``, passed in
-    that order, the joined generators are exactly ``group.generators``, so
-    ``group`` itself is scanned instead of being built again (for a
-    ``group`` built without ``base_hint``, as every caller builds it, that
-    is the same chain and the same witness).
+    joined into one permutation of the points followed by the lines.  The
+    views :func:`induced_actions` returns, passed in that order, join into
+    their group's own generators, so that group is scanned instead of being
+    built again; actions built by hand are joined into a new group.
     """
     if len(point_action.generators) != len(line_action.generators):
         raise ValueError("generator lists do not correspond")
@@ -587,9 +585,9 @@ def nonequivalence_certificate(point_action, line_action):
         gp + tuple(x + npts for x in gl)
         for gp, gl in zip(point_action.generators, line_action.generators)
     ]
-    source = point_action._source
-    if (source is not None and source is line_action._source
-            and source.generators == diagonal):
-        return character_witness(source, npts)
+    group = getattr(point_action, "group", None)
+    if (group is not None and group is getattr(line_action, "group", None)
+            and group.generators == diagonal):
+        return character_witness(group, npts)
     joint = PermutationGroup(npts + line_action.degree, diagonal)
     return character_witness(joint, npts)

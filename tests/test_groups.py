@@ -11,6 +11,7 @@ from sympy.combinatorics import Permutation as SympyPermutation
 from sympy.combinatorics import PermutationGroup as SympyGroup
 
 import splithex.groups as groups_module
+from splithex.cli import run_verify
 from splithex.geometry import hyperoval_partitions
 from splithex.groups import (
     Permutation,
@@ -433,22 +434,18 @@ def test_order_invariant_under_generator_shuffles(aut_generators):
         assert group_order(shuffled) == reference
 
 
-# sha256(repr(...)) of the generator list and of the chains
+# sha256(repr(...)) of the generator list and of the chain
 # (base, sorted transversals per level, strong generators per level) of the
-# degree-126 group and of both induced actions, built by the Schreier-Sims
-# whose levels keep their coset representatives as their orbits grow.
+# degree-126 group, built by the Schreier-Sims whose levels keep their coset
+# representatives as their orbits grow.
 CHAIN_DIGESTS = {
     "pairing-0": (
         "6a0f7d974ba51fe4b9de5cd94d2c5bca844e93a0a9a7cb75c3051d27bccc27c3",
         "031f6770c24b9efd78697beb657c2f5e19d440a2e264fb5cd8f4b4ff080ff709",
-        "66aad30529bf0da730a4a8d38c07dcdbb4b3e927a4dc32656e9025e4d1efeffe",
-        "a2c2cd698523f679cbc1e53e7f7797a39c1d64055274466fe775ab883eaa806f",
     ),
     "shuffled-2026": (
         "ce04827f9af3c652314993ddb17bc8db7cfdbe461e29431e8ff7ffd138039c81",
         "621065ee7f2ad46cee2621c3f5bec978d760d6f10d52f0497d96875c489a1441",
-        "7b23c22eeeb392c7d94b33d135890591f612505b16acfeee75586511631aceed",
-        "0ca3d4234a8a46b5ccc1fa4d96901720beef637f15dcd9a6fb71914d501794af",
     ),
 }
 
@@ -481,12 +478,8 @@ def test_chains_are_golden(structure):
     for name, s in (("pairing-0", structure), ("shuffled-2026", shuffled)):
         gens = automorphism_generators(incidence_graph(s), [0] * 63 + [1] * 63)
         group = PermutationGroup(126, gens)
-        points_action, lines_action = induced_actions(group, s)
-        chains = (group, points_action, lines_action)
-        got = (digest(gens), *(digest(chain(g)) for g in chains))
-        assert got == CHAIN_DIGESTS[name]
-        for g in chains:
-            assert_base_and_strong_generating_set(g)
+        assert (digest(gens), digest(chain(group))) == CHAIN_DIGESTS[name]
+        assert_base_and_strong_generating_set(group)
 
 
 def test_base_hint_gives_point_stabilizer(aut_generators):
@@ -567,86 +560,6 @@ def test_memo_leaves_the_chain_unchanged(case):
     assert group.order == closure_order(gens)
 
 
-def full_chain(group):
-    """The chain plus the stored inverses of transversals and strong generators."""
-    inverses = [sorted(t.items()) for t in group._transversal_inverses]
-    return chain(group), inverses, group._level_inverses
-
-
-@st.composite
-def images(draw):
-    """A parent group and the generators of one of its actions, with a hint.
-
-    The action is the parent relabeled (faithful), the first factor of a
-    diagonal product (faithful or not), or the action on the blocks
-    {0, 1}, {2, 3}, ... (not faithful once a block is flipped in place).
-    """
-    kind = draw(st.sampled_from(("relabeled", "diagonal", "blocks")))
-    if kind == "relabeled":
-        n = draw(st.integers(1, 8))
-        parent_gens = draw(st.lists(st.permutations(range(n)).map(tuple), max_size=4))
-        r = draw(st.permutations(range(n)))
-        r_inv = inverse(r)
-        image = [tuple(r[g[r_inv[y]]] for y in range(n)) for g in parent_gens]
-    elif kind == "diagonal":
-        n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-        pairs = draw(st.lists(st.tuples(st.permutations(range(n)),
-                                        st.permutations(range(m))), max_size=3))
-        parent_gens = [tuple(a) + tuple(n + x for x in b) for a, b in pairs]
-        image = [tuple(a) for a, _ in pairs]
-        n += m
-    else:
-        k = draw(st.integers(1, 4))
-        flip_lists = st.lists(st.booleans(), min_size=k, max_size=k)
-        moves = draw(st.lists(st.tuples(st.permutations(range(k)), flip_lists),
-                              max_size=3))
-        parent_gens = [tuple(2 * sigma[x // 2] + (x % 2 ^ flips[x // 2])
-                             for x in range(2 * k)) for sigma, flips in moves]
-        image = [tuple(sigma) for sigma, _ in moves]
-        n = 2 * k
-    parent = PermutationGroup(n, parent_gens)
-    degree = len(image[0]) if image else draw(st.integers(1, 4))
-    hint = draw(st.one_of(st.just(()),
-                          st.lists(st.integers(0, degree - 1), unique=True)))
-    return parent, degree, image, tuple(hint)
-
-
-@settings(max_examples=200, deadline=None)
-@given(images())
-def test_order_bound_leaves_the_chain_unchanged(case):
-    parent, degree, gens, hint = case
-    bounded = PermutationGroup(degree, gens, base_hint=hint, _order_bound=parent.order)
-    unbounded = PermutationGroup(degree, gens, base_hint=hint)
-    assert full_chain(bounded) == full_chain(unbounded)
-    if bounded.order < parent.order:  # not faithful: the bound was never reached
-        assert bounded.order == closure_order(gens)
-    if bounded.order > 1:
-        # Every orbit length divides the order, so the product of the orbit
-        # lengths (at least 2 after the first rebuild) never equals the
-        # coprime order - 1 and must pass it on its way to the order.
-        with pytest.raises(ValueError, match="past the bound"):
-            PermutationGroup(degree, gens, base_hint=hint,
-                             _order_bound=bounded.order - 1)
-
-
-def test_action_chains_stop_at_the_parent_order(aut_group, structure, monkeypatch):
-    def compose_calls(build_chain):
-        calls = []
-        monkeypatch.setattr(groups_module, "compose",
-                            lambda p, q: calls.append(1) or compose(p, q))
-        group = build_chain()
-        monkeypatch.setattr(groups_module, "compose", compose)
-        return group, len(calls)
-
-    point_gens = [g[:63] for g in aut_group.generators]
-    bounded, bounded_calls = compose_calls(lambda: PermutationGroup(
-        63, point_gens, base_hint=(0,), _order_bound=aut_group.order))
-    full, full_calls = compose_calls(lambda: PermutationGroup(
-        63, point_gens, base_hint=(0,)))
-    assert full_chain(bounded) == full_chain(full)
-    assert bounded_calls < full_calls
-
-
 class CountingSchreierSims(PermutationGroup):
     """Counts the Schreier generators each level forms and sifts."""
 
@@ -674,24 +587,10 @@ def test_each_pair_is_formed_once_per_level(case):
     assert all(formed == pairs for formed, pairs in pair_counts(group))
 
 
-@settings(max_examples=150, deadline=None)
-@given(images())
-def test_a_bounded_build_forms_each_pair_at_most_once(case):
-    parent, degree, gens, hint = case
-    group = CountingSchreierSims(degree, gens, base_hint=hint,
-                                 _order_bound=parent.order)
-    assert all(formed <= pairs for formed, pairs in pair_counts(group))
-
-
 def test_each_pair_is_formed_once_on_the_hexagon(aut_generators):
     group = CountingSchreierSims(126, aut_generators)
     assert group.order == 12096
     assert all(formed == pairs for formed, pairs in pair_counts(group))
-    point_gens = [g[:63] for g in aut_generators]
-    action = CountingSchreierSims(63, point_gens, base_hint=(0,),
-                                  _order_bound=group.order)
-    assert action.order == 12096
-    assert all(formed <= pairs for formed, pairs in pair_counts(action))
 
 
 def sympy_order(gens) -> int:
@@ -722,10 +621,29 @@ def test_orders_match_sympy(case):
     assert_base_and_strong_generating_set(group)
 
 
-def test_hexagon_order_matches_sympy(aut_group, actions):
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_conjugated_stabilizers_match_a_rebuilt_chain(case):
+    n, gens, hint = case
+    group = PermutationGroup(n, gens, base_hint=hint)
+    if not group.base:
+        return
+    first_orbit = next(o for o in orbits(gens, n) if group.base[0] in o)
+    for p in first_orbit:
+        # reference: a chain with p as its first base point, whose second
+        # level is the stabilizer of p as built, not conjugated
+        reference = PermutationGroup(n, gens, base_hint=(p,))
+        level = reference._level_gens[1] if len(reference.base) > 1 else []
+        assert group.stabilizer_orbit_sizes(p) == tuple(
+            sorted(len(o) for o in orbits(level, n)))
+        conjugated = group.stabilizer_generators(p)
+        assert all(g[p] == p and g in group for g in conjugated)
+        assert group_order(conjugated) * len(first_orbit) == group.order
+
+
+def test_hexagon_order_matches_sympy(aut_group):
     assert aut_group.order == sympy_order(aut_group.generators) == 12096
-    for group in (aut_group, *actions):
-        assert_base_and_strong_generating_set(group)
+    assert_base_and_strong_generating_set(aut_group)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +691,38 @@ def test_wrong_degree_rejected(structure):
         induced_actions(group, structure)
 
 
-def test_character_witness_exists(actions):
+def test_coinciding_lines_are_refused(aut_group, structure):
+    lines = (structure.lines[0],) * 2 + structure.lines[2:]
+    copied = IncidenceStructure(structure.points, lines)
+    with pytest.raises(ValueError, match="lines 0 and 1 have the same points"):
+        induced_actions(aut_group, copied)
+
+
+def test_coinciding_pencils_are_refused():
+    # a and b both lie on exactly the two lines, so swapping them fixes
+    # every line: the line action of this group is not faithful
+    structure = IncidenceStructure(
+        ("a", "b", "c", "d"), (frozenset("abc"), frozenset("abd")))
+    gens = automorphism_generators(incidence_graph(structure), [0] * 4 + [1] * 2)
+    group = PermutationGroup(6, gens)
+    assert (1, 0, 2, 3, 4, 5) in group
+    with pytest.raises(ValueError, match="points 0 and 1 have the same pencil"):
+        induced_actions(group, structure)
+
+
+@pytest.mark.parametrize("point", [-1, 63])
+def test_an_action_refuses_a_point_off_its_domain(actions, point):
+    for action in actions:
+        with pytest.raises(ValueError, match=f"base point {point} is not in range"):
+            action.stabilizer_orbit_sizes(point)
+
+
+def test_line_subdegrees(actions):
+    _, lines_action = actions
+    assert lines_action.stabilizer_orbit_sizes(0) == (1, 6, 24, 32)
+
+
+def test_character_witness_exists(aut_group, actions):
     points_action, lines_action = actions
     witness = nonequivalence_certificate(points_action, lines_action)
     assert witness is not None
@@ -781,15 +730,12 @@ def test_character_witness_exists(actions):
     assert (witness.fixed_points, witness.fixed_lines) == GOLDEN_WITNESS_FIXED
     # the witness is a genuine pair of group elements, not the identity
     assert witness.on_points != identity(63) or witness.on_lines != identity(63)
-    assert witness.on_points in points_action
-    assert witness.on_lines in lines_action
+    # one element acting on both sides, not a pair from two separate groups
+    assert witness.on_points + tuple(x + 63 for x in witness.on_lines) in aut_group
 
 
-def test_identity_fixes_everything(actions):
-    points_action, _ = actions
-    assert identity(63) in points_action
-    # the identity can never separate the characters
-    assert sum(1 for i in range(63) if identity(63)[i] == i) == 63
+def test_identity_fixes_everything(aut_group):
+    assert identity(126) in aut_group
 
 
 @pytest.mark.parametrize("pairing", [0, 1, 2])
@@ -820,6 +766,32 @@ def test_certificate_scans_the_group_the_actions_came_from(pairing, seed, monkey
 
     monkeypatch.setattr(groups_module, "PermutationGroup", no_rebuild)
     assert nonequivalence_certificate(point_action, line_action) == expected
+
+
+@pytest.mark.parametrize("pairing", [0, 1, 2])
+def test_one_group_per_run(pairing, monkeypatch):
+    built = []
+    init = PermutationGroup.__init__
+    monkeypatch.setattr(PermutationGroup, "__init__",
+                        lambda self, *args, **kwargs: built.append(1) or
+                        init(self, *args, **kwargs))
+    assert run_verify(pairing, with_aut=True).verdict == "PASS"
+    assert len(built) == 1
+
+    # the aut-relabeled request sequence on a relabeled hexagon
+    built.clear()
+    structure = build(hyperoval_partitions()[pairing])
+    rng = random.Random(pairing)
+    points, lines = list(structure.points), list(structure.lines)
+    rng.shuffle(points)
+    rng.shuffle(lines)
+    structure = IncidenceStructure(tuple(points), tuple(lines))
+    gens = automorphism_generators(incidence_graph(structure), [0] * 63 + [1] * 63)
+    group = PermutationGroup(126, gens)
+    point_action, line_action = induced_actions(group, structure)
+    assert point_action.stabilizer_orbit_sizes(0) == (1, 6, 24, 32)
+    assert nonequivalence_certificate(point_action, line_action) is not None
+    assert len(built) == 1
 
 
 def test_equivalent_actions_have_no_certificate():
