@@ -43,7 +43,6 @@ from .groups import (  # noqa: F401
     PermutationGroup,
     automorphism_generators,
     character_witness,
-    group_order,
     induced_actions,
     nonequivalence_certificate,
     refine,

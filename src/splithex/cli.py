@@ -41,6 +41,7 @@ from .groups import (
     preserves_incidence,
 )
 from .hexagon import (
+    DISTANCE_DISTRIBUTION,
     IncidenceStructure,
     build,
     concurrency_graph,
@@ -56,7 +57,6 @@ from .hexagon import (
 )
 
 EXPECTED_GROUP_ORDER = 12096
-EXPECTED_SUBDEGREES = (1, 6, 24, 32)
 EXPECTED_STRATA_COUNTS = dict(
     isotropic_vectors=27, norm_one_vectors=36, unital_points=9,
     exterior_points=12, oval_points=6, twin_points=6, oval_vectors=18,
@@ -74,12 +74,11 @@ class CheckRecord:
     witness: object = None
     millis: float = 0.0
 
-    def to_dict(self, timing: bool = True) -> dict:
+    def to_dict(self) -> dict:
         out = {"name": self.name, "anchor": self.anchor, "pass": self.passed}
         if self.witness is not None:
             out["witness"] = _jsonable(self.witness)
-        if timing:
-            out["millis"] = self.millis
+        out["millis"] = self.millis
         return out
 
 
@@ -97,16 +96,16 @@ class VerificationReport:
     def verdict(self) -> str:
         return "PASS" if self.passed else "FAIL"
 
-    def to_dict(self, timing: bool = True) -> dict:
+    def to_dict(self) -> dict:
         return {
             "version": self.version,
             "pairing": self.pairing,
-            "checks": [c.to_dict(timing=timing) for c in self.checks],
+            "checks": [c.to_dict() for c in self.checks],
             "verdict": self.verdict,
         }
 
-    def to_json(self, timing: bool = True) -> str:
-        return json.dumps(self.to_dict(timing=timing), indent=2) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_text(self) -> str:
         lines = []
@@ -279,7 +278,8 @@ def _induced_actions(ctx):
     ok = (
         points_action.order == lines_action.order == EXPECTED_GROUP_ORDER
         and payload["point_orbits"] == payload["line_orbits"] == 1
-        and tuple(payload["point_subdegrees"]) == EXPECTED_SUBDEGREES
+        # a distance-transitive group: subdegrees are the distance distribution
+        and tuple(payload["point_subdegrees"]) == DISTANCE_DISTRIBUTION
     )
     return ok, payload
 
@@ -497,11 +497,17 @@ def export_graph(structure: IncidenceStructure, what: str, fmt: str) -> str:
 
 
 def _emit(text: str, out_path) -> None:
-    if out_path:
+    """Write text to out_path or stdout; an unwritable path exits 2, not 1."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"splithex: cannot write {out_path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -117,16 +117,10 @@ def perp_line(p: Vector3) -> frozenset:
     """The PG(2,4) line of points hermitian-orthogonal to p.
 
     For an isotropic p this is the tangent at [p] (and contains [p]); for a
-    non-isotropic p it is a secant missing [p].
+    non-isotropic p it is a secant missing [p].  The perp is a point-line
+    bijection, so the 21 lines of PG(2,4) are the perps of the 21 points.
     """
     return frozenset(q for q in projective_points() if hermitian(p, q) == 0)
-
-
-@cache
-def all_pg_lines() -> tuple[frozenset, ...]:
-    """All 21 lines of PG(2,4); the hermitian perp is a point-line bijection."""
-    lines = {perp_line(p) for p in projective_points()}
-    return tuple(sorted(lines, key=lambda L: sorted(map(to_gf2, L))))
 
 
 @cache

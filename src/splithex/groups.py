@@ -76,10 +76,6 @@ def orbits(generators, degree: int) -> tuple:
     return tuple(out)
 
 
-def is_transitive(generators, degree: int) -> bool:
-    return len(orbits(generators, degree)) == 1
-
-
 # ---------------------------------------------------------------------------
 # equitable refinement
 
@@ -176,17 +172,6 @@ def _refine(graph: Graph, coloring, individualized) -> tuple:
                     color[v] = position
                 position += len(part)
         stale = {cls[v] for v in touched}
-
-
-def is_equitable(graph: Graph, coloring) -> bool:
-    """Every vertex of class i sees the same multiset of classes."""
-    per_class = {}
-    for v in range(graph.vertex_count):
-        profile = tuple(sorted(coloring[w] for w in graph.adjacency[v]))
-        prev = per_class.setdefault(coloring[v], profile)
-        if prev != profile:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +386,6 @@ class PermutationGroup:
         h, _ = self._strip(self._checked(g), 0)
         return h == self._identity
 
-    def orbits(self) -> tuple:
-        return orbits(self.generators, self.degree)
-
     def stabilizer_generators(self, point: int) -> list:
         """Strong generators of the stabilizer of a point: the second
         level's, conjugated by the point's first-level coset representative
@@ -448,14 +430,6 @@ def _checked_points(points, degree: int) -> tuple:
     if len(set(points)) != len(points):
         raise ValueError(f"base points repeat: {points}")
     return points
-
-
-def group_order(generators) -> int:
-    """Exact order of the group generated by the given permutations."""
-    gens = [tuple(g) for g in generators]
-    if not gens:
-        return 1
-    return PermutationGroup(len(gens[0]), gens).order
 
 
 # ---------------------------------------------------------------------------
@@ -570,24 +544,17 @@ def character_witness(group: PermutationGroup, npts: int):
 
 
 def nonequivalence_certificate(point_action, line_action):
-    """The :func:`character_witness` of the group acting on both sides.
+    """The :func:`character_witness` of the group two actions are views of.
 
-    The two actions must carry corresponding generator lists; each pair is
-    joined into one permutation of the points followed by the lines.  The
-    views :func:`induced_actions` returns, passed in that order, join into
-    their group's own generators, so that group is scanned instead of being
-    built again; actions built by hand are joined into a new group.
+    The actions must be the views :func:`induced_actions` returns, in that
+    order: views of one group, on its points from vertex 0 and on its lines
+    from vertex ``point_action.degree``.  That group is scanned; no group is
+    built.  Any other pair raises ``ValueError``.
     """
-    if len(point_action.generators) != len(line_action.generators):
-        raise ValueError("generator lists do not correspond")
-    npts = point_action.degree
-    diagonal = [
-        gp + tuple(x + npts for x in gl)
-        for gp, gl in zip(point_action.generators, line_action.generators)
-    ]
-    group = getattr(point_action, "group", None)
-    if (group is not None and group is getattr(line_action, "group", None)
-            and group.generators == diagonal):
-        return character_witness(group, npts)
-    joint = PermutationGroup(npts + line_action.degree, diagonal)
-    return character_witness(joint, npts)
+    if not (isinstance(point_action, InducedAction)
+            and isinstance(line_action, InducedAction)
+            and point_action.group is line_action.group
+            and point_action.offset == 0
+            and line_action.offset == point_action.degree):
+        raise ValueError("expected the point and line views of one group, in order")
+    return character_witness(point_action.group, point_action.degree)

@@ -52,7 +52,8 @@ SCALAR = "scalar"
 OVAL = "oval"
 TWIN = "twin"
 
-_DISTANCE_DISTRIBUTION = (1, 6, 24, 32)
+# how many points lie at distance 0, 2, 4 and 6 from a point of a GH(2, 2)
+DISTANCE_DISTRIBUTION = (1, 6, 24, 32)
 
 
 class OvalSelectionError(ValueError):
@@ -152,9 +153,9 @@ class Check:
 
 @dataclass(frozen=True)
 class Report:
-    title: str
+    """The checks of one verifier; it passes when every check passes."""
+
     checks: tuple
-    note: str = ""
 
     @property
     def passed(self) -> bool:
@@ -418,7 +419,7 @@ def verify_partial_linear_space(structure: IncidenceStructure) -> Report:
 
     uniform = bad_line is None and bad_point is None
     checks.append(Check("order", uniform, detail=(2, 2) if uniform else None))
-    return Report(title="partial-linear-space", checks=tuple(checks))
+    return Report(checks=tuple(checks))
 
 
 def verify_plane_property(structure: IncidenceStructure) -> Report:
@@ -468,7 +469,7 @@ def verify_plane_property(structure: IncidenceStructure) -> Report:
         Check("plane-among-enumerated", not bad_membership,
               witness=bad_membership or None),
     )
-    return Report(title="point-plane-property", checks=checks)
+    return Report(checks=checks)
 
 
 def verify_concurrency_witnesses(
@@ -521,7 +522,7 @@ def verify_concurrency_witnesses(
         Check("witnesses-orthogonal-to-both", not nonorthogonal,
               witness=nonorthogonal or None),
     )
-    return Report(title="concurrency-witnesses", checks=checks)
+    return Report(checks=checks)
 
 
 def verify_generalized_hexagon(structure: IncidenceStructure) -> Report:
@@ -557,17 +558,17 @@ def verify_generalized_hexagon(structure: IncidenceStructure) -> Report:
             while counts and not counts[-1]:
                 counts.pop()
             dist = tuple(counts)
-            if dist != _DISTANCE_DISTRIBUTION:
+            if dist != DISTANCE_DISTRIBUTION:
                 bad = (base, dist)
                 break
         checks.append(
             Check("point-distance-distribution", bad is None, witness=bad,
-                  detail=_DISTANCE_DISTRIBUTION)
+                  detail=DISTANCE_DISTRIBUTION)
         )
     else:
         checks.append(Check("incidence-diameter", False, witness="disconnected"))
         checks.append(Check("incidence-girth", False, witness="not computed"))
-    return Report(title="generalized-hexagon", checks=tuple(checks))
+    return Report(checks=tuple(checks))
 
 
 def verify_classification_hypotheses(structure: IncidenceStructure) -> Report:
@@ -585,14 +586,7 @@ def verify_classification_hypotheses(structure: IncidenceStructure) -> Report:
         Check("concurrency-graph-connected", connected,
               detail="supplied by the concurrency-graph check"),
     )
-    return Report(
-        title="classification-hypotheses",
-        checks=checks,
-        note=(
-            "hypotheses only; the hexagon conclusion is verified independently "
-            "by the generalized-hexagon check"
-        ),
-    )
+    return Report(checks=checks)
 
 
 def dual(structure: IncidenceStructure) -> IncidenceStructure:

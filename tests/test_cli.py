@@ -78,7 +78,6 @@ def test_reports_are_deterministic():
     ja = json.dumps(strip_timing(a.to_dict()), indent=2)
     jb = json.dumps(strip_timing(b.to_dict()), indent=2)
     assert ja == jb
-    assert a.to_dict(timing=False) == b.to_dict(timing=False)
 
 
 def test_text_report_headline():
@@ -408,6 +407,20 @@ def test_out_writes_file(tmp_path):
     assert main(["verify", "--format", "json", "--out", str(target)]) == 0
     payload = json.loads(target.read_text())
     assert payload["verdict"] == "PASS"
+
+
+def test_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    # a directory: every check passes, but the report cannot be written
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"splithex: cannot write {tmp_path}: Is a directory"]
+    target = tmp_path / "report.txt"
+    assert main(["verify", "--out", str(target)]) == 0
+    assert target.read_text() == run_verify().to_text()
 
 
 def test_console_entry_point_runs():

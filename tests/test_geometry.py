@@ -11,7 +11,6 @@ from splithex.algebra import (
     v_scale,
 )
 from splithex.geometry import (
-    all_pg_lines,
     enumerate_strata,
     exterior_points,
     hyperoval_partitions,
@@ -127,12 +126,17 @@ def test_span_perp_degenerate():
         span_perp((1, 2, 3), (0, 0, 0))
 
 
+def pg_lines() -> set:
+    """The 21 lines of PG(2,4): the perps of its 21 points."""
+    return {perp_line(p) for p in projective_points()}
+
+
 def test_pg_lines():
-    lines = all_pg_lines()
+    lines = pg_lines()
     assert len(lines) == 21
     assert all(len(L) == 5 for L in lines)
     through = perp_line(span_perp((1, 0, 0), (0, 1, 0)))
-    assert through in set(lines)
+    assert through in lines
     assert {(1, 0, 0), (0, 1, 0)} <= through
 
 
@@ -218,7 +222,7 @@ def test_every_tangent_meets_each_triangle_once():
 def test_every_secant_pair_lies_in_one_triangle():
     tangents = {perp_line(a) for a in unital_points()}
     member = {p: tri for tri in self_polar_triangles() for p in tri}
-    for line in all_pg_lines():
+    for line in pg_lines():
         if line in tangents:
             continue
         exterior = [q for q in line if hermitian(q, q) == 1]
@@ -228,7 +232,7 @@ def test_every_secant_pair_lies_in_one_triangle():
 
 def test_hyperovals_meet_every_line_in_0_or_2_points():
     for partition in hyperoval_partitions():
-        for line in all_pg_lines():
+        for line in pg_lines():
             assert len(line & partition.oval) in (0, 2)
             assert len(line & partition.twin) in (0, 2)
 

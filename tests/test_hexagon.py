@@ -517,7 +517,6 @@ def test_classification_hypotheses(structure):
     assert report.passed
     names = {c.name for c in report.checks}
     assert names == {"three-lines-span-a-plane", "concurrency-graph-connected"}
-    assert "independently" in report.note
 
 
 def test_classification_hypotheses_is_a_conjunction(structure):
@@ -592,7 +591,7 @@ def seed_verify_plane_property(structure: IncidenceStructure) -> Report:
         Check("plane-among-enumerated", not bad_membership,
               witness=bad_membership or None),
     )
-    return Report(title="point-plane-property", checks=checks)
+    return Report(checks=checks)
 
 
 def seed_verify_concurrency_witnesses(
@@ -632,7 +631,7 @@ def seed_verify_concurrency_witnesses(
         Check("witnesses-orthogonal-to-both", not nonorthogonal,
               witness=nonorthogonal or None),
     )
-    return Report(title="concurrency-witnesses", checks=checks)
+    return Report(checks=checks)
 
 
 HEXAGONS = tuple(build(p) for p in hyperoval_partitions())
