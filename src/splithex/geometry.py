@@ -113,6 +113,15 @@ def enumerate_strata() -> Strata:
 
 
 @cache
+def hermitian_unit_pairs(isotropic: frozenset) -> tuple:
+    """The ordered pairs (a, b) of the given isotropic vectors with
+    hermitian(a, b) = 1 (216 of the 27 x 27 for the isotropic stratum),
+    sorted by a, then b, in GF(2) bit layout."""
+    ordered = sorted(isotropic, key=to_gf2)
+    return tuple((a, b) for a in ordered for b in ordered if hermitian(a, b) == 1)
+
+
+@cache
 def perp_line(p: Vector3) -> frozenset:
     """The PG(2,4) line of points hermitian-orthogonal to p.
 

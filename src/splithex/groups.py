@@ -3,11 +3,14 @@
 The automorphism search is a deterministic individualization-refinement
 backtracker: colorings are refined to the coarsest equitable refinement,
 the first smallest non-singleton color class is chosen as target cell, and
-its vertices are individualized in ascending order.  The coloring is
-equitable before a vertex is individualized, so the first refinement round
-after it re-examines only the classes of that vertex's neighbours.
-Candidate automorphisms are read off discrete colorings by comparison with
-the first leaf; discovered automorphisms prune later branches by orbits.
+its vertices are individualized in ascending order.  Each node keeps its
+refined :class:`Partition`, and each child refines a copy with its vertex
+split off, so no node rebuilds its classes from a flat coloring.  The
+partition is equitable before a vertex is split off, so the first
+refinement round after it re-examines only the classes of that vertex's
+neighbours.  Candidate automorphisms are read off discrete partitions by
+comparison with the first leaf; discovered automorphisms prune later
+branches by orbits.
 
 Group orders come from a deterministic Schreier-Sims construction of a base
 and strong generating set; the order is the product of the fundamental
@@ -18,8 +21,10 @@ never rebuilt (Seress, *Permutation Group Algorithms*, ch. 4): a level
 that gains a strong generator keeps its coset representatives, composes
 only for the orbit points it adds, and sifts only the Schreier generators
 of (orbit point, strong generator) pairs it has not sifted before, so
-over a complete build each pair is formed once per level.  Each level
-also remembers every permutation already sifted into it: the levels
+over a complete build each pair is formed at most once per level.  A pair
+(x, s) whose walk first reached s(x) is a tree edge, u_{s(x)} = u_x s, and
+its Schreier generator is the identity, so it is not formed at all.  Each
+level also remembers every permutation already sifted into it: the levels
 below are then a base and strong generating set of a group that only
 grows, so such a permutation would sift to the identity again and is
 skipped.  A point's stabilizer is the first base point's, conjugated by
@@ -80,20 +85,66 @@ def orbits(generators, degree: int) -> tuple:
 # equitable refinement
 
 
-def individualize(colors, v) -> list:
-    """The coloring with v alone in a new class just before its old one."""
-    doubled = [2 * c for c in colors]
-    doubled[v] -= 1
-    return doubled
+class Partition:
+    """An ordered partition of a graph's vertices, refined in place.
+
+    ``members[c]`` lists class c's vertices in ascending order, ``start[c]``
+    is where class c starts when the classes are laid out in order, and
+    ``cls[v]`` is v's class and ``color[v]`` where it starts.  Class ids
+    carry no order; only the starts do.  Built from a flat coloring, the
+    classes are laid out in sorted color order.  The automorphism search
+    keeps one per node and hands each child a copy with a vertex split off
+    (:meth:`individualized`), so no node rebuilds its classes.
+    """
+
+    __slots__ = ("members", "start", "cls", "color")
+
+    def __init__(self, coloring):
+        first = {c: i for i, c in enumerate(sorted(set(coloring)))}
+        self.cls = [first[c] for c in coloring]
+        self.members = [[] for _ in first]
+        for v, c in enumerate(self.cls):
+            self.members[c].append(v)
+        self.start = [0] * len(self.members)
+        for c in range(1, len(self.members)):
+            self.start[c] = self.start[c - 1] + len(self.members[c - 1])
+        self.color = [self.start[c] for c in self.cls]
+
+    def individualized(self, v) -> Partition:
+        """A copy with v alone in a new class just before the rest of its
+        class, which must have another member."""
+        child = object.__new__(Partition)
+        c = self.cls[v]
+        rest = [w for w in self.members[c] if w != v]
+        child.members = self.members + [[v]]
+        child.members[c] = rest
+        child.start = self.start + [self.start[c]]
+        child.start[c] += 1
+        child.cls = self.cls.copy()
+        child.cls[v] = len(self.members)
+        child.color = self.color.copy()
+        for w in rest:
+            child.color[w] += 1
+        return child
+
+    def ranks(self) -> tuple:
+        """Each vertex's class, numbered 0, 1, ... in layout order."""
+        rank = {x: i for i, x in enumerate(sorted(self.start))}
+        return tuple([rank[x] for x in self.color])
 
 
-def refine(graph: Graph, coloring, individualized=None) -> tuple:
+def refine(graph: Graph, coloring, individualized=None):
     """Coarsest equitable coloring finer than the given one.
 
     Each round recolors every vertex by the pair (current color, sorted
     multiset of neighbor colors) and renumbers the palette in sorted order,
     so the result commutes with graph relabelings; the result is the
     coloring of the first round that splits no class.
+
+    ``coloring`` is a flat coloring, which is converted to a
+    :class:`Partition` here and whose result is returned as class ranks
+    0, 1, ..., or a :class:`Partition`, which is refined in place and
+    returned: the automorphism search carries one from node to node.
 
     A round re-examines only the classes with a neighbor in a part split
     off in the round before; the largest part of a split class keeps its
@@ -102,35 +153,32 @@ def refine(graph: Graph, coloring, individualized=None) -> tuple:
     has a neighbor in a part split off from that class, they all still see
     equally many in the part that kept its id, and the class cannot split.
 
-    Inside the loop a vertex's color is where its class starts when the
-    classes are laid out by rank (``start``), which is a strictly
-    increasing function of the rank and so sorts signatures alike; the
-    parts of a split class are laid out in signature order from where the
-    class started, so no other class moves and a round only recolors the
-    parts it split off.  The starts are renumbered into ranks on return.
+    Inside the loop a vertex's color is where its class starts (``start``),
+    which is a strictly increasing function of the rank and so sorts
+    signatures alike; the parts of a split class are laid out in signature
+    order from where the class started, so no other class moves and a
+    round only recolors the parts it split off.
 
     The first round re-examines every class, unless ``individualized`` is
-    a vertex v and the coloring is ``individualize(c, v)`` of an equitable
-    coloring c.  Then {v} is the one part split off from an equitable
-    coloring, so the first round re-examines only the classes of v's
-    neighbours; it splits the same classes, and the result and the number
-    of rounds are those of a first round over every class.
+    a vertex v that was split off an equitable partition just before the
+    rest of its class (:meth:`Partition.individualized`).  Then {v} is the
+    one part split off, so the first round re-examines only the classes of
+    v's neighbours; it splits the same classes, and the result and the
+    number of rounds are those of a first round over every class.
     """
-    return _refine(graph, coloring, individualized)[0]
+    if isinstance(coloring, Partition):
+        _refine(graph, coloring, individualized)
+        return coloring
+    partition = Partition(coloring)
+    _refine(graph, partition, individualized)
+    return partition.ranks()
 
 
-def _refine(graph: Graph, coloring, individualized) -> tuple:
-    """:func:`refine`, and the number of rounds it took."""
+def _refine(graph: Graph, partition: Partition, individualized) -> int:
+    """Refine a partition in place (see :func:`refine`); the number of rounds."""
     adjacency = graph.adjacency
-    first = {c: i for i, c in enumerate(sorted(set(coloring)))}
-    cls = [first[c] for c in coloring]  # vertex -> class id
-    members = [[] for _ in first]
-    for v, c in enumerate(cls):
-        members[c].append(v)
-    start = [0] * len(members)  # class id -> where it starts, classes by rank
-    for c in range(1, len(members)):
-        start[c] = start[c - 1] + len(members[c - 1])
-    color = [start[c] for c in cls]
+    members, start, cls, color = (partition.members, partition.start,
+                                  partition.cls, partition.color)
     color_of = color.__getitem__
     if individualized is None:
         stale = range(len(members))
@@ -150,8 +198,7 @@ def _refine(graph: Graph, coloring, individualized) -> tuple:
             if len(parts) > 1:
                 split[c] = [parts[key] for key in sorted(parts)]
         if not split:
-            rank = {x: i for i, x in enumerate(sorted(set(color)))}
-            return tuple([rank[x] for x in color]), rounds
+            return rounds
         touched = set()
         for c, parts in split.items():
             largest = max(parts, key=len)
@@ -206,6 +253,11 @@ def automorphism_generators(graph: Graph, coloring) -> list:
     already-explored sibling (under the automorphisms found so far that fix
     the current individualized prefix) are skipped; off-spine subtrees are
     abandoned as soon as they deliver one automorphism.
+
+    The coloring becomes the root's :class:`Partition`.  Each node refines
+    its partition in place by a call to :func:`refine` and hands each child
+    a copy with the branching vertex split off
+    (:meth:`Partition.individualized`).
     """
     _check_length(graph, "coloring", coloring)
     n = graph.vertex_count
@@ -213,35 +265,34 @@ def automorphism_generators(graph: Graph, coloring) -> list:
     found: list[Permutation] = []
     first_leaf: list = [None]
 
-    def search(colors, prefix, on_spine) -> bool:
-        # below the root, colors is individualize(equitable coloring, prefix[-1])
-        colors = refine(graph, colors, individualized=prefix[-1] if prefix else None)
-        cells = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        non_singleton = [c for c in sorted(cells) if len(cells[c]) > 1]
+    def search(partition, prefix, on_spine) -> bool:
+        # below the root, prefix[-1] was split off an equitable partition
+        refine(graph, partition, individualized=prefix[-1] if prefix else None)
+        members, color = partition.members, partition.color
 
-        if not non_singleton:
-            ordering = [0] * n
-            for v in range(n):
-                ordering[colors[v]] = v
+        if len(members) == n:  # discrete: color[v] is v's position
             if first_leaf[0] is None:
+                ordering = [0] * n
+                for v, x in enumerate(color):
+                    ordering[x] = v
                 first_leaf[0] = ordering
                 return False
             candidate = [0] * n
-            for i in range(n):
-                candidate[first_leaf[0][i]] = ordering[i]
+            for v, x in enumerate(color):
+                candidate[first_leaf[0][x]] = v
             candidate = tuple(candidate)
             if candidate != identity(n) and is_automorphism(graph, initial, candidate):
                 found.append(candidate)
                 return True
             return False
 
-        target = min(non_singleton, key=lambda c: (len(cells[c]), c))
+        start = partition.start
+        target = min((c for c, cell in enumerate(members) if len(cell) > 1),
+                     key=lambda c: (len(members[c]), start[c]))
         explored = []
         delivered = False
         known = None  # how many automorphisms orbit_id was computed from
-        for v in sorted(cells[target]):
+        for v in members[target]:  # ascending
             if explored:
                 if known != len(found):
                     known = len(found)
@@ -251,14 +302,14 @@ def automorphism_generators(graph: Graph, coloring) -> list:
                 if any(orbit_id[u] == orbit_id[v] for u in explored):
                     continue
             child_on_spine = on_spine and not explored
-            got = search(individualize(colors, v), prefix + [v], child_on_spine)
+            got = search(partition.individualized(v), prefix + [v], child_on_spine)
             explored.append(v)
             delivered = delivered or got
             if got and not on_spine:
                 return True
         return delivered
 
-    search(initial, [], True)
+    search(Partition(initial), [], True)
     return found
 
 
@@ -286,12 +337,13 @@ class PermutationGroup:
         self._transversal_inverses: list[dict] = []
         self._members: list[set] = []
         self._sifted: list[tuple] = []  # (orbit points, strong generators) sifted
+        self._tree_edges: list[set] = []  # (x, k): u_{s_k(x)} was made as u_x s_k
         self._identity = identity(degree)
         for b in _checked_points(base_hint, degree):
             self._append_level(b)
         for g in self.generators:
             self._add(g, 0)
-        del self._members, self._sifted
+        del self._members, self._sifted, self._tree_edges
 
     def _checked(self, g) -> Permutation:
         g = tuple(g)
@@ -307,22 +359,27 @@ class PermutationGroup:
         self._transversal_inverses.append({point: self._identity})
         self._members.append(set())
         self._sifted.append((set(), 0))
+        self._tree_edges.append(set())
 
     def _extend_orbit(self, level: int) -> None:
         # The representatives found so far stay; the walk visits the orbit
-        # in insertion order and composes only for the points it adds.
+        # in insertion order and composes only for the points it adds,
+        # recording the (x, k) that first reached each one.
         transversal = self._transversals[level]
         inverses = self._transversal_inverses[level]
-        strong = list(zip(self._level_gens[level], self._level_inverses[level]))
+        tree_edges = self._tree_edges[level]
+        strong = list(enumerate(zip(self._level_gens[level],
+                                    self._level_inverses[level])))
         walk = list(transversal)
         for x in walk:
             ux = transversal[x]
             ux_inv = inverses[x]
-            for s, s_inv in strong:
+            for k, (s, s_inv) in strong:
                 y = s[x]
                 if y not in transversal:
                     transversal[y] = compose(ux, s)
                     inverses[y] = compose(s_inv, ux_inv)
+                    tree_edges.add((x, k))
                     walk.append(y)
 
     def _strip(self, g: Permutation, start: int):
@@ -362,14 +419,20 @@ class PermutationGroup:
         # A pair (x, s) sifted by an earlier complete sift of this level gave
         # the same Schreier generator it would give now, and that generator
         # lies in <level_gens[j + 1]>, which only grows: only pairs with a
-        # new orbit point or a new strong generator are formed.
+        # new orbit point or a new strong generator are formed.  Nor are
+        # tree edges (Seress, ch. 4.1): u_{s(x)} was made as u_x s, so their
+        # Schreier generator is the identity.
         transversal = self._transversals[j]
         inverses = self._transversal_inverses[j]
+        tree_edges = self._tree_edges[j]
         gens = self._level_gens[j]
         sifted_points, sifted_gens = self._sifted[j]
         for x in sorted(transversal):
             ux = transversal[x]
-            for s in gens[sifted_gens:] if x in sifted_points else gens:
+            for k in range(sifted_gens if x in sifted_points else 0, len(gens)):
+                if (x, k) in tree_edges:
+                    continue
+                s = gens[k]
                 # u_x, then s, then the inverse of u_{s(x)}
                 back = inverses[s[x]]
                 self._add(tuple([back[s[i]] for i in ux]), j + 1)

@@ -36,6 +36,7 @@ from .algebra import ZERO_VECTOR, Vector3, hermitian, to_gf2, v_add
 from .geometry import (
     HyperovalPartition,
     Strata,
+    hermitian_unit_pairs,
     nonzero_vectors,
     perp_line,
     perp_masks,
@@ -484,38 +485,34 @@ def verify_concurrency_witnesses(
     Since hermitian(a, b) = 1, a and b are independent, and the projective
     line they span is the polar of ``span_perp(a, b)``.  The projective
     points [u+a], [u+b] are looked up by vector code (u+a has code
-    code(u) ^ code(a))."""
+    code(u) ^ code(a)), and the pairs come from the cached
+    :func:`geometry.hermitian_unit_pairs` table of the isotropic stratum."""
     oval_vecs = strata.oval_vectors
     if oval_vecs is None:
         raise ValueError("strata carry no hyperoval selection")
     code, reps, oval = vector_codes(), proj_reps(), partition.oval
-    isotropic = sorted(strata.isotropic, key=to_gf2)
     qualifying = 0
     failures = []
     nonorthogonal = []
-    for a in isotropic:
-        ca = code[a]
-        for b in isotropic:
-            if hermitian(a, b) != 1:
-                continue
-            perp = span_perp(a, b)
-            if len(perp_line(perp) & oval) != 2:
-                continue
-            qualifying += 1
-            cb = code[b]
-            witness = None
-            for u in point_vectors(perp):
-                if (
-                    u in oval_vecs
-                    and reps[code[u] ^ ca] in oval
-                    and reps[code[u] ^ cb] in oval
-                ):
-                    witness = u
-                    break
-            if witness is None:
-                failures.append((a, b))
-            elif hermitian(a, witness) != 0 or hermitian(b, witness) != 0:
-                nonorthogonal.append((a, b, witness))
+    for a, b in hermitian_unit_pairs(strata.isotropic):
+        perp = span_perp(a, b)
+        if len(perp_line(perp) & oval) != 2:
+            continue
+        qualifying += 1
+        ca, cb = code[a], code[b]
+        witness = None
+        for u in point_vectors(perp):
+            if (
+                u in oval_vecs
+                and reps[code[u] ^ ca] in oval
+                and reps[code[u] ^ cb] in oval
+            ):
+                witness = u
+                break
+        if witness is None:
+            failures.append((a, b))
+        elif hermitian(a, witness) != 0 or hermitian(b, witness) != 0:
+            nonorthogonal.append((a, b, witness))
     checks = (
         Check("qualifying-pairs-have-witness", not failures,
               witness=failures or None, detail=qualifying),

@@ -13,6 +13,7 @@ from splithex.algebra import (
 from splithex.geometry import (
     enumerate_strata,
     exterior_points,
+    hermitian_unit_pairs,
     hyperoval_partitions,
     nonzero_vectors,
     perp_line,
@@ -124,6 +125,15 @@ def test_span_perp_degenerate():
         span_perp((1, 0, 0), (2, 0, 0))
     with pytest.raises(ValueError, match="degenerate span"):
         span_perp((1, 2, 3), (0, 0, 0))
+
+
+def test_hermitian_unit_pairs_are_the_scan_in_order():
+    isotropic = enumerate_strata().isotropic
+    ordered = sorted(isotropic, key=to_gf2)
+    scan = [(a, b) for a in ordered for b in ordered if hermitian(a, b) == 1]
+    table = hermitian_unit_pairs(isotropic)
+    assert list(table) == scan and len(table) == 216
+    assert hermitian_unit_pairs(isotropic) is table  # derived once
 
 
 def pg_lines() -> set:

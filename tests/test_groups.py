@@ -14,6 +14,7 @@ import splithex.groups as groups_module
 from splithex.cli import run_verify
 from splithex.geometry import hyperoval_partitions
 from splithex.groups import (
+    Partition,
     Permutation,
     PermutationGroup,
     _refine,
@@ -21,7 +22,6 @@ from splithex.groups import (
     character_witness,
     compose,
     identity,
-    individualize,
     induced_actions,
     inverse,
     is_automorphism,
@@ -126,6 +126,14 @@ def test_refine_is_equitable_and_idempotent():
     assert refine(graph, colors) == colors
 
 
+def individualize(colors, v) -> list:
+    """Oracle: the coloring with v alone in a new class just before its old
+    one, as the search made it before it carried its partition."""
+    doubled = [2 * c for c in colors]
+    doubled[v] -= 1
+    return doubled
+
+
 def seed_refine(graph: Graph, coloring) -> tuple:
     """Reference: the refinement loop that runs until a round changes nothing."""
     adjacency = graph.adjacency
@@ -199,8 +207,50 @@ def test_refine_matches_seed_loop(case):
     # the search refines an individualized equitable coloring with the first
     # round seeded by the individualized vertex: same colors, same rounds
     for v in range(graph.vertex_count):
-        individualized = individualize(colors, v)
-        assert _refine(graph, individualized, v) == _refine(graph, individualized, None)
+        seeded = Partition(individualize(colors, v))
+        everything = Partition(individualize(colors, v))
+        assert _refine(graph, seeded, v) == _refine(graph, everything, None)
+        assert seeded.ranks() == everything.ranks()
+
+
+def assert_well_formed(partition: Partition, n: int):
+    """The classes tile 0..n-1 in start order, members ascend, and cls and
+    color agree with them."""
+    members, start = partition.members, partition.start
+    assert len(start) == len(members)
+    position = 0
+    for c in sorted(range(len(members)), key=start.__getitem__):
+        assert start[c] == position and members[c] == sorted(members[c])
+        assert all(partition.cls[v] == c and partition.color[v] == position
+                   for v in members[c])
+        position += len(members[c])
+    assert position == n == len(partition.cls) == len(partition.color)
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_graphs())
+def test_a_carried_partition_refines_like_an_individualized_coloring(case):
+    graph, coloring = case
+    n = graph.vertex_count
+    carried = refine(graph, Partition(coloring))
+    colors = carried.ranks()
+    assert colors == refine(graph, coloring)
+    layout = (list(carried.members), list(carried.start), list(carried.cls),
+              list(carried.color))
+    # the search splits off only vertices that share their class
+    for v in (v for v in range(n) if len(carried.members[carried.cls[v]]) > 1):
+        child = refine(graph, carried.individualized(v), v)
+        assert_well_formed(child, n)
+        assert child.ranks() == refine(graph, individualize(colors, v), v)
+        w = next((w for w in reversed(range(n))
+                  if len(child.members[child.cls[w]]) > 1), None)
+        if w is not None:
+            grandchild = refine(graph, child.individualized(w), w)
+            assert_well_formed(grandchild, n)
+            assert grandchild.ranks() == refine(
+                graph, individualize(child.ranks(), w), w)
+    # refining the children left the parent as it was
+    assert (carried.members, carried.start, carried.cls, carried.color) == layout
 
 
 def test_refine_commutes_with_relabeling():
@@ -249,10 +299,12 @@ def test_coloring_constrains_the_search():
 
 @pytest.mark.parametrize("length", [125, 127])
 def test_a_coloring_of_the_wrong_length_is_refused(structure, length, monkeypatch):
-    def no_refine(*args, **kwargs):
+    def no_search(*args, **kwargs):
         raise AssertionError("the search started")
 
-    monkeypatch.setattr(groups_module, "refine", no_refine)
+    # the search first builds its root partition, then refines it
+    monkeypatch.setattr(groups_module, "Partition", no_search)
+    monkeypatch.setattr(groups_module, "refine", no_search)
     graph = incidence_graph(structure)
     with pytest.raises(ValueError, match=f"coloring has length {length}, "
                                          "but the graph has 126 vertices"):
@@ -387,9 +439,27 @@ def test_search_matches_seed_orbit_pruning(case):
     )
 
 
-def test_search_matches_seed_orbit_pruning_on_the_hexagon(structure, aut_generators):
+def relabeled(structure: IncidenceStructure, seed: int) -> IncidenceStructure:
+    """The structure with its points and lines shuffled by a seeded rng."""
+    rng = random.Random(seed)
+    points, lines = list(structure.points), list(structure.lines)
+    rng.shuffle(points)
+    rng.shuffle(lines)
+    return IncidenceStructure(tuple(points), tuple(lines))
+
+
+@pytest.mark.parametrize("pairing, seed", [(0, None), (1, None), (2, None),
+                                           (0, 2026), (2, 11)])
+def test_search_matches_seed_orbit_pruning_on_the_hexagon(pairing, seed):
+    # the depth-8 spine (2 -> 7 -> 12 -> ... -> 126 cells) that the small
+    # random graphs never reach
+    structure = build(hyperoval_partitions()[pairing])
+    if seed is not None:
+        structure = relabeled(structure, seed)
     graph = incidence_graph(structure)
-    assert aut_generators == seed_automorphism_generators(graph, [0] * 63 + [1] * 63)
+    coloring = [0] * 63 + [1] * 63
+    assert automorphism_generators(graph, coloring) == \
+        seed_automorphism_generators(graph, coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +653,9 @@ class CountingSchreierSims(PermutationGroup):
 
 
 def pair_counts(group):
-    """Formed Schreier generators and (orbit point, strong generator) pairs."""
-    return [(group.formed[j], len(t) * len(group._level_gens[j]))
+    """Formed Schreier generators, and (orbit point, strong generator) pairs
+    less the tree edges: one per orbit point but the base point."""
+    return [(group.formed[j], len(t) * len(group._level_gens[j]) - (len(t) - 1))
             for j, t in enumerate(group._transversals)]
 
 
@@ -600,6 +671,37 @@ def test_each_pair_is_formed_once_on_the_hexagon(aut_generators):
     group = CountingSchreierSims(126, aut_generators)
     assert group.order == 12096
     assert all(formed == pairs for formed, pairs in pair_counts(group))
+    assert sum(len(t) - 1 for t in group._transversals) == 92  # tree edges skipped
+
+
+class TreeEdgeSchreierSims(PermutationGroup):
+    """Also forms the Schreier generator of each tree edge, which the build
+    skips, and records whether it is the identity."""
+
+    def __init__(self, *args, **kwargs):
+        self.tree_edges = {}  # (level, x, k) -> is the Schreier generator 1?
+        super().__init__(*args, **kwargs)
+
+    def _sift_schreier_generators(self, j):
+        transversal = self._transversals[j]
+        inverses = self._transversal_inverses[j]
+        for x, k in self._tree_edges[j]:
+            s = self._level_gens[j][k]
+            back = inverses[s[x]]
+            schreier = tuple([back[s[i]] for i in transversal[x]])
+            self.tree_edges[j, x, k] = schreier == self._identity
+        super()._sift_schreier_generators(j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_skipped_tree_edges_give_the_identity(case):
+    n, gens, hint = case
+    group = TreeEdgeSchreierSims(n, gens, base_hint=hint)
+    assert all(group.tree_edges.values())
+    # one tree edge reached each orbit point but the base point
+    per_level = Counter(j for j, _, _ in group.tree_edges)
+    assert all(per_level[j] == len(t) - 1 for j, t in enumerate(group._transversals))
 
 
 def sympy_order(gens) -> int:
