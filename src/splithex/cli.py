@@ -6,9 +6,10 @@ fields, which comparison tooling should strip (see ``strip_timing``).
 
 The ladder is one list of ``(name, anchor, fn)`` stages: ``verify`` runs
 ``BASE_STAGES`` (plus ``AUT_STAGES`` with ``--with-aut``) and ``aut`` runs
-``AUT_STAGES`` alone.  A stage backed by a verifier report carries one
-payload: the ``detail`` of every check, plus, when the report fails, a
-``failures`` map from each failing check to its witness.
+``AUT_STAGES`` alone; both exit 1 if any stage they ran fails.  A stage
+backed by a verifier report carries one payload: the ``detail`` of every
+check, plus, when the report fails, a ``failures`` map from each failing
+check to its witness.
 """
 
 from __future__ import annotations
@@ -407,7 +408,11 @@ def collect_pairings() -> list:
 
 
 def collect_aut(pairing: int) -> dict:
-    checks = {c.name: c for c in _run_stages(AUT_STAGES, _context(pairing))}
+    return _aut_summary(pairing, _run_stages(AUT_STAGES, _context(pairing)))
+
+
+def _aut_summary(pairing: int, records) -> dict:
+    checks = {c.name: c for c in records}
     actions = checks["induced-actions"].witness
     witness = checks["character-witness"]
     return {
@@ -588,14 +593,15 @@ def main(argv=None) -> int:
         return 0 if all(v["verdict"] == "PASS" for v in verdicts) else 1
 
     if args.command == "aut":
-        info = collect_aut(args.pairing)
+        records = _run_stages(AUT_STAGES, _context(args.pairing))
+        info = _aut_summary(args.pairing, records)
         if args.format == "json":
             text = json.dumps(info, indent=2) + "\n"
         else:
             text = "".join(f"{key}: {_compact(value) if isinstance(value, (dict, list)) else value}\n"
                            for key, value in info.items())
         _emit(text, args.out)
-        return 0
+        return 0 if all(c.passed for c in records) else 1
 
     if args.command == "export":
         structure = build(hyperoval_partitions()[args.pairing])

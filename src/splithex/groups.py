@@ -2,7 +2,7 @@
 
 The automorphism search is a deterministic individualization-refinement
 backtracker: colorings are refined to the coarsest equitable refinement,
-the first smallest non-singleton color class is chosen as target cell, and
+the first largest non-singleton color class is chosen as target cell, and
 its vertices are individualized in ascending order.  Each node keeps its
 refined :class:`Partition`, and each child refines a copy with its vertex
 split off, so no node rebuilds its classes from a flat coloring.  The
@@ -10,7 +10,11 @@ partition is equitable before a vertex is split off, so the first
 refinement round after it re-examines only the classes of that vertex's
 neighbours.  Candidate automorphisms are read off discrete partitions by
 comparison with the first leaf; discovered automorphisms prune later
-branches by orbits.
+branches by orbits, kept in a union-find per node that merges only what
+each new automorphism adds.  An off-spine node whose partition shape (its
+sorted class starts) differs from the first path's at the same depth holds
+no automorphism below it and is abandoned (McKay-Piperno 2014 compare a
+node's invariant with the first path's in the same way).
 
 Group orders come from a deterministic Schreier-Sims construction of a base
 and strong generating set; the order is the product of the fundamental
@@ -247,28 +251,49 @@ def is_automorphism(graph: Graph, coloring, p: Permutation) -> bool:
 def automorphism_generators(graph: Graph, coloring) -> list:
     """Generators of the color-preserving automorphism group.
 
-    Deterministic: the target cell is the first smallest non-singleton
-    class and vertices branch in ascending order, so the generator list is
-    reproducible.  Branches reaching a vertex in the same orbit as an
-    already-explored sibling (under the automorphisms found so far that fix
-    the current individualized prefix) are skipped; off-spine subtrees are
-    abandoned as soon as they deliver one automorphism.
+    Deterministic: the target cell is the first largest non-singleton
+    class (the largest, ties going to the lower start) and vertices branch
+    in ascending order, so the generator list is reproducible.  Branches
+    reaching a vertex in the same orbit as an already-explored sibling
+    (under the automorphisms found so far that fix the current
+    individualized prefix) are skipped; off-spine subtrees are abandoned as
+    soon as they deliver one automorphism.
+
+    The spine is the path to the first leaf, and each spine node records
+    its refined partition's shape, the sorted class starts.  An off-spine
+    node whose shape differs from the spine node's at the same depth is
+    abandoned at once: an automorphism mapping the first leaf to a leaf
+    below it would map each spine node to the node at the same depth on
+    that leaf's path, shape and all.
 
     The coloring becomes the root's :class:`Partition`.  Each node refines
     its partition in place by a call to :func:`refine` and hands each child
     a copy with the branching vertex split off
-    (:meth:`Partition.individualized`).
+    (:meth:`Partition.individualized`).  The orbits that prune a node's
+    branches live in a union-find that merges x with g[x] for each newly
+    found automorphism g fixing the prefix.
     """
     _check_length(graph, "coloring", coloring)
     n = graph.vertex_count
     initial = list(coloring)
     found: list[Permutation] = []
     first_leaf: list = [None]
+    spine_shapes: list = []  # the sorted class starts along the spine
+
+    def root(parent, x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
     def search(partition, prefix, on_spine) -> bool:
         # below the root, prefix[-1] was split off an equitable partition
         refine(graph, partition, individualized=prefix[-1] if prefix else None)
-        members, color = partition.members, partition.color
+        members, start, color = partition.members, partition.start, partition.color
+        shape = sorted(start)
+        if on_spine:
+            spine_shapes.append(shape)
+        elif shape != spine_shapes[len(prefix)]:
+            return False
 
         if len(members) == n:  # discrete: color[v] is v's position
             if first_leaf[0] is None:
@@ -286,20 +311,21 @@ def automorphism_generators(graph: Graph, coloring) -> list:
                 return True
             return False
 
-        start = partition.start
-        target = min((c for c, cell in enumerate(members) if len(cell) > 1),
-                     key=lambda c: (len(members[c]), start[c]))
+        target = max((c for c, cell in enumerate(members) if len(cell) > 1),
+                     key=lambda c: (len(members[c]), -start[c]))
         explored = []
         delivered = False
-        known = None  # how many automorphisms orbit_id was computed from
+        parent = list(range(n))  # orbits of found[:known] that fix the prefix
+        known = 0
         for v in members[target]:  # ascending
             if explored:
-                if known != len(found):
-                    known = len(found)
-                    stabilizing = [g for g in found if all(g[u] == u for u in prefix)]
-                    orbit_id = {x: k for k, orbit in enumerate(orbits(stabilizing, n))
-                                for x in orbit}
-                if any(orbit_id[u] == orbit_id[v] for u in explored):
+                for g in found[known:]:
+                    if all(g[u] == u for u in prefix):
+                        for x in range(n):
+                            parent[root(parent, x)] = root(parent, g[x])
+                known = len(found)
+                orbit = root(parent, v)
+                if any(root(parent, u) == orbit for u in explored):
                     continue
             child_on_spine = on_spine and not explored
             got = search(partition.individualized(v), prefix + [v], child_on_spine)

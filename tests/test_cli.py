@@ -122,18 +122,18 @@ def test_main_verify_reports_failure_with_exit_1(monkeypatch, capsys):
 # verify, counts or aut output shows here.
 GOLDEN_VERIFY_DIGESTS = {
     (0, False): "77e4f4560225a079cb9d3af87e67e0ae960dff8b5f5b6875e288dd5e9990dcc3",
-    (0, True): "7864c66759b0fd8ed0b4ef87a0201ac4b664a7e5043fa1d03a43057af5171824",
+    (0, True): "3609f01c3bdc7c2028b1291bd6c7f8b48f0ff1cca5fc94d5c7fec753ae3df1ba",
     (1, False): "52f102a2d3420b333df064435c5da47a69b75d4de9710e1b70a3ea0b41b5232e",
-    (1, True): "9c1a71640bd6d0771f0dc08da570b0584f7ed3e99aa95f4808e11a2d020354b4",
+    (1, True): "216d4e956b10a085eacd425856da2225ac2b2d72090d304dc73d7af96da48c8f",
     (2, False): "f67812ab665022df6976af9c4823c0cecc427820a7aacf61da85a107ee1431f0",
-    (2, True): "7b3cd15e28d80f8a23199e0b911ec5c4c06ad69b1bca8202080821d28e21f1a6",
+    (2, True): "d4f62d0e4bbe380aeb400c75fb4d3cf068b5fd0d5fafa417624c765a2cd9c581",
 }
 GOLDEN_COUNTS_DIGESTS = {
     0: "804a31e003bc36bf39cf8c26fa3fc59a72054a392e72767bf6af72feed994a64",
     1: "49d1ea6de9eed70b08175e579f3c34f519a5c9e73241ea84ff4aa51bf568eabf",
     2: "62d8402bc34c6b468e24c33a7247becdffdea368c7afc374b2d633b455ec13e1",
 }
-GOLDEN_AUT_DIGEST = "41644ec8303f56c1f4a1712fa9a2c0cf8360fb94f80ab8e9aded7da3a6ff8e1c"
+GOLDEN_AUT_DIGEST = "a1f5261d3866d893914494529c687fa86040bfb0d3c16e456c9a3354fdd1d7dd"
 
 # sha256 of the stdout of each CLI command below: every export, both
 # pairings formats and the text forms of counts and aut.
@@ -215,11 +215,11 @@ GOLDEN_OUTPUT_DIGESTS = {
     "counts --pairing 2":
         "e7db14b6176b865693d68e76456a8b4463f2eb00c9f4bf1560771535283bb116",
     "aut --pairing 0":
-        "102f6d5a2679754e026ba84065a83794af3731c2db3c8c5b30e047765e413686",
+        "0e14b305482273d541baa36feccc825a104d88206530101d7dca8a56ddb54976",
     "aut --pairing 1":
-        "59c947df5aad5f3f09d26cceedf8960a7687297e7a1896bba56752f834020770",
+        "23f8fd4b0a18b1f9eb594e307d9d2805e9c3d7c4577105d8df93fc5d6189f1db",
     "aut --pairing 2":
-        "235f1fbd5ca70fe4c69b65161a6087716a424c4ae77bff865f7959a67fd98cba",
+        "8aebd2e917fb6eb27de1af570cd6bd1b16fac0e400f260f3636d10b049fad383",
 }
 
 def _digest(payload) -> str:
@@ -355,7 +355,20 @@ def test_aut_summary():
     assert info["point_action_order"] == 12096
     assert info["line_action_order"] == 12096
     assert info["point_subdegrees"] == [1, 6, 24, 32]
-    assert info["character_witness"] == {"fixed_points": 0, "fixed_lines": 1}
+    assert info["character_witness"] == {"fixed_points": 7, "fixed_lines": 9}
+
+
+def test_main_aut_reports_a_failing_stage_with_exit_1(monkeypatch, capsys):
+    # a character scan that exhausts the group without a certificate; the
+    # golden output digests check that aut exits 0 on pairings 0-2
+    name, anchor, _ = cli_module.AUT_STAGES[-1]
+    failing = (name, anchor, lambda ctx: (False, "no character certificate"))
+    stages = cli_module.AUT_STAGES[:-1] + (failing,)
+    monkeypatch.setattr(cli_module, "AUT_STAGES", stages)
+    assert main(["aut", "--format", "json"]) == 1
+    info = json.loads(capsys.readouterr().out)
+    assert info["order"] == 12096
+    assert info["character_witness"] is None
 
 
 def test_main_counts_and_pairings(capsys):

@@ -32,7 +32,7 @@ from splithex.groups import (
 )
 from splithex.hexagon import Graph, IncidenceStructure, build, incidence_graph
 
-GOLDEN_WITNESS_FIXED = (0, 1)  # (fixed points, fixed lines) of the first witness
+GOLDEN_WITNESS_FIXED = (7, 9)  # (fixed points, fixed lines) of the first witness
 
 
 def closure_set(generators):
@@ -353,11 +353,13 @@ def test_search_order_matches_networkx(case):
 
 def seed_automorphism_generators(graph: Graph, coloring) -> list:
     """Reference: the search that recomputed the orbit of every vertex of a
-    target cell after the first, by a fresh breadth-first search (``orbit_of``).
+    target cell after the first, by a fresh breadth-first search (``orbit_of``),
+    and pruned no node by its partition's shape.  Only its target-cell rule
+    follows the library's.
 
     Generators of the color-preserving automorphism group.
 
-    Deterministic: the target cell is the first smallest non-singleton
+    Deterministic: the target cell is the first largest non-singleton
     class and vertices branch in ascending order, so the generator list is
     reproducible.  Branches reaching a vertex in the same orbit as an
     already-explored sibling (under the automorphisms found so far that fix
@@ -409,7 +411,7 @@ def seed_automorphism_generators(graph: Graph, coloring) -> list:
                 return True
             return False
 
-        target = min(non_singleton, key=lambda c: (len(cells[c]), c))
+        target = max(non_singleton, key=lambda c: (len(cells[c]), -c))
         cell = sorted(cells[target])
         explored = []
         delivered = False
@@ -448,18 +450,63 @@ def relabeled(structure: IncidenceStructure, seed: int) -> IncidenceStructure:
     return IncidenceStructure(tuple(points), tuple(lines))
 
 
-@pytest.mark.parametrize("pairing, seed", [(0, None), (1, None), (2, None),
-                                           (0, 2026), (2, 11)])
-def test_search_matches_seed_orbit_pruning_on_the_hexagon(pairing, seed):
-    # the depth-8 spine (2 -> 7 -> 12 -> ... -> 126 cells) that the small
-    # random graphs never reach
+def hexagon_case(pairing, seed, colors):
+    """The incidence graph of a pairing's hexagon, relabeled by ``seed`` if it
+    is not None, with its bipartition (``colors`` 2) or one colour (1)."""
     structure = build(hyperoval_partitions()[pairing])
     if seed is not None:
         structure = relabeled(structure, seed)
-    graph = incidence_graph(structure)
-    coloring = [0] * 63 + [1] * 63
+    coloring = [0] * 63 + [1] * 63 if colors == 2 else [0] * 126
+    return incidence_graph(structure), coloring
+
+
+HEXAGON_CASES = [(0, None), (1, None), (2, None), (0, 2026), (2, 11)]
+
+
+@pytest.mark.parametrize("pairing, seed", HEXAGON_CASES)
+def test_search_matches_seed_orbit_pruning_on_the_hexagon(pairing, seed):
+    # the spine (2 -> 7 -> 45 -> 126 cells) with off-spine nodes pruned by
+    # their shape, which the small random graphs rarely reach
+    graph, coloring = hexagon_case(pairing, seed, 2)
     assert automorphism_generators(graph, coloring) == \
         seed_automorphism_generators(graph, coloring)
+
+
+def test_one_colour_search_matches_seed_orbit_pruning_on_the_hexagon():
+    # the root's child on line vertex 63 has the spine's shape, but none of
+    # its children has: no automorphism exchanges points and lines
+    graph, coloring = hexagon_case(0, None, 1)
+    assert automorphism_generators(graph, coloring) == \
+        seed_automorphism_generators(graph, coloring)
+
+
+def refine_calls(graph, coloring, monkeypatch) -> int:
+    """How many search nodes (one refine call each) a search makes."""
+    counted = []
+    refine_node = groups_module.refine
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return refine_node(*args, **kwargs)
+
+    monkeypatch.setattr(groups_module, "refine", counting)
+    generators = automorphism_generators(graph, coloring)
+    assert PermutationGroup(graph.vertex_count, generators).order == 12096
+    return len(counted)
+
+
+@pytest.mark.parametrize("pairing, seed", HEXAGON_CASES)
+def test_search_tree_size(pairing, seed, monkeypatch):
+    # the first smallest target cell made 45 nodes
+    graph, coloring = hexagon_case(pairing, seed, 2)
+    assert refine_calls(graph, coloring, monkeypatch) == 11
+
+
+def test_one_colour_search_tree_size(monkeypatch):
+    # 38 nodes; without the shape test, the first largest target cell made
+    # 134 and the first smallest 66
+    graph, coloring = hexagon_case(0, None, 1)
+    assert refine_calls(graph, coloring, monkeypatch) <= 40
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +563,16 @@ def test_order_invariant_under_generator_shuffles(aut_generators):
 # sha256(repr(...)) of the generator list and of the chain
 # (base, sorted transversals per level, strong generators per level) of the
 # degree-126 group, built by the Schreier-Sims whose levels keep their coset
-# representatives as their orbits grow.
+# representatives as their orbits grow, from the generators of the search
+# that targets the first largest cell.
 CHAIN_DIGESTS = {
     "pairing-0": (
-        "6a0f7d974ba51fe4b9de5cd94d2c5bca844e93a0a9a7cb75c3051d27bccc27c3",
-        "031f6770c24b9efd78697beb657c2f5e19d440a2e264fb5cd8f4b4ff080ff709",
+        "0d3eca4a05799cc2f21ed572d7618a8ac4ffe1a910d4b3e995b642dfc4b30257",
+        "aa0e897c5595d5ae72987718c3b17194bd3211aeefa18903f6589240d8201376",
     ),
     "shuffled-2026": (
-        "ce04827f9af3c652314993ddb17bc8db7cfdbe461e29431e8ff7ffd138039c81",
-        "621065ee7f2ad46cee2621c3f5bec978d760d6f10d52f0497d96875c489a1441",
+        "4e9cd32d3fd18bbabd631381c17dc944f4fee0c495acaa5a1d55946d0bd3fa32",
+        "f4a726e5fefd212d910f341641452ac0d60c8e084987b1ad58fe928e87ede79f",
     ),
 }
 
