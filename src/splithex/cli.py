@@ -148,6 +148,15 @@ def _compact(value) -> str:
     return json.dumps(_jsonable(value))
 
 
+def _render(info: dict, fmt: str) -> str:
+    """Indented JSON, or one ``key: value`` line per entry with dicts and
+    lists as compact JSON."""
+    if fmt == "json":
+        return json.dumps(info, indent=2) + "\n"
+    return "".join(f"{key}: {_compact(v) if isinstance(v, (dict, list)) else v}\n"
+                   for key, v in info.items())
+
+
 # ---------------------------------------------------------------------------
 # the verification ladder: (name, anchor, fn) stages run over one context
 
@@ -569,16 +578,7 @@ def main(argv=None) -> int:
         return 0 if report.passed else 1
 
     if args.command == "counts":
-        counts = collect_counts(args.pairing)
-        if args.format == "json":
-            text = json.dumps(counts, indent=2) + "\n"
-        else:
-            text = "".join(
-                f"{key}: {_compact(value)}\n" if isinstance(value, dict)
-                else f"{key}: {value}\n"
-                for key, value in counts.items()
-            )
-        _emit(text, args.out)
+        _emit(_render(collect_counts(args.pairing), args.format), args.out)
         return 0
 
     if args.command == "pairings":
@@ -595,12 +595,7 @@ def main(argv=None) -> int:
     if args.command == "aut":
         records = _run_stages(AUT_STAGES, _context(args.pairing))
         info = _aut_summary(args.pairing, records)
-        if args.format == "json":
-            text = json.dumps(info, indent=2) + "\n"
-        else:
-            text = "".join(f"{key}: {_compact(value) if isinstance(value, (dict, list)) else value}\n"
-                           for key, value in info.items())
-        _emit(text, args.out)
+        _emit(_render(info, args.format), args.out)
         return 0 if all(c.passed for c in records) else 1
 
     if args.command == "export":

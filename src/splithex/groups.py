@@ -173,6 +173,7 @@ def refine(graph: Graph, coloring, individualized=None):
     if isinstance(coloring, Partition):
         _refine(graph, coloring, individualized)
         return coloring
+    _check_length(graph, "coloring", coloring)
     partition = Partition(coloring)
     _refine(graph, partition, individualized)
     return partition.ranks()

@@ -14,12 +14,13 @@ line-concurrency graph is connected, and that the incidence graph has
 diameter 6 and girth 12 -- i.e. that the structure is a generalized hexagon,
 the split Cayley hexagon of order 2.
 
-Diameter, girth and the point distance distribution come from one
-bit-parallel sweep (:func:`sphere_sweep`): the balls around all vertices
-grow together as int bitmasks, their differences are the distance spheres,
-and two rules on the spheres give the exact girth.  A structure keeps its
-sweep (``IncidenceStructure.sweep``), and the one :func:`dual` makes reads
-it off its primal's, whose incidence graph is the same with the parts
+Every distance -- diameter, girth and each distance distribution -- is
+read off one bit-parallel sweep (:func:`sphere_sweep`): the balls around
+all vertices grow together as int bitmasks, their differences are the
+distance spheres, and two rules on the spheres give the exact girth.  A
+structure keeps its sweep (``IncidenceStructure.sweep``).  :func:`dual`
+hands its result the structure's index views swapped and its sweep
+relabelled, since the dual's incidence graph is the same with the parts
 swapped.  The plane and concurrency-witness checks work on 6-bit vector
 codes (:func:`geometry.vector_codes`), under which addition is XOR and a set
 of vectors is an int mask.
@@ -78,16 +79,13 @@ class IncidenceStructure:
     The incidences are indexed once per instance, in two views that every
     graph builder and verifier reads: ``incidences`` and ``pencils``.  Two
     more views hold the incidence graph (``adjacency``) and its distance
-    sweep (``sweep``).
+    sweep (``sweep``).  The views are cached properties, kept in the
+    instance's ``__dict__``, where :func:`dual` puts the ones it hands over.
     """
 
     points: tuple
     lines: tuple
     tags: tuple | None = None
-
-    # Set only by dual(): the structure this one is the dual of.  Not a field,
-    # so dataclasses.replace() and == ignore it.
-    _primal = None
 
     @cached_property
     def incidences(self) -> tuple:
@@ -120,22 +118,8 @@ class IncidenceStructure:
 
     @cached_property
     def sweep(self) -> tuple:
-        """:func:`sphere_sweep` of the incidence graph: (spheres, girth).
-
-        The incidence graph of a dual is its primal's with the parts
-        swapped, so a structure made by :func:`dual` relabels its primal's
-        sweep instead of sweeping again."""
-        primal = self._primal
-        if primal is None:
-            return sphere_sweep(Graph(adjacency=self.adjacency))
-        (spheres, girth), npts = primal.sweep, len(primal.points)
-        # Dual vertex v is primal vertex (v + npts) mod n: rotate every
-        # sphere list and every mask by npts.
-        low, nlines = (1 << npts) - 1, len(self.points)
-        return [
-            [(m >> npts) | ((m & low) << nlines) for m in layer[npts:] + layer[:npts]]
-            for layer in spheres
-        ], girth
+        """:func:`sphere_sweep` of the incidence graph: (spheres, girth)."""
+        return sphere_sweep(Graph(adjacency=self.adjacency))
 
 
 @dataclass(frozen=True)
@@ -351,12 +335,11 @@ def girth(graph: Graph) -> int:
 
 
 def distance_distribution(graph: Graph, base: int) -> tuple:
-    """Counts of vertices at each distance from base (unreachables dropped)."""
-    reached = [d for d in bfs_distances(graph, base) if d >= 0]
-    counts = [0] * (max(reached) + 1)
-    for d in reached:
-        counts[d] += 1
-    return tuple(counts)
+    """Counts of vertices at each distance from base (unreachables dropped),
+    read off the spheres of :func:`sphere_sweep` at base."""
+    spheres, _ = sphere_sweep(graph)
+    counts = (layer[base].bit_count() for layer in spheres)
+    return tuple(c for c in counts if c)
 
 
 def incidence_graph(structure: IncidenceStructure) -> Graph:
@@ -526,8 +509,8 @@ def verify_generalized_hexagon(structure: IncidenceStructure) -> Report:
     """The headline verdict: a partial linear space of order (2,2) whose
     incidence graph has diameter 6 and girth 12.  Also records the point
     distance distribution, which must be (1, 6, 24, 32) from every point.
-    All three are read off the structure's ``sweep``, which a dual shares
-    with its primal."""
+    All three are read off the structure's ``sweep``, which :func:`dual`
+    hands over relabelled."""
     pls = verify_partial_linear_space(structure)
     graph = incidence_graph(structure)
     checks = [
@@ -588,12 +571,24 @@ def verify_classification_hypotheses(structure: IncidenceStructure) -> Report:
 
 def dual(structure: IncidenceStructure) -> IncidenceStructure:
     """Swap points and lines: dual points are line indices, dual lines are
-    the pencils of lines through each point.  The result's ``sweep`` is
-    read off the structure's own."""
+    the pencils of lines through each point.
+
+    The result's incidence graph is the structure's with the parts
+    swapped, so it is handed the views it would derive again: its
+    ``incidences`` are the structure's ``pencils``, its ``pencils`` the
+    structure's ``incidences``, and its ``sweep`` the structure's, swept
+    now if it was not yet.  A ``dataclasses.replace`` of the result
+    derives its own."""
     result = IncidenceStructure(
         points=tuple(range(len(structure.lines))),
         lines=tuple(map(frozenset, structure.pencils)),
-        tags=None,
     )
-    object.__setattr__(result, "_primal", structure)
+    (spheres, girth), npts = structure.sweep, len(structure.points)
+    # Dual vertex v is vertex (v + npts) mod n of the structure: rotate every
+    # sphere list and every mask by npts.
+    low, nlines = (1 << npts) - 1, len(structure.lines)
+    rotated = [[(m >> npts) | ((m & low) << nlines) for m in layer[npts:] + layer[:npts]]
+               for layer in spheres]
+    result.__dict__.update(incidences=structure.pencils, pencils=structure.incidences,
+                           sweep=(rotated, girth))
     return result

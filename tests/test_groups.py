@@ -1,10 +1,11 @@
 import hashlib
 import random
 from collections import Counter
+from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 from sympy.combinatorics import Permutation as SympyPermutation
@@ -297,18 +298,21 @@ def test_coloring_constrains_the_search():
     assert PermutationGroup(4, gens).order == 6  # only vertex 0 is pinned
 
 
+@pytest.mark.parametrize("reader", [automorphism_generators, refine])
 @pytest.mark.parametrize("length", [125, 127])
-def test_a_coloring_of_the_wrong_length_is_refused(structure, length, monkeypatch):
+def test_a_coloring_of_the_wrong_length_is_refused(structure, length, reader,
+                                                    monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the search started")
 
-    # the search first builds its root partition, then refines it
-    monkeypatch.setattr(groups_module, "Partition", no_search)
+    # the search first refines its root partition, and refine refines the
+    # partition it builds in _refine
     monkeypatch.setattr(groups_module, "refine", no_search)
+    monkeypatch.setattr(groups_module, "_refine", no_search)
     graph = incidence_graph(structure)
     with pytest.raises(ValueError, match=f"coloring has length {length}, "
                                          "but the graph has 126 vertices"):
-        automorphism_generators(graph, [0] * length)
+        reader(graph, [0] * length)
 
 
 @pytest.mark.parametrize(
@@ -432,8 +436,23 @@ def seed_automorphism_generators(graph: Graph, coloring) -> list:
     return found
 
 
+def latin_square_graph(shifts) -> Graph:
+    """The Latin-square graph of L[i][j] = (shifts[i] + j) mod n: vertex
+    n*i + j is adjacent to the cells in its row, its column, or with its
+    symbol."""
+    n = len(shifts)
+    cells = [(i, j, (shifts[i] + j) % n) for i in range(n) for j in range(n)]
+    return Graph.from_edges(n * n, [
+        (u, w) for u, w in combinations(range(n * n), 2)
+        if any(a == b for a, b in zip(cells[u], cells[w]))
+    ])
+
+
 @settings(max_examples=300, deadline=None)
 @given(colored_graphs())
+# On this Latin-square graph, sibling pruning must use only the automorphisms
+# that fix the prefix: merging every found one gives other generators.
+@example((latin_square_graph((0, 4, 2, 3, 1, 5)), [0] * 36))
 def test_search_matches_seed_orbit_pruning(case):
     graph, coloring = case
     assert automorphism_generators(graph, coloring) == seed_automorphism_generators(

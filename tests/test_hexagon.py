@@ -1,6 +1,6 @@
 import dataclasses
 import re
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 from math import inf
 
@@ -425,6 +425,10 @@ def test_sphere_sweep_matches_seed_sweep(graph):
                     assert recovered[v][w] == -1
                     recovered[v][w] = k
     assert recovered == rows
+    for v, row in enumerate(rows):
+        reached = Counter(d for d in row if d >= 0)
+        assert distance_distribution(graph, v) == tuple(
+            reached[d] for d in range(len(reached)))
     assert best == seed_girth
     nx_graph = networkx.Graph()
     nx_graph.add_nodes_from(range(n))
@@ -459,6 +463,17 @@ def test_point_graph_distance_distribution(structure):
     assert set(graph.degrees()) == {6}
     for base in range(graph.vertex_count):
         assert distance_distribution(graph, base) == (1, 6, 24, 32)
+
+
+def test_distance_distribution_reads_only_the_sweep(monkeypatch):
+    def no_bfs(*args):
+        raise AssertionError("a queue BFS ran")
+
+    monkeypatch.setattr(hexagon_module, "bfs_distances", no_bfs)
+    # two components, a path 0-1-2 and an edge 3-4
+    graph = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    assert [distance_distribution(graph, v) for v in range(5)] == [
+        (1, 1, 1), (1, 2), (1, 1, 1), (1, 1), (1, 1)]
 
 
 def test_girth_and_diameter_independent_of_line_ordering(structure):
@@ -788,6 +803,16 @@ def test_the_dual_of_a_verified_structure_sweeps_nothing(structure, corrupted, c
     report = verify_generalized_hexagon(d)
     assert len(swept) == 1
     assert report == verify_generalized_hexagon(IncidenceStructure(d.points, d.lines))
+
+
+@pytest.mark.parametrize("case", ["genuine", "corrupted", "empty"])
+def test_the_dual_is_handed_its_structures_views(structure, corrupted, case, swept):
+    s = _fresh(case, structure, corrupted)
+    d = dual(s)
+    assert d.incidences is s.pencils
+    assert d.pencils is s.incidences
+    # the structure is swept once, by dual(), and the dual never
+    assert d.sweep and swept == [incidence_graph(s)]
 
 
 def test_a_replaced_dual_sweeps_its_own_graph(structure, swept):
