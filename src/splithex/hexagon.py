@@ -18,7 +18,7 @@ Every distance -- diameter, girth and each distance distribution -- is
 read off one bit-parallel sweep (:func:`sphere_sweep`): the balls around
 all vertices grow together as int bitmasks, their differences are the
 distance spheres, and two rules on the spheres give the exact girth.  A
-structure keeps its sweep (``IncidenceStructure.sweep``).  :func:`dual`
+graph and a structure keep their sweep (``sweep``).  :func:`dual`
 hands its result the structure's index views swapped and its sweep
 relabelled, since the dual's incidence graph is the same with the parts
 swapped.  The plane and concurrency-witness checks work on 6-bit vector
@@ -220,6 +220,12 @@ class Graph:
 
     adjacency: tuple
 
+    @cached_property
+    def sweep(self) -> tuple:
+        """:func:`sphere_sweep` of the graph, kept: diameter, girth and the
+        distance distributions from every base read one sweep."""
+        return sphere_sweep(self)
+
     @property
     def vertex_count(self) -> int:
         return len(self.adjacency)
@@ -319,7 +325,7 @@ def sphere_sweep(graph: Graph) -> tuple:
 
 
 def diameter(graph: Graph) -> int:
-    spheres, _ = sphere_sweep(graph)
+    spheres, _ = graph.sweep
     n = graph.vertex_count
     if n and sum(layer[0].bit_count() for layer in spheres) < n:
         raise ValueError("infinite diameter: graph is disconnected")
@@ -328,7 +334,7 @@ def diameter(graph: Graph) -> int:
 
 def girth(graph: Graph) -> int:
     """Length of a shortest cycle (see :func:`sphere_sweep`)."""
-    _, best = sphere_sweep(graph)
+    _, best = graph.sweep
     if best is None:
         raise ValueError("acyclic graph has no girth")
     return best
@@ -336,8 +342,8 @@ def girth(graph: Graph) -> int:
 
 def distance_distribution(graph: Graph, base: int) -> tuple:
     """Counts of vertices at each distance from base (unreachables dropped),
-    read off the spheres of :func:`sphere_sweep` at base."""
-    spheres, _ = sphere_sweep(graph)
+    read off the graph's cached sweep (:func:`sphere_sweep`) at base."""
+    spheres, _ = graph.sweep
     counts = (layer[base].bit_count() for layer in spheres)
     return tuple(c for c in counts if c)
 

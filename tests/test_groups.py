@@ -305,10 +305,15 @@ def test_a_coloring_of_the_wrong_length_is_refused(structure, length, reader,
     def no_search(*args, **kwargs):
         raise AssertionError("the search started")
 
-    # the search first refines its root partition, and refine refines the
-    # partition it builds in _refine
+    # a subclass, so that refine's isinstance test still sees a flat coloring
+    class NoPartition(groups_module.Partition):
+        def __init__(self, *args):
+            no_search()
+
+    # the search first builds its root partition, then refines it; refine
+    # builds a partition from a flat coloring
+    monkeypatch.setattr(groups_module, "Partition", NoPartition)
     monkeypatch.setattr(groups_module, "refine", no_search)
-    monkeypatch.setattr(groups_module, "_refine", no_search)
     graph = incidence_graph(structure)
     with pytest.raises(ValueError, match=f"coloring has length {length}, "
                                          "but the graph has 126 vertices"):

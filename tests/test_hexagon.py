@@ -465,7 +465,7 @@ def test_point_graph_distance_distribution(structure):
         assert distance_distribution(graph, base) == (1, 6, 24, 32)
 
 
-def test_distance_distribution_reads_only_the_sweep(monkeypatch):
+def test_distance_distribution_reads_only_the_sweep(monkeypatch, swept):
     def no_bfs(*args):
         raise AssertionError("a queue BFS ran")
 
@@ -474,6 +474,10 @@ def test_distance_distribution_reads_only_the_sweep(monkeypatch):
     graph = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
     assert [distance_distribution(graph, v) for v in range(5)] == [
         (1, 1, 1), (1, 2), (1, 1, 1), (1, 1), (1, 1)]
+    # the graph keeps its sweep: one for every base, and for the girth
+    with pytest.raises(ValueError, match="acyclic"):
+        girth(graph)
+    assert swept == [graph]
 
 
 def test_girth_and_diameter_independent_of_line_ordering(structure):
