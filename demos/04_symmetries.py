@@ -1,7 +1,8 @@
 """The automorphism group of the hexagon and its two degree-63 faces.
 
 A deterministic individualization-refinement search on the incidence graph
-finds a handful of generators; Schreier-Sims pins the exact group order at
+finds a handful of generators and reads the group order off its tree;
+Schreier-Sims on the search's spine as its base pins the same exact order,
 12096 = 2^6 * 3^3 * 7.  No two lines share all their points and no two
 points lie on the same lines, so restricting to points and to lines gives
 two faithful degree-63 actions of that one group, with its order, without
@@ -30,9 +31,16 @@ generators = automorphism_generators(graph, [0] * 63 + [1] * 63)
 elapsed = time.perf_counter() - start
 print(f"found {len(generators)} generators in {elapsed * 1000:.1f} ms")
 
+print(f"spine (the vertices individualized on the way to the first leaf): "
+      f"{list(generators.base)}")
+print(f"order read off the search tree: {generators.order}")
+
+# An automorphism fixing the spine fixes every spine partition class by
+# class, and the last one is discrete: the spine is a base of the group, so
+# Schreier-Sims sifts each Schreier generator by its images of the spine.
 group = PermutationGroup(126, generators)
-print(f"group order: {group.order}")
-assert group.order == 12096 == 2**6 * 3**3 * 7
+print(f"group order from Schreier-Sims on the spine: {group.order}")
+assert group.order == generators.order == 12096 == 2**6 * 3**3 * 7
 print(f"base length: {len(group.base)}, base: {group.base}")
 
 print("\n=== the two degree-63 actions ===\n")

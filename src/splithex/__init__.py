@@ -39,6 +39,7 @@ from .geometry import (  # noqa: F401
     unital_points,
 )
 from .groups import (  # noqa: F401
+    Automorphisms,
     CharacterWitness,
     PermutationGroup,
     automorphism_generators,

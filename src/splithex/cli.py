@@ -262,7 +262,9 @@ def _group_order(ctx):
     group = PermutationGroup(npts + nlines, generators)
     ctx["generators"] = generators
     ctx["group"] = group
-    return group.order == EXPECTED_GROUP_ORDER, {"order": group.order}
+    # two routes to the order: the chain's, and the search tree's
+    ok = group.order == generators.order == EXPECTED_GROUP_ORDER
+    return ok, {"order": group.order}
 
 
 def _generators_preserve_incidence(ctx):

@@ -16,31 +16,48 @@ sorted class starts) differs from the first path's at the same depth holds
 no automorphism below it and is abandoned (McKay-Piperno 2014 compare a
 node's invariant with the first path's in the same way).
 
-Group orders come from a deterministic Schreier-Sims construction of a base
-and strong generating set; the order is the product of the fundamental
-orbit lengths.  Each transversal carries the inverse of every coset
+The search also reports its spine, the vertices individualized on the path
+to the first leaf, and the group order read off its tree (McKay-Piperno):
+the product, over the spine nodes, of the spine child's orbit length under
+the automorphisms found that fix the node's prefix.  The spine is a base of
+every group of color-preserving automorphisms.  :func:`refine` and the
+target-cell rule commute with relabelling, so an automorphism that fixes
+the spine pointwise maps each spine node's partition onto itself, class by
+class; the last one is discrete, so the automorphism is the identity.
+
+Group orders also come from a deterministic Schreier-Sims construction of a
+base and strong generating set; the order is the product of the fundamental
+orbit lengths.  On generators from the search, the spine is the base, fixed
+up front (Seress, *Permutation Group Algorithms*, ch. 4-5, on a known
+base): a Schreier generator u_x s u_{s(x)}^-1 lies in the group, so it is
+sifted by its images of the later base points only, three lookups per base
+point and one transversal inverse per level, and a residue that fixes the
+whole base is the identity and is dropped without being built.  Only a
+residue that moves a base point becomes a permutation.  Any other generator
+list takes the general path, which appends a base point for each residue
+that fixes the base so far and strips whole permutations, as membership
+tests always do.  Each transversal carries the inverse of every coset
 representative, built alongside it from the inverses of the strong
 generators, so sifting never inverts a permutation.  Levels are extended,
-never rebuilt (Seress, *Permutation Group Algorithms*, ch. 4): a level
-that gains a strong generator keeps its coset representatives, composes
-only for the orbit points it adds, and sifts only the Schreier generators
-of (orbit point, strong generator) pairs it has not sifted before, so
-over a complete build each pair is formed at most once per level.  A pair
-(x, s) whose walk first reached s(x) is a tree edge, u_{s(x)} = u_x s, and
-its Schreier generator is the identity, so it is not formed at all.  Each
-level also remembers every permutation already sifted into it: the levels
-below are then a base and strong generating set of a group that only
-grows, so such a permutation would sift to the identity again and is
-skipped.  A point's stabilizer is the first base point's, conjugated by
-the point's coset representative.  The point and line actions are
-faithful views of the incidence-graph group (see :func:`induced_actions`),
-so one chain serves a whole run.  Permutations are tuples ``p`` with
-``p[i]`` the image of ``i``; ``compose(p, q)`` applies p first, then q.
+never rebuilt (Seress, ch. 4): a level that gains a strong generator keeps
+its coset representatives, composes only for the orbit points it adds, and
+sifts only the Schreier generators of (orbit point, strong generator) pairs
+it has not sifted before, so over a complete build each pair is formed at
+most once per level.  A pair (x, s) whose walk first reached s(x) is a tree
+edge, u_{s(x)} = u_x s, and its Schreier generator is the identity, so it
+is not formed at all.  A point's stabilizer is the first base point's,
+conjugated by the point's coset representative, or, for a point off the
+first orbit, the second level of a chain with that point as its first base
+point.  The point and line actions are faithful views of the incidence-graph
+group (see :func:`induced_actions`), so one chain serves a whole run.
+Permutations are tuples ``p`` with ``p[i]`` the image of ``i``;
+``compose(p, q)`` applies p first, then q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .hexagon import Graph, IncidenceStructure
 
@@ -53,7 +70,9 @@ def identity(n: int) -> Permutation:
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Apply p, then q."""
-    return tuple([q[i] for i in p])
+    if len(p) < 2:  # itemgetter needs an item, and returns one item bare
+        return tuple([q[i] for i in p])
+    return itemgetter(*p)(q)
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -237,19 +256,51 @@ def _check_length(graph: Graph, what: str, sequence) -> None:
 
 
 def is_automorphism(graph: Graph, coloring, p: Permutation) -> bool:
-    """Does p preserve both the coloring and the adjacency?"""
+    """Is p a permutation of the vertices that preserves both the coloring
+    and the adjacency?"""
     _check_length(graph, "coloring", coloring)
     _check_length(graph, "permutation", p)
     adjacency = graph.adjacency
-    if any(coloring[p[v]] != coloring[v] for v in range(len(p))):
+    return _is_automorphism(adjacency, [set(nbrs) for nbrs in adjacency], coloring, p)
+
+
+def _is_automorphism(adjacency, neighbor_sets, coloring, p) -> bool:
+    # A bijection that maps every arc to an arc maps the arcs onto the arcs,
+    # so it preserves non-adjacency too.
+    n = len(p)
+    if sorted(p) != list(range(n)):
         return False
-    neighbor_sets = [set(nbrs) for nbrs in adjacency]
-    return all(
-        {p[w] for w in adjacency[v]} == neighbor_sets[p[v]] for v in range(len(p))
-    )
+    if any(coloring[p[v]] != coloring[v] for v in range(n)):
+        return False
+    for v, nbrs in enumerate(adjacency):
+        image = neighbor_sets[p[v]]
+        for w in nbrs:
+            if p[w] not in image:
+                return False
+    return True
 
 
-def automorphism_generators(graph: Graph, coloring) -> list:
+class Automorphisms(list):
+    """The generators :func:`automorphism_generators` found: a list (its
+    repr, ``==`` and ``len`` are the list's) that also carries the spine as
+    ``base``, a base of the group the generators make (see the module
+    docstring), and the group ``order`` read off the search tree.
+    :class:`PermutationGroup` sifts on ``base`` only while the list still
+    holds the generators it was made with.
+    """
+
+    def __init__(self, generators, base, order: int):
+        super().__init__(generators)
+        self.base = tuple(base)
+        self.order = order
+        self._made_with = tuple(self)
+
+    def base_is_known(self) -> bool:
+        """Does the list still hold the generators ``base`` was made for?"""
+        return tuple(self) == self._made_with
+
+
+def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
     """Generators of the color-preserving automorphism group.
 
     Deterministic: the target cell is the first largest non-singleton
@@ -273,13 +324,24 @@ def automorphism_generators(graph: Graph, coloring) -> list:
     (:meth:`Partition.individualized`).  The orbits that prune a node's
     branches live in a union-find that merges x with g[x] for each newly
     found automorphism g fixing the prefix.
+
+    The result is an :class:`Automorphisms`: its ``base`` is the spine's
+    individualized vertices, and its ``order`` the product, over the spine
+    nodes, of the spine child's orbit length in the union-find after the
+    node's last child (McKay-Piperno 2014).  Every sibling outside the
+    orbits found so far was searched, so these are the orbits of the
+    stabilizer of the node's prefix.
     """
     _check_length(graph, "coloring", coloring)
     n = graph.vertex_count
+    adjacency = graph.adjacency
+    neighbor_sets = [set(nbrs) for nbrs in adjacency]
     initial = list(coloring)
     found: list[Permutation] = []
     first_leaf: list = [None]
+    spine: list = []  # the vertices individualized on the way to the first leaf
     spine_shapes: list = []  # the sorted class starts along the spine
+    orbit_lengths: list = []  # of each spine child in its node's target cell
 
     def root(parent, x):
         while parent[x] != x:
@@ -302,12 +364,14 @@ def automorphism_generators(graph: Graph, coloring) -> list:
                 for v, x in enumerate(color):
                     ordering[x] = v
                 first_leaf[0] = ordering
+                spine.extend(prefix)
                 return False
             candidate = [0] * n
             for v, x in enumerate(color):
                 candidate[first_leaf[0][x]] = v
             candidate = tuple(candidate)
-            if candidate != identity(n) and is_automorphism(graph, initial, candidate):
+            if candidate != identity(n) and _is_automorphism(
+                    adjacency, neighbor_sets, initial, candidate):
                 found.append(candidate)
                 return True
             return False
@@ -318,13 +382,18 @@ def automorphism_generators(graph: Graph, coloring) -> list:
         delivered = False
         parent = list(range(n))  # orbits of found[:known] that fix the prefix
         known = 0
+
+        def merge_new():
+            nonlocal known
+            for g in found[known:]:
+                if all(g[u] == u for u in prefix):
+                    for x in range(n):
+                        parent[root(parent, x)] = root(parent, g[x])
+            known = len(found)
+
         for v in members[target]:  # ascending
             if explored:
-                for g in found[known:]:
-                    if all(g[u] == u for u in prefix):
-                        for x in range(n):
-                            parent[root(parent, x)] = root(parent, g[x])
-                known = len(found)
+                merge_new()
                 orbit = root(parent, v)
                 if any(root(parent, u) == orbit for u in explored):
                     continue
@@ -334,10 +403,18 @@ def automorphism_generators(graph: Graph, coloring) -> list:
             delivered = delivered or got
             if got and not on_spine:
                 return True
+        if on_spine:
+            merge_new()
+            orbit = root(parent, explored[0])
+            orbit_lengths.append(sum(1 for u in members[target]
+                                     if root(parent, u) == orbit))
         return delivered
 
     search(Partition(initial), [], True)
-    return found
+    order = 1
+    for length in orbit_lengths:
+        order *= length
+    return Automorphisms(found, spine, order)
 
 
 # ---------------------------------------------------------------------------
@@ -348,29 +425,35 @@ class PermutationGroup:
     """A permutation group with a base and strong generating set.
 
     Built deterministically from the generator list; the order is the
-    product of the fundamental orbit lengths along the base.  ``base_hint``
-    pre-seeds base points (distinct ints in ``range(degree)``), which makes
-    the stabilizer of a chosen point directly available as the second level
-    of the chain.
+    product of the fundamental orbit lengths along the base.  When the
+    generators are an :class:`Automorphisms` that still holds the
+    generators the search verified and no ``base_hint`` is given, its spine
+    is the base, fixed up front, and Schreier generators are sifted by
+    their images of the base points.  Otherwise base points are chosen as
+    residues need them; ``base_hint`` pre-seeds base points (distinct ints
+    in ``range(degree)``), which makes the stabilizer of a chosen point
+    directly available as the second level of the chain.
     """
 
     def __init__(self, degree: int, generators, base_hint=()):
         self.degree = degree
+        self._known_base = (isinstance(generators, Automorphisms) and not base_hint
+                            and generators.base_is_known())
         self.generators = [self._checked(g) for g in generators]
         self.base: list[int] = []
         self._level_gens: list[list] = []
         self._level_inverses: list[list] = []
         self._transversals: list[dict] = []
         self._transversal_inverses: list[dict] = []
-        self._members: list[set] = []
         self._sifted: list[tuple] = []  # (orbit points, strong generators) sifted
         self._tree_edges: list[set] = []  # (x, k): u_{s_k(x)} was made as u_x s_k
         self._identity = identity(degree)
-        for b in _checked_points(base_hint, degree):
+        base = generators.base if self._known_base else base_hint
+        for b in _checked_points(base, degree):
             self._append_level(b)
         for g in self.generators:
-            self._add(g, 0)
-        del self._members, self._sifted, self._tree_edges
+            self._add((g,), 0)
+        del self._sifted, self._tree_edges
 
     def _checked(self, g) -> Permutation:
         g = tuple(g)
@@ -384,7 +467,6 @@ class PermutationGroup:
         self._level_inverses.append([])
         self._transversals.append({point: self._identity})
         self._transversal_inverses.append({point: self._identity})
-        self._members.append(set())
         self._sifted.append((set(), 0))
         self._tree_edges.append(set())
 
@@ -409,25 +491,44 @@ class PermutationGroup:
                     tree_edges.add((x, k))
                     walk.append(y)
 
-    def _strip(self, g: Permutation, start: int):
-        for i in range(start, len(self.base)):
-            u_inv = self._transversal_inverses[i].get(g[self.base[i]])
+    def _strip(self, word, start: int, by_images: bool):
+        """Strip the product of ``word`` (permutations applied in turn)
+        through the levels from ``start``: the residue, and the level whose
+        orbit misses its image of the base point (``len(base)`` if none).
+
+        With ``by_images`` the product must lie in the group, and the base
+        must be a base of it: then only its images of the base points are
+        stripped, one transversal inverse per level, and a product whose
+        images strip to the base itself is the identity and is not built.
+        """
+        base = self.base
+        if by_images:
+            images = base[start:]
+            for p in word:
+                images = [p[b] for b in images]
+            for inverses in self._transversal_inverses[start:]:
+                u_inv = inverses.get(images[0])
+                if u_inv is None:
+                    break
+                images = [u_inv[y] for y in images[1:]]
+            else:
+                return self._identity, len(base)
+        g = word[0]
+        for p in word[1:]:
+            g = compose(g, p)
+        for i in range(start, len(base)):
+            u_inv = self._transversal_inverses[i].get(g[base[i]])
             if u_inv is None:
                 return g, i
             g = compose(g, u_inv)
-        return g, len(self.base)
+        return g, len(base)
 
-    def _add(self, g: Permutation, start: int) -> None:
-        # Levels >= start are closed whenever this runs, so a permutation
-        # sifted here before lies in <level_gens[start]> and strips to the
-        # identity.  With start == len(base) there is no level to strip
-        # through: g is the identity or opens a new level.
-        if start < len(self.base):
-            members = self._members[start]
-            if g in members:
-                return
-            members.add(g)
-        h, level = self._strip(g, start)
+    def _add(self, word, start: int) -> None:
+        # Sift the product of word into the levels from start.  With
+        # start == len(base) there is no level to strip through: the
+        # product is the identity or opens a new level, which on a known
+        # base it cannot.
+        h, level = self._strip(word, start, self._known_base)
         if h == self._identity:
             return
         if level == len(self.base):
@@ -461,8 +562,7 @@ class PermutationGroup:
                     continue
                 s = gens[k]
                 # u_x, then s, then the inverse of u_{s(x)}
-                back = inverses[s[x]]
-                self._add(tuple([back[s[i]] for i in ux]), j + 1)
+                self._add((ux, s, inverses[s[x]]), j + 1)
         self._sifted[j] = (set(transversal), len(gens))
 
     @property
@@ -473,17 +573,26 @@ class PermutationGroup:
         return n
 
     def __contains__(self, g) -> bool:
-        h, _ = self._strip(self._checked(g), 0)
+        # g is not known to lie in the group: strip the whole permutation
+        h, _ = self._strip((self._checked(g),), 0, False)
         return h == self._identity
 
     def stabilizer_generators(self, point: int) -> list:
         """Strong generators of the stabilizer of a point: the second
         level's, conjugated by the point's first-level coset representative
-        u, or those of a new chain for a point off the first orbit."""
+        u, or those of a new chain with the point as first base point for a
+        point off the first orbit.  A new chain after a known base keeps
+        the base behind the point: a superset of a base is a base."""
         _checked_points((point,), self.degree)
         u = self._transversals[0].get(point) if self.base else None
         if u is None:
-            chain = PermutationGroup(self.degree, self.generators, base_hint=(point,))
+            if self._known_base:
+                base = (point, *(b for b in self.base if b != point))
+                chain = PermutationGroup(self.degree, Automorphisms(
+                    self.generators, base, self.order))
+            else:
+                chain = PermutationGroup(self.degree, self.generators,
+                                         base_hint=(point,))
             return chain.stabilizer_generators(point)
         if len(self.base) == 1:
             return []

@@ -15,6 +15,7 @@ from splithex.cli import (
     strip_timing,
 )
 from splithex.groups import (
+    Automorphisms,
     PermutationGroup,
     character_witness,
     induced_actions,
@@ -55,6 +56,21 @@ def test_run_verify_with_aut_adds_group_checks():
         "character-witness",
     ]
     order_check = next(c for c in report.checks if c.name == "automorphism-group-order")
+    assert order_check.witness == {"order": 12096}
+
+
+def test_the_group_order_needs_the_search_order_to_agree(monkeypatch):
+    # the chain still finds 12096, but the search tree reports another order
+    search = cli_module.automorphism_generators
+
+    def miscounted(graph, coloring):
+        gens = search(graph, coloring)
+        return Automorphisms(gens, gens.base, 2 * gens.order)
+
+    monkeypatch.setattr(cli_module, "automorphism_generators", miscounted)
+    report = run_verify(pairing=0, with_aut=True)
+    order_check = next(c for c in report.checks if c.name == "automorphism-group-order")
+    assert not order_check.passed and report.verdict == "FAIL"
     assert order_check.witness == {"order": 12096}
 
 

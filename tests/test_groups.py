@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 from collections import Counter
@@ -15,6 +16,7 @@ import splithex.groups as groups_module
 from splithex.cli import run_verify
 from splithex.geometry import hyperoval_partitions
 from splithex.groups import (
+    Automorphisms,
     Partition,
     Permutation,
     PermutationGroup,
@@ -335,6 +337,38 @@ def test_a_permutation_of_the_wrong_length_is_refused(
         is_automorphism(graph, [0] * coloring_length, identity(permutation_length))
 
 
+def test_a_map_that_is_not_a_bijection_is_no_automorphism():
+    graph = Graph.from_edges(4, [(0, 1), (2, 3)])
+    assert not is_automorphism(graph, [0] * 4, (0, 1, 0, 1))
+    assert not is_automorphism(graph, [0] * 4, (0, 1, 2, 4))
+    assert is_automorphism(graph, [0] * 4, (2, 3, 0, 1))
+
+
+def neighbor_set_comparison(graph: Graph, coloring, p) -> bool:
+    """Reference: a permutation preserves the coloring, and maps each
+    vertex's neighbour set onto its image's."""
+    adjacency = graph.adjacency
+    if any(coloring[p[v]] != coloring[v] for v in range(len(p))):
+        return False
+    neighbor_sets = [set(nbrs) for nbrs in adjacency]
+    return all(
+        {p[w] for w in adjacency[v]} == neighbor_sets[p[v]] for v in range(len(p))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_graphs(), st.data())
+def test_is_automorphism_matches_the_neighbor_set_comparison(case, data):
+    graph, coloring = case
+    n = graph.vertex_count
+    # random permutations are rarely automorphisms; the search's are
+    candidates = [tuple(data.draw(st.permutations(range(n)))) for _ in range(3)]
+    candidates += automorphism_generators(graph, coloring)[:2]
+    for p in candidates:
+        assert is_automorphism(graph, coloring, p) == \
+            neighbor_set_comparison(graph, coloring, p)
+
+
 def test_hexagon_automorphism_group(aut_generators, structure):
     graph = incidence_graph(structure)
     coloring = [0] * 63 + [1] * 63
@@ -354,10 +388,12 @@ def self_isomorphism_count(graph: Graph, coloring) -> int:
 @settings(max_examples=200, deadline=None)
 @given(random_colored_graphs(max_vertices=7))
 def test_search_order_matches_networkx(case):
+    # the search's own order, the chain on its base, the general chain
     graph, coloring = case
+    n = graph.vertex_count
     gens = automorphism_generators(graph, coloring)
-    assert PermutationGroup(graph.vertex_count, gens).order == \
-        self_isomorphism_count(graph, coloring)
+    assert gens.order == PermutationGroup(n, gens).order == \
+        PermutationGroup(n, list(gens)).order == self_isomorphism_count(graph, coloring)
 
 
 def seed_automorphism_generators(graph: Graph, coloring) -> list:
@@ -515,6 +551,7 @@ def refine_calls(graph, coloring, monkeypatch) -> int:
 
     monkeypatch.setattr(groups_module, "refine", counting)
     generators = automorphism_generators(graph, coloring)
+    assert generators.order == 12096
     assert PermutationGroup(graph.vertex_count, generators).order == 12096
     return len(counted)
 
@@ -587,16 +624,16 @@ def test_order_invariant_under_generator_shuffles(aut_generators):
 # sha256(repr(...)) of the generator list and of the chain
 # (base, sorted transversals per level, strong generators per level) of the
 # degree-126 group, built by the Schreier-Sims whose levels keep their coset
-# representatives as their orbits grow, from the generators of the search
-# that targets the first largest cell.
+# representatives as their orbits grow, on the search's spine as its base,
+# from the generators of the search that targets the first largest cell.
 CHAIN_DIGESTS = {
     "pairing-0": (
         "0d3eca4a05799cc2f21ed572d7618a8ac4ffe1a910d4b3e995b642dfc4b30257",
-        "aa0e897c5595d5ae72987718c3b17194bd3211aeefa18903f6589240d8201376",
+        "9f1474bc46234cd66e8b4e7e6aeddf5b53003d32fd70baba3d9660c0db5ae9c2",
     ),
     "shuffled-2026": (
         "4e9cd32d3fd18bbabd631381c17dc944f4fee0c495acaa5a1d55946d0bd3fa32",
-        "f4a726e5fefd212d910f341641452ac0d60c8e084987b1ad58fe928e87ede79f",
+        "0b15e542ae3f1f4ef91131e31682b622676038c29952690f05530fa2fde15ebb",
     ),
 }
 
@@ -665,10 +702,11 @@ def test_stabilizer_of_a_point_off_the_domain_is_refused(point):
 class SeedSchreierSims(PermutationGroup):
     """Reference: the insertion that forms and sifts the Schreier generator
     of every (orbit point, strong generator) pair again, including the
-    pairs and the permutations already sifted at the same level."""
+    pairs already sifted at the same level and the tree edges, each as a
+    whole permutation."""
 
-    def _add(self, g, start):
-        h, level = self._strip(g, start)
+    def _add(self, word, start):
+        h, level = self._strip(word, start, False)
         if h == self._identity:
             return
         if level == len(self.base):
@@ -688,7 +726,7 @@ class SeedSchreierSims(PermutationGroup):
                 for s in self._level_gens[j]:
                     # u_x, then s, then the inverse of u_{s(x)}
                     back = inverses[s[x]]
-                    self._add(tuple([back[s[i]] for i in ux]), j + 1)
+                    self._add((tuple([back[s[i]] for i in ux]),), j + 1)
 
 
 @st.composite
@@ -702,7 +740,7 @@ def generator_sets(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(generator_sets())
-def test_memo_leaves_the_chain_unchanged(case):
+def test_skipped_pairs_leave_the_chain_unchanged(case):
     n, gens, hint = case
     group = PermutationGroup(n, gens, base_hint=hint)
     seed = SeedSchreierSims(n, gens, base_hint=hint)
@@ -712,16 +750,24 @@ def test_memo_leaves_the_chain_unchanged(case):
 
 
 class CountingSchreierSims(PermutationGroup):
-    """Counts the Schreier generators each level forms and sifts."""
+    """Counts the Schreier generators each level forms and sifts, and the
+    residues the sifts leave: each is a whole permutation."""
 
     def __init__(self, *args, **kwargs):
-        self.formed = Counter()  # level j -> _add(g, j + 1) calls
+        self.formed = Counter()  # level j -> _add(word, j + 1) calls
+        self.residues = Counter()  # start -> residues that are not the identity
         super().__init__(*args, **kwargs)
 
-    def _add(self, g, start):
+    def _add(self, word, start):
         if start:  # only the input generators are added at level 0
             self.formed[start - 1] += 1
-        super()._add(g, start)
+        super()._add(word, start)
+
+    def _strip(self, word, start, by_images):
+        h, level = super()._strip(word, start, by_images)
+        if h != self._identity:
+            self.residues[start] += 1
+        return h, level
 
 
 def pair_counts(group):
@@ -741,9 +787,15 @@ def test_each_pair_is_formed_once_per_level(case):
 
 def test_each_pair_is_formed_once_on_the_hexagon(aut_generators):
     group = CountingSchreierSims(126, aut_generators)
+    assert group.base == list(aut_generators.base) == [0, 66, 23]
     assert group.order == 12096
     assert all(formed == pairs for formed, pairs in pair_counts(group))
-    assert sum(len(t) - 1 for t in group._transversals) == 92  # tree edges skipped
+    assert [len(t) for t in group._transversals] == [63, 48, 4]
+    assert sum(len(t) - 1 for t in group._transversals) == 112  # tree edges skipped
+    # 292 Schreier generators are sifted by their base images, and none
+    # leaves a residue; the 4 input generators become the strong generators
+    assert sum(group.formed.values()) == 292
+    assert group.residues == {0: 4}
 
 
 class TreeEdgeSchreierSims(PermutationGroup):
@@ -829,6 +881,55 @@ def test_hexagon_order_matches_sympy(aut_group):
     assert_base_and_strong_generating_set(aut_group)
 
 
+@settings(max_examples=200, deadline=None)
+@given(colored_graphs())
+def test_chains_on_the_search_base_match_sympy(case):
+    graph, coloring = case
+    n = graph.vertex_count
+    gens = automorphism_generators(graph, coloring)
+    group = PermutationGroup(n, gens)
+    assert group.base == list(gens.base)
+    assert group.order == sympy_order(gens)
+    assert_base_and_strong_generating_set(group)
+    # a point off the first orbit gets a new chain on (point, *base)
+    first_orbit = group._transversals[0] if group.base else {}
+    for p in (p for p in range(n) if p not in first_orbit):
+        stabilizer = group.stabilizer_generators(p)
+        assert all(g[p] == p and g in group for g in stabilizer)
+        orbit = next(o for o in orbits(gens, n) if p in o)
+        assert PermutationGroup(n, stabilizer).order * len(orbit) == group.order
+
+
+def test_an_appended_generator_takes_the_general_path(aut_generators):
+    # the dihedral group of the hexagon C6 and a transposition make S6,
+    # whose chain needs more base points than the search's two
+    c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    gens = automorphism_generators(c6, [0] * 6)
+    assert len(gens.base) == 2 and gens.order == 12
+    gens.append(cycle(6, [0, 1]))
+    assert PermutationGroup(6, gens).order == 720 == closure_order(gens)
+
+    extended = copy.copy(aut_generators)
+    extended.append(compose(aut_generators[0], aut_generators[1]))
+    group = PermutationGroup(126, extended)
+    assert group.order == 12096
+    assert group.base == PermutationGroup(126, list(extended)).base != \
+        list(aut_generators.base)
+
+
+def test_membership_strips_the_whole_permutation(aut_generators, aut_group, structure):
+    # agrees with a generator on the base, but swaps two other points first
+    g = aut_generators[0]
+    a, b = [x for x in range(63) if x not in aut_group.base][:2]
+    swap = list(range(126))
+    swap[a], swap[b] = b, a
+    fake = compose(tuple(swap), g)
+    assert all(fake[x] == g[x] for x in aut_group.base)
+    assert not is_automorphism(incidence_graph(structure), [0] * 63 + [1] * 63, fake)
+    assert fake not in aut_group
+    assert g in aut_group
+
+
 # ---------------------------------------------------------------------------
 # the two degree-63 actions
 
@@ -900,9 +1001,21 @@ def test_an_action_refuses_a_point_off_its_domain(actions, point):
             action.stabilizer_orbit_sizes(point)
 
 
-def test_line_subdegrees(actions):
+def test_line_subdegrees(actions, aut_generators, monkeypatch):
     _, lines_action = actions
+    built = []
+    monkeypatch.setattr(groups_module, "PermutationGroup",
+                        lambda *args, **kwargs: built.append(
+                            CountingSchreierSims(*args, **kwargs)) or built[-1])
     assert lines_action.stabilizer_orbit_sizes(0) == (1, 6, 24, 32)
+    # no line is in the first orbit, so a second chain is built, with the
+    # line ahead of the search's base, and sifted by base images: of its 266
+    # Schreier generators, 2 leave a residue
+    [chain] = built
+    assert chain.base == [63, *aut_generators.base]
+    assert chain.order == 12096
+    assert sum(chain.formed.values()) == 266
+    assert chain.residues == {0: 4, 1: 2}
 
 
 def test_character_witness_exists(aut_group, actions):
@@ -934,10 +1047,13 @@ def test_certificate_scans_the_group_the_actions_came_from(pairing, seed, monkey
     gens = automorphism_generators(incidence_graph(structure), [0] * 63 + [1] * 63)
     point_action, line_action = induced_actions(PermutationGroup(126, gens), structure)
 
-    # the scan of a group built again from the joined generators
+    # the scan of the same chain, built again from the joined generators on
+    # the search's base
     joined = [a + tuple(x + 63 for x in b)
               for a, b in zip(point_action.generators, line_action.generators)]
-    expected = character_witness(PermutationGroup(126, joined), 63)
+    again = PermutationGroup(126, Automorphisms(joined, gens.base, gens.order))
+    assert again.base == list(gens.base)
+    expected = character_witness(again, 63)
 
     def no_rebuild(*args, **kwargs):
         raise AssertionError("the joint group was built again")
