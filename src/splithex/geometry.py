@@ -194,6 +194,7 @@ def hyperoval_partitions() -> tuple[HyperovalPartition, ...]:
     return tuple(partitions)
 
 
+@cache
 def strata_for(partition: HyperovalPartition) -> Strata:
     """Populate the two 18-vector halves of the norm-one stratum."""
     base = enumerate_strata()

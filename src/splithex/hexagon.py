@@ -16,14 +16,18 @@ the split Cayley hexagon of order 2.
 
 Every distance -- diameter, girth and each distance distribution -- is
 read off one bit-parallel sweep (:func:`sphere_sweep`): the balls around
-all vertices grow together as int bitmasks, their differences are the
-distance spheres, and two rules on the spheres give the exact girth.  A
-graph and a structure keep their sweep (``sweep``).  :func:`dual`
-hands its result the structure's index views swapped and its sweep
-relabelled, since the dual's incidence graph is the same with the parts
-swapped.  The plane and concurrency-witness checks work on 6-bit vector
-codes (:func:`geometry.vector_codes`), under which addition is XOR and a set
-of vectors is an int mask.
+all vertices grow together as int bitmasks, each round from the spheres of
+the round before, and the same pass over the neighbours applies the two
+girth rules, so the exact girth costs no second scan.  A graph and a
+structure keep their sweep (``sweep``), and a structure keeps its
+line-concurrency adjacency (``concurrency``), so every caller of
+:func:`concurrency_graph` reads one.  :func:`dual` hands its result the
+structure's index views swapped and its sweep relabelled, since the dual's
+incidence graph is the same with the parts swapped.  The plane and
+concurrency-witness checks work on 6-bit vector codes
+(:func:`geometry.vector_codes`), under which addition is XOR and a set of
+vectors is an int mask; a point's plane is closed when its mask equals the
+span of three of its members, and then orthogonal when those three are.
 """
 
 from __future__ import annotations
@@ -77,10 +81,11 @@ class IncidenceStructure:
     """Points, lines (as frozensets of points) and optional line metadata.
 
     The incidences are indexed once per instance, in two views that every
-    graph builder and verifier reads: ``incidences`` and ``pencils``.  Two
-    more views hold the incidence graph (``adjacency``) and its distance
-    sweep (``sweep``).  The views are cached properties, kept in the
-    instance's ``__dict__``, where :func:`dual` puts the ones it hands over.
+    graph builder and verifier reads: ``incidences`` and ``pencils``.  Three
+    more views hold the incidence graph (``adjacency``), its distance sweep
+    (``sweep``) and the line-concurrency graph (``concurrency``).  The views
+    are cached properties, kept in the instance's ``__dict__``, where
+    :func:`dual` puts the ones it hands over.
     """
 
     points: tuple
@@ -115,6 +120,19 @@ class IncidenceStructure:
         npts = len(self.points)
         points = (tuple(npts + j for j in pencil) for pencil in self.pencils)
         return (*points, *self.incidences)
+
+    @cached_property
+    def concurrency(self) -> tuple:
+        """The concurrency graph's neighbour tuples: each line's neighbours
+        are the lines through its points, itself left out, ascending."""
+        pencils, rows = self.pencils, []
+        for j, line in enumerate(self.incidences):
+            near = set()
+            for i in line:
+                near.update(pencils[i])
+            near.discard(j)
+            rows.append(tuple(sorted(near)))
+        return tuple(rows)
 
     @cached_property
     def sweep(self) -> tuple:
@@ -232,7 +250,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return sum(map(len, self.adjacency)) // 2
 
     def degrees(self) -> tuple:
         return tuple(len(nbrs) for nbrs in self.adjacency)
@@ -272,13 +290,20 @@ def sphere_sweep(graph: Graph) -> tuple:
     """Distance spheres of every vertex at once, fused with the girth scan.
 
     Each vertex's ball is an int bitmask over the vertices, and all balls
-    grow together: B_0(v) = 1<<v and B_{k+1}(v) is B_k(v) together with the
-    balls B_k(w) of the neighbours w of v, until no ball grows.  Returns
-    ``(spheres, girth)``, where ``spheres[k][v]`` = B_k(v) & ~B_{k-1}(v) is
-    the bitmask of the vertices at distance exactly k from v (the spheres
-    of the round in which nothing grew are not kept, so the largest finite
-    distance is ``len(spheres) - 1``), and ``girth`` is the length of a
-    shortest cycle, or None if the graph is acyclic.
+    grow together from the spheres of the round before: B_0(w) = S_0(w) =
+    1<<w, and for k >= 1
+
+        B_k(w) = B_{k-1}(w) | U_k(w),   S_k(w) = U_k(w) & ~B_{k-1}(w),
+
+    where U_k(w) is the union of S_{k-1}(u) over the neighbours u of w (a
+    vertex at distance k from w is at distance k-1 from the next vertex of
+    a geodesic, and a vertex at distance k-1 from a neighbour is at most k
+    from w).  The rounds stop when no ball grows.  Returns ``(spheres,
+    girth)``, where ``spheres[k][v]`` is the bitmask S_k(v) of the vertices
+    at distance exactly k from v (the spheres of the round in which nothing
+    grew are not kept, so the largest finite distance is ``len(spheres) -
+    1``), and ``girth`` is the length of a shortest cycle, or None if the
+    graph is acyclic.
 
     The girth is exact: it is the first of 2k, 2k+1 (k = 1, 2, ...) at
     which one of these rules fires.
@@ -293,33 +318,49 @@ def sphere_sweep(graph: Graph) -> tuple:
     shortest cycle of length 2k fires the first rule at the vertex opposite
     a vertex of it, and one of length 2k+1 fires the second at the edge
     opposite a vertex.
+
+    Round k reads both rules off the same pass over the neighbours that
+    forms U_k(w): ``once`` = U_k(w) and ``twice``, the vertices in S_{k-1}
+    of at least two neighbours.  The even rule of level k is ``twice &
+    S_k(w)``; the odd rule of level k-1 is ``once & S_{k-1}(w)`` (an edge
+    (u, w) with S_{k-1}(u) & S_{k-1}(w) != 0).  The odd rule is taken
+    first, since 2k-1 < 2k; the even rule of level k-1 fired, if at all,
+    in the round before.  The last round, in which nothing grows, still
+    applies the odd rule of the last level kept.  Once the girth is known
+    the rounds only grow the spheres.
     """
     adjacency = graph.adjacency
     balls = [1 << v for v in range(len(adjacency))]
     spheres = [balls]
     best = None
     while True:
-        grown = []
-        for ball, nbrs in zip(balls, adjacency):
-            for w in nbrs:
-                ball |= balls[w]
-            grown.append(ball)
-        shell = [new & ~old for new, old in zip(grown, balls)]
-        if not any(shell):
-            return spheres, best
+        inner = spheres[-1]
+        grown, shell = [], []
         if best is None:
-            k, inner = len(spheres), spheres[-1]
-            for s, nbrs in zip(shell, adjacency):
+            odd = even = 0
+            for ball, s, nbrs in zip(balls, inner, adjacency):
                 once = twice = 0
                 for u in nbrs:
                     twice |= once & inner[u]
                     once |= inner[u]
-                if twice & s:
-                    best = 2 * k
-                    break
-            else:
-                if any(s & shell[u] for s, nbrs in zip(shell, adjacency) for u in nbrs):
-                    best = 2 * k + 1
+                new = once & ~ball
+                odd |= once & s
+                even |= twice & new
+                grown.append(ball | once)
+                shell.append(new)
+            k = len(spheres)
+            if odd:
+                best = 2 * k - 1
+            elif even:
+                best = 2 * k
+        else:
+            for ball, nbrs in zip(balls, adjacency):
+                for u in nbrs:
+                    ball |= inner[u]
+                grown.append(ball)
+            shell = [new & ~old for new, old in zip(grown, balls)]
+        if not any(shell):
+            return spheres, best
         balls = grown
         spheres.append(shell)
 
@@ -355,10 +396,9 @@ def incidence_graph(structure: IncidenceStructure) -> Graph:
 
 
 def concurrency_graph(structure: IncidenceStructure) -> Graph:
-    """Graph on lines, adjacent when they share a point: each point's pencil
-    of lines is a clique."""
-    edges = (pair for pencil in structure.pencils for pair in combinations(pencil, 2))
-    return Graph.from_edges(len(structure.lines), edges)
+    """Graph on lines, adjacent when they share a point (see
+    ``IncidenceStructure.concurrency``)."""
+    return Graph(adjacency=structure.concurrency)
 
 
 def point_graph(structure: IncidenceStructure) -> Graph:
@@ -422,7 +462,20 @@ def verify_plane_property(structure: IncidenceStructure) -> Report:
     :func:`geometry.vector_codes`), under which addition is XOR, so the
     four checks are bit tests against the union and the cached perp and
     plane masks.  Raises ValueError if a point is not a nonzero GF(4)
-    triple."""
+    triple.
+
+    Closure is one comparison with a span.  Take a and b the two lowest
+    members of a 7-member union U and c its lowest member outside {a, b,
+    a+b}; a, b, c are independent (codes are nonzero and distinct), so
+    their span has exactly 7 nonzero members.  U is closed exactly when it
+    equals that span: a closed U contains a, b, c and so their span, which
+    is as large as U; and a span is closed.
+
+    Orthogonality of a closed U is tested on the basis a, b, c: the form is
+    bilinear, so every member of U = <a, b, c> is orthogonal to all of U
+    exactly when a, b and c are, i.e. when perp(a) & perp(b) & perp(c)
+    covers U.  A union that is not closed has no such basis, so it is
+    tested member by member."""
     code, perps, known_planes = vector_codes(), perp_masks(), ti_plane_masks()
     bits = []
     for p in structure.points:
@@ -438,15 +491,24 @@ def verify_plane_property(structure: IncidenceStructure) -> Report:
         if union.bit_count() != 7:
             bad_size.append(x)
             continue
-        members, rest = [], union
-        while rest:
-            low = rest & -rest
-            members.append(low.bit_length() - 1)
-            rest ^= low
-        # u != v, so u ^ v is the code of a nonzero sum.
-        if not all(union >> (u ^ v) & 1 for u, v in combinations(members, 2)):
+        a = (union & -union).bit_length() - 1
+        rest = union & (union - 1)
+        b = (rest & -rest).bit_length() - 1
+        line = 1 << a | 1 << b | 1 << (a ^ b)
+        rest = union & ~line
+        c = (rest & -rest).bit_length() - 1
+        span = line | 1 << c | 1 << (a ^ c) | 1 << (b ^ c) | 1 << (a ^ b ^ c)
+        if union == span:
+            orthogonal = perps[a] & perps[b] & perps[c] & union == union
+        else:
             bad_closure.append(x)
-        if any(perps[u] & union != union for u in members):
+            members, rest = [], union
+            while rest:
+                low = rest & -rest
+                members.append(low.bit_length() - 1)
+                rest ^= low
+            orthogonal = all(perps[u] & union == union for u in members)
+        if not orthogonal:
             bad_orthogonal.append(x)
         if union not in known_planes:
             bad_membership.append(x)

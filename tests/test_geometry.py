@@ -11,6 +11,7 @@ from splithex.algebra import (
     v_scale,
 )
 from splithex.geometry import (
+    HyperovalPartition,
     enumerate_strata,
     exterior_points,
     hermitian_unit_pairs,
@@ -22,6 +23,7 @@ from splithex.geometry import (
     projective_points,
     self_polar_triangles,
     span_perp,
+    strata_for,
     ti_lines,
     ti_planes,
     unital_points,
@@ -263,6 +265,14 @@ def test_strata_for_fills_the_halves(partition, strata):
     for x in strata.oval_vectors:
         assert v_scale(2, x) in strata.oval_vectors
         assert proj_rep(x) in partition.oval
+
+
+def test_strata_for_is_kept_per_partition(partition, strata):
+    # an equal partition built anew is the same key: its strata are not rebuilt
+    again = HyperovalPartition(oval=partition.oval, twin=partition.twin,
+                               index=partition.index)
+    assert strata_for(again) is strata_for(partition) is strata
+    assert strata_for(hyperoval_partitions()[1]) is not strata
 
 
 def test_ti_lines_and_planes_counts():

@@ -408,10 +408,32 @@ def sweep_graphs(draw, max_vertices=30):
     return Graph.from_edges(n, [(relabel[u], relabel[v]) for u, v in edges])
 
 
+def _cycle(vertices):
+    return [(u, vertices[(i + 1) % len(vertices)]) for i, u in enumerate(vertices)]
+
+
+# Graphs that pin the order of the sweep's girth rules.  A C7 beside a C8
+# fires the odd rule of level 3 and the even rule of level 4 in one round, so
+# only the odd rule first gives 7.  The Petersen graph (girth 5, with
+# 6-cycles) and K4 have diameter 2 and 1: their girth is found in the last
+# round, in which nothing grows.  A C4 and a C5 that share an edge fire the
+# even rule in round 2 and the odd rule in round 3, and the first one wins.
+PETERSEN = Graph.from_edges(10, _cycle([0, 1, 2, 3, 4]) + _cycle([5, 7, 9, 6, 8])
+                            + [(i, i + 5) for i in range(5)])
+C7_AND_C8 = Graph.from_edges(15, _cycle(list(range(7))) + _cycle(list(range(7, 15))))
+C4_AND_C5_ON_AN_EDGE = Graph.from_edges(
+    7, _cycle([0, 1, 2, 3]) + [(1, 4), (4, 5), (5, 6), (6, 0)])
+K4 = Graph.from_edges(4, list(combinations(range(4), 2)))
+
+
 @settings(max_examples=400, deadline=None)
 @given(sweep_graphs())
 @example(Graph.from_edges(0, []))
 @example(Graph.from_edges(1, []))
+@example(PETERSEN)
+@example(C7_AND_C8)
+@example(C4_AND_C5_ON_AN_EDGE)
+@example(K4)
 def test_sphere_sweep_matches_seed_sweep(graph):
     rows, seed_girth = seed_bfs_sweep(graph)
     spheres, best = sphere_sweep(graph)
@@ -478,6 +500,28 @@ def test_distance_distribution_reads_only_the_sweep(monkeypatch, swept):
     with pytest.raises(ValueError, match="acyclic"):
         girth(graph)
     assert swept == [graph]
+
+
+def test_the_concurrency_adjacency_is_built_once(structure, monkeypatch):
+    seen = []
+
+    def recorded(graph):
+        seen.append(graph)
+        return is_connected(graph)
+
+    monkeypatch.setattr(hexagon_module, "is_connected", recorded)
+    s = IncidenceStructure(structure.points, structure.lines, structure.tags)
+    first = concurrency_graph(s)
+    assert verify_classification_hypotheses(s).passed
+    # the hypotheses check reads the adjacency the structure already keeps
+    assert [graph.adjacency for graph in seen] == [first.adjacency]
+    assert seen[0].adjacency is first.adjacency is s.concurrency
+    # the dual and a replaced structure have other lines: each derives its own
+    for derived in (dual(s), dataclasses.replace(s, lines=s.lines[1:])):
+        assert "concurrency" not in derived.__dict__
+        by_hand = IncidenceStructure(derived.points, derived.lines)
+        assert concurrency_graph(derived).adjacency == by_hand.concurrency
+        assert derived.concurrency is not s.concurrency
 
 
 def test_girth_and_diameter_independent_of_line_ordering(structure):
