@@ -327,7 +327,10 @@ def sphere_sweep(graph: Graph) -> tuple:
     first, since 2k-1 < 2k; the even rule of level k-1 fired, if at all,
     in the round before.  The last round, in which nothing grows, still
     applies the odd rule of the last level kept.  Once the girth is known
-    the rounds only grow the spheres.
+    the rounds only grow the spheres, without the ``twice`` bookkeeping:
+    a line set with one substituted point (hexbench's ``screen-mixed`` FAIL
+    candidates) has girth 4 to 10, so 3 to 9 of its 8 to 11 rounds come
+    after the girth is known.
     """
     adjacency = graph.adjacency
     balls = [1 << v for v in range(len(adjacency))]
