@@ -25,14 +25,13 @@ from .algebra import to_gf2
 from .geometry import (
     exterior_points,
     hyperoval_partitions,
+    mask_codes,
     nonzero_vectors,
     self_polar_triangles,
     strata_for,
-    ti_lines,
+    ti_line_masks,
     ti_plane_masks,
-    ti_planes,
     unital_points,
-    vector_mask,
 )
 from .groups import (
     PermutationGroup,
@@ -193,24 +192,44 @@ def _payload(report) -> tuple:
     return report.passed, details
 
 
+def _meet_counts(line_masks, plane_masks) -> list:
+    """For each line (a 3-member mask), how many of the plane masks meet it
+    in 0, 1, 2 and 3 vectors.
+
+    The census is bit-sliced: holding[x] has bit j set when plane j holds
+    the vector with code x, so for a line {a, b, c} the plane at each bit
+    position meets it in as many vectors as A, B, C have that bit set.
+    Adding the three bits position by position, ``ones`` is the low bit of
+    that sum and ``twos`` its high bit.  Every plane falls in exactly one of
+    the four meets, so every line-plane pair is still counted."""
+    holding = [0] * 64
+    for j, M in enumerate(plane_masks):
+        for x in mask_codes(M):
+            holding[x] |= 1 << j
+    every = (1 << len(plane_masks)) - 1
+    counts = []
+    for L in line_masks:
+        a, b, c = mask_codes(L)
+        A, B, C = holding[a], holding[b], holding[c]
+        ones = A ^ B ^ C
+        twos = A & B | C & (A ^ B)
+        by_meet = (every & ~(ones | twos), ones & ~twos, twos & ~ones, ones & twos)
+        counts.append(tuple(planes.bit_count() for planes in by_meet))
+    return counts
+
+
 def _symplectic_counts(ctx):
-    lines = ti_lines()
-    planes = ti_planes()
-    plane_sizes = {len(M) for M in planes}
-    # Each line and plane as a mask over the vector codes; one intersection
-    # per line-plane pair gives both counts: a line lies in a plane exactly
-    # when they meet in all of its vectors.
-    plane_masks = ti_plane_masks()
-    per_line, meets = set(), set()
-    for L in lines:
-        mask = vector_mask(L)
-        sizes = [(mask & M).bit_count() for M in plane_masks]
-        per_line.add(sizes.count(len(L)))
-        meets.update(sizes)
+    line_masks, plane_masks = ti_line_masks(), ti_plane_masks()
+    plane_sizes = {M.bit_count() for M in plane_masks}
+    # all 315 x 135 line-plane pairs, counted by meet; a line lies in a plane
+    # exactly when they meet in all 3 of its vectors
+    meet_counts = _meet_counts(line_masks, plane_masks)
+    per_line = {n[3] for n in meet_counts}
+    meets = {k for n in meet_counts for k in range(4) if n[k]}
     counts = {
         "vectors": len(nonzero_vectors()),
-        "ti_lines": len(lines),
-        "ti_planes": len(planes),
+        "ti_lines": len(line_masks),
+        "ti_planes": len(plane_masks),
         "plane_sizes": sorted(plane_sizes),
         "planes_per_line": sorted(per_line),
         "line_plane_meets": sorted(meets),
@@ -395,8 +414,8 @@ def collect_counts(pairing: int) -> dict:
         **dict(strata[:4]),
         "self_polar_triangles": len(self_polar_triangles()),
         **dict(strata[4:]),
-        "ti_lines": len(ti_lines()),
-        "ti_planes": len(ti_planes()),
+        "ti_lines": len(ti_line_masks()),
+        "ti_planes": len(ti_plane_masks()),
         "hexagon_points": len(structure.points),
         "hexagon_lines": len(structure.lines),
         "line_kinds": {k: kinds[k] for k in sorted(kinds)},

@@ -6,10 +6,12 @@ points and 12 exterior points.  The exterior points fall into 4 self-polar
 triangles, and pairing those triangles yields the 3 candidate hyperoval
 partitions.  The trace of the hermitian form turns the same 63 triples into
 a rank-3 symplectic space over GF(2) (addition of triples is already
-addition over GF(2)); its totally isotropic lines and planes are enumerated
-here as sets of triples, by closure under addition.  For table-driven
-checks each nonzero triple also has a 6-bit int code, under which addition
-is XOR and a set of triples is an int mask (:func:`vector_codes`).
+addition over GF(2)).  That space is enumerated on 6-bit int codes, one per
+nonzero triple (:func:`vector_codes`), under which addition is XOR and a set
+of triples is an int mask: the perp of each code, then the totally
+isotropic lines and planes, each made once from its lowest members.  The
+masks are the source; :func:`ti_lines` and :func:`ti_planes` are views of
+them decoded into frozensets of triples.
 
 All enumerations are deterministic: vectors and points are ordered by their
 GF(2) bit layout, triangles and subspaces by their sorted members.
@@ -30,7 +32,6 @@ from .algebra import (
     hermitian,
     symplectic,
     to_gf2,
-    v_add,
     v_scale,
 )
 
@@ -209,14 +210,6 @@ def strata_for(partition: HyperovalPartition) -> Strata:
 
 
 @cache
-def _perps() -> dict:
-    """Each nonzero vector mapped to the nonzero vectors symplectic-orthogonal
-    to it (itself included)."""
-    vecs = nonzero_vectors()
-    return {u: frozenset(v for v in vecs if symplectic(u, v) == 0) for u in vecs}
-
-
-@cache
 def vector_codes() -> dict:
     """Each nonzero vector mapped to its 6-bit code v[0] | v[1]<<2 | v[2]<<4.
 
@@ -225,62 +218,101 @@ def vector_codes() -> dict:
     return {v: v[0] | v[1] << 2 | v[2] << 4 for v in nonzero_vectors()}
 
 
-def vector_mask(vectors) -> int:
-    """The set of nonzero vectors as a mask over their codes."""
-    code = vector_codes()
-    return sum(1 << code[v] for v in vectors)
+@cache
+def code_vectors() -> tuple:
+    """Indexed by code: the vector with that code (None for code 0)."""
+    vecs = [None] * 64
+    for v, c in vector_codes().items():
+        vecs[c] = v
+    return tuple(vecs)
+
+
+def mask_codes(mask: int):
+    """The codes of the members of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @cache
 def perp_masks() -> tuple:
     """Indexed by code: the mask of the vectors symplectic-orthogonal to that
-    vector (itself included); code 0, the zero vector, is orthogonal to all."""
-    code = vector_codes()
-    masks = [vector_mask(nonzero_vectors())] * 64
-    for u, perp in _perps().items():
-        masks[code[u]] = vector_mask(perp)
+    vector (itself included); code 0, the zero vector, is orthogonal to all.
+
+    The form is GF(2)-bilinear and codes add by XOR, so the vectors y with
+    symplectic(c, y) = 1 are the XOR, over the set bits i of c, of the masks
+    of the y with symplectic(e_i, y) = 1, e_i the vector with code 1 << i.
+    Six rows of 63 ``symplectic`` calls give every mask."""
+    vec = code_vectors()
+    rows = [
+        sum(1 << y for y in range(1, 64) if symplectic(vec[1 << i], vec[y]))
+        for i in range(6)
+    ]
+    full = (1 << 64) - 2
+    masks = []
+    for c in range(64):
+        ones = 0
+        for i in range(6):
+            if c >> i & 1:
+                ones ^= rows[i]
+        masks.append(full & ~ones)
     return tuple(masks)
 
 
 @cache
+def ti_line_masks() -> tuple:
+    """The 315 totally isotropic lines as masks: {u, v, u^v} for each
+    u < v < u^v with v orthogonal to u, so each line comes once, from its
+    two lowest members, ordered by them."""
+    perps = perp_masks()
+    return tuple(
+        1 << u | 1 << v | 1 << (u ^ v)
+        for u in range(1, 64)
+        for v in mask_codes(perps[u] & (-2 << u))
+        if u ^ v > v
+    )
+
+
+@cache
 def ti_plane_masks() -> frozenset:
-    """The 135 totally isotropic planes as masks (see :func:`vector_mask`)."""
-    return frozenset(map(vector_mask, ti_planes()))
+    """The 135 totally isotropic planes as masks, each once.
+
+    A plane's two lowest members u < v lie on the line {u, v, w = u^v},
+    with w > v.  Its lowest member x off that line is orthogonal to u and v,
+    lies above v and below x^u, x^v and x^w; then those four and the line
+    are the plane.  So each line extends by exactly the x that make it the
+    lowest line of a plane, and every plane arises from one line and one x.
+    """
+    perps = perp_masks()
+    planes = []
+    for line in ti_line_masks():
+        u, v, w = mask_codes(line)
+        for x in mask_codes(perps[u] & perps[v] & ~line & (-2 << v)):
+            if x < x ^ u and x < x ^ v and x < x ^ w:
+                planes.append(line | 1 << x | 1 << (x ^ u) | 1 << (x ^ v)
+                              | 1 << (x ^ w))
+    return frozenset(planes)
 
 
 @cache
 def proj_reps() -> tuple:
     """Indexed by code: ``proj_rep`` of that vector (None for code 0)."""
-    reps = [None] * 64
-    for v, c in vector_codes().items():
-        reps[c] = proj_rep(v)
-    return tuple(reps)
+    return tuple(None if v is None else proj_rep(v) for v in code_vectors())
 
 
 @cache
 def ti_lines() -> frozenset:
     """The 315 totally isotropic lines of the symplectic space over GF(2),
-    each the frozenset of its 3 nonzero vectors."""
-    perps = _perps()
-    lines = set()
-    for u, v in combinations(nonzero_vectors(), 2):
-        if v in perps[u]:
-            lines.add(frozenset({u, v, v_add(u, v)}))
-    return frozenset(lines)
+    each the frozenset of its 3 nonzero vectors; decoded from
+    :func:`ti_line_masks`."""
+    vec = code_vectors()
+    return frozenset(frozenset(vec[c] for c in mask_codes(m)) for m in ti_line_masks())
 
 
 @cache
 def ti_planes() -> frozenset:
-    """The 135 totally isotropic planes, each holding 7 nonzero vectors.
-
-    Every plane arises by extending a totally isotropic line with a vector
-    orthogonal to it and closing under addition.
-    """
-    perps = _perps()
-    planes = set()
-    for line in ti_lines():
-        u, v, _ = line
-        for w in (perps[u] & perps[v]) - line:
-            shifted = (v_add(w, x) for x in line)
-            planes.add(frozenset({w, *line, *shifted}))
-    return frozenset(planes)
+    """The 135 totally isotropic planes, each the frozenset of its 7 nonzero
+    vectors; decoded from :func:`ti_plane_masks`."""
+    vec = code_vectors()
+    return frozenset(frozenset(vec[c] for c in mask_codes(m)) for m in ti_plane_masks())

@@ -728,6 +728,12 @@ def character_witness(group: PermutationGroup, npts: int):
     separating element is returned; if the scan exhausts the group without
     finding one, returns None (no certificate -- not a proof of
     equivalence).
+
+    The order is the chain's enumeration order, which follows its base and
+    transversals, so the witness depends on the base: the same generators
+    passed as the search's ``Automorphisms`` (base fixed up front) or as a
+    plain list (base chosen as residues need it) can give different
+    witnesses, each of them valid.
     """
     for g in group.elements():
         fixed_points = sum(1 for i in range(npts) if g[i] == i)

@@ -14,6 +14,7 @@ from splithex.cli import (
     run_verify,
     strip_timing,
 )
+from splithex.geometry import ti_line_masks, ti_plane_masks
 from splithex.groups import (
     Automorphisms,
     PermutationGroup,
@@ -337,6 +338,77 @@ def test_counts_values():
     assert counts["ti_lines"] == 315
     assert counts["ti_planes"] == 135
     assert counts["line_kinds"] == {"oval": 27, "scalar": 9, "twin": 27}
+
+
+# codes 1..6 and 9: not closed (1 ^ 9 is missing) and not isotropic (the
+# vectors with codes 1 and 2 are not orthogonal); some t.i. lines meet it twice
+NON_ISOTROPIC_7_SET = sum(1 << c for c in (1, 2, 3, 4, 5, 6, 9))
+
+
+def naive_meet_counts(line_masks, plane_masks):
+    """Per line, the planes meeting it in 0..3 vectors, one pair at a time."""
+    return [
+        tuple(sum((line & plane).bit_count() == k for plane in plane_masks)
+              for k in range(4))
+        for line in line_masks
+    ]
+
+
+def corrupted_planes(case):
+    planes = set(ti_plane_masks())
+    if case != "genuine":
+        planes.remove(min(planes))
+    if case == "swapped":
+        planes.add(NON_ISOTROPIC_7_SET)
+    return frozenset(planes)
+
+
+@pytest.mark.parametrize("case", ["genuine", "dropped", "swapped"])
+def test_symplectic_counts_census_and_failure(monkeypatch, capsys, case):
+    planes = corrupted_planes(case)
+    # the bit-sliced census counts what the pair-by-pair loop counts
+    census = naive_meet_counts(ti_line_masks(), planes)
+    assert cli_module._meet_counts(ti_line_masks(), planes) == census
+    monkeypatch.setattr(cli_module, "ti_plane_masks", lambda: planes)
+    status = main(["verify", "--format", "json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    [stage] = [c for c in checks if c["name"] == "symplectic-counts"]
+    counts = stage["witness"]
+    assert counts["planes_per_line"] == sorted({n[3] for n in census})
+    assert counts["line_plane_meets"] == [k for k in range(4)
+                                          if any(n[k] for n in census)]
+    assert all(c["pass"] for c in checks if c is not stage)
+    if case == "genuine":
+        assert status == 0 and stage["pass"]
+        assert counts["planes_per_line"] == [3]
+        assert counts["line_plane_meets"] == [0, 1, 3]
+        return
+    assert status == 1 and not stage["pass"]
+    if case == "dropped":
+        # the dropped plane's 7 lines lie in only 2 planes
+        assert counts["ti_planes"] == 134
+        assert counts["planes_per_line"] == [2, 3]
+    else:
+        assert counts["ti_planes"] == 135 and counts["plane_sizes"] == [7]
+        assert counts["planes_per_line"] != [3]
+        assert 2 in counts["line_plane_meets"]
+
+
+def test_cold_counts_and_verify_decode_no_tuples():
+    # both read the symplectic space as masks; ti_lines/ti_planes stay unbuilt
+    script = (
+        "import contextlib, io\n"
+        "from splithex import cli, geometry\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['counts']) == 0\n"
+        "    assert cli.main(['verify', '--with-aut']) == 0\n"
+        "print(geometry.ti_lines.cache_info().currsize,"
+        " geometry.ti_planes.cache_info().currsize)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
 
 
 def test_pairings_all_pass():

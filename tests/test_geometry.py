@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -18,15 +19,19 @@ from splithex.geometry import (
     hyperoval_partitions,
     nonzero_vectors,
     perp_line,
+    perp_masks,
     point_vectors,
     proj_rep,
     projective_points,
     self_polar_triangles,
     span_perp,
     strata_for,
+    ti_line_masks,
     ti_lines,
+    ti_plane_masks,
     ti_planes,
     unital_points,
+    vector_codes,
 )
 
 
@@ -308,3 +313,66 @@ def test_line_plane_intersections():
         for plane in ti_planes()
     }
     assert sizes == {0, 1, 3}
+
+
+# Independent routes to the symplectic tables: brute force over the codes of
+# vector_codes, with symplectic evaluated on the triples themselves.
+VECTOR_OF = {c: v for v, c in vector_codes().items()}
+FULL_MASK = sum(1 << c for c in VECTOR_OF)
+# sha256 of the sorted to_gf2 members of every line and plane, pinned from
+# the enumeration by closure under addition that the masks replaced
+TI_LINES_DIGEST = "65cd5ddf629bb00325d91f5634272eccc99a1bdf96cf968e9a694a4978a008f5"
+TI_PLANES_DIGEST = "6684e073ffe42ce67a74efcbc722ad38d06dfaafc3c1b4c2f461c03361d7b0c8"
+
+
+def orthogonal(*codes):
+    return all(symplectic(VECTOR_OF[a], VECTOR_OF[b]) == 0
+               for a, b in combinations(codes, 2))
+
+
+def span_mask(*codes):
+    members = {0}
+    for c in codes:
+        members |= {m ^ c for m in members}
+    return sum(1 << m for m in members - {0})
+
+
+def decoded(masks):
+    return {frozenset(VECTOR_OF[c] for c in VECTOR_OF if m >> c & 1) for m in masks}
+
+
+def subspace_digest(subspaces):
+    members = sorted(sorted(to_gf2(v) for v in sub) for sub in subspaces)
+    return hashlib.sha256(repr(members).encode()).hexdigest()
+
+
+def test_perp_masks_are_the_symplectic_table():
+    # code 0, the zero vector, is orthogonal to every vector
+    table = [FULL_MASK] + [
+        sum(1 << y for y in VECTOR_OF if orthogonal(x, y)) for x in range(1, 64)
+    ]
+    assert list(perp_masks()) == table
+
+
+def test_ti_line_masks_are_the_isotropic_2_spans_each_once():
+    spans = {span_mask(a, b) for a, b in combinations(VECTOR_OF, 2) if orthogonal(a, b)}
+    lines = ti_line_masks()
+    assert len(lines) == len(set(lines)) == len(spans) == 315
+    assert set(lines) == spans
+
+
+def test_ti_plane_masks_are_the_isotropic_3_spans():
+    spans = {
+        span_mask(a, b, c)
+        for a, b, c in combinations(VECTOR_OF, 3)
+        if c != a ^ b and orthogonal(a, b, c)
+    }
+    assert len(spans) == 135
+    assert ti_plane_masks() == spans
+
+
+def test_ti_lines_and_planes_are_the_decoded_masks():
+    assert ti_lines() == decoded(ti_line_masks())
+    assert ti_planes() == decoded(ti_plane_masks())
+    assert subspace_digest(ti_lines()) == TI_LINES_DIGEST
+    assert subspace_digest(ti_planes()) == TI_PLANES_DIGEST

@@ -1030,6 +1030,26 @@ def test_character_witness_exists(aut_group, actions):
     assert witness.on_points + tuple(x + 63 for x in witness.on_lines) in aut_group
 
 
+def test_character_witness_depends_on_the_base():
+    # The witness is the first separating element in the chain's enumeration
+    # order, which follows the base: the search's Automorphisms fix the
+    # base up front, a plain list lets the chain choose it.  Both witnesses
+    # are valid; on relabelled pairing 1 they are different elements.
+    structure = relabeled(build(hyperoval_partitions()[1]), 2026)
+    gens = automorphism_generators(incidence_graph(structure), [0] * 63 + [1] * 63)
+    found = {}
+    for name, generators in (("Automorphisms", gens), ("list", list(gens))):
+        group = PermutationGroup(126, generators)
+        witness = character_witness(group, 63)
+        assert witness.fixed_points != witness.fixed_lines
+        element = witness.on_points + tuple(x + 63 for x in witness.on_lines)
+        assert element in group
+        found[name] = (witness.fixed_points, witness.fixed_lines)
+    # the CLI's witness on pairing 0 as built stays GOLDEN_WITNESS_FIXED
+    # (test_character_witness_exists)
+    assert found == {"Automorphisms": (3, 7), "list": (0, 1)}
+
+
 def test_identity_fixes_everything(aut_group):
     assert identity(126) in aut_group
 
