@@ -18,9 +18,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
+from ._frozen import Frozen
 from .algebra import to_gf2
 from .geometry import (
     exterior_points,
@@ -64,15 +64,15 @@ EXPECTED_STRATA_COUNTS = dict(
 )
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(Frozen):
     """One report entry: the claim checked, outcome, payload and timing."""
 
-    name: str
-    anchor: str
-    passed: bool
-    witness: object = None
-    millis: float = 0.0
+    _fields = ("name", "anchor", "passed", "witness", "millis")
+
+    def __init__(self, name: str, anchor: str, passed: bool, witness: object = None,
+                 millis: float = 0.0):
+        self.__dict__.update(name=name, anchor=anchor, passed=passed, witness=witness,
+                             millis=millis)
 
     def to_dict(self) -> dict:
         out = {"name": self.name, "anchor": self.anchor, "pass": self.passed}
@@ -82,11 +82,11 @@ class CheckRecord:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    version: str
-    pairing: int
-    checks: tuple
+class VerificationReport(Frozen):
+    _fields = ("version", "pairing", "checks")
+
+    def __init__(self, version: str, pairing: int, checks: tuple):
+        self.__dict__.update(version=version, pairing=pairing, checks=checks)
 
     @property
     def passed(self) -> bool:

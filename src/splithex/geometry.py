@@ -19,10 +19,10 @@ GF(2) bit layout, triangles and subspaces by their sorted members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
 
+from ._frozen import Frozen
 from .algebra import (
     ZERO_VECTOR,
     Vector3,
@@ -36,8 +36,7 @@ from .algebra import (
 )
 
 
-@dataclass(frozen=True)
-class Strata:
+class Strata(Frozen):
     """The norm strata of the 63 nonzero vectors.
 
     ``oval_vectors``/``twin_vectors`` are the two 18-vector halves of the
@@ -45,14 +44,16 @@ class Strata:
     partition has been chosen (see :func:`strata_for`).
     """
 
-    isotropic: frozenset
-    norm_one: frozenset
-    oval_vectors: frozenset | None = None
-    twin_vectors: frozenset | None = None
+    _fields = ("isotropic", "norm_one", "oval_vectors", "twin_vectors")
+
+    def __init__(self, isotropic: frozenset, norm_one: frozenset,
+                 oval_vectors: frozenset | None = None,
+                 twin_vectors: frozenset | None = None):
+        self.__dict__.update(isotropic=isotropic, norm_one=norm_one,
+                             oval_vectors=oval_vectors, twin_vectors=twin_vectors)
 
 
-@dataclass(frozen=True)
-class HyperovalPartition:
+class HyperovalPartition(Frozen):
     """A split of the 12 exterior points into two disjoint hyperovals.
 
     Each half is a union of two self-polar triangles; ``index`` selects
@@ -60,9 +61,10 @@ class HyperovalPartition:
     the first standard basis point.
     """
 
-    oval: frozenset
-    twin: frozenset
-    index: int
+    _fields = ("oval", "twin", "index")
+
+    def __init__(self, oval: frozenset, twin: frozenset, index: int):
+        self.__dict__.update(oval=oval, twin=twin, index=index)
 
 
 @cache
@@ -258,6 +260,42 @@ def perp_masks() -> tuple:
                 ones ^= rows[i]
         masks.append(full & ~ones)
     return tuple(masks)
+
+
+@cache
+def hermitian_perp_masks() -> tuple:
+    """Indexed by code: the mask of the vectors y with hermitian(c, y) = 0
+    (code 0, the zero vector, is orthogonal to all).
+
+    The form is biadditive and codes add by XOR, so each bit of the GF(4)
+    value hermitian(c, y) is the XOR of that bit of hermitian(e_i, e_j) over
+    the set bits i of c and j of y, e_i the vector with code 1 << i.  From
+    those 36 values, ``ones`` doubles, one bit j of y at a time, the masks
+    of the y < 2^(j+1) with each value bit set for e_i: the y with bit j set
+    repeat the y below 2^j, complemented where hermitian(e_i, e_j) has that
+    bit.  The codes' masks double the same way over the bits i of c, and a
+    code's perp is what neither of its masks covers."""
+    vec = code_vectors()
+    basis = [vec[1 << i] for i in range(6)]
+    low, high = [0], [0]
+    for a in basis:
+        ones = [0, 0]
+        for j, b in enumerate(basis):
+            h, width = hermitian(a, b), 1 << j
+            for k, m in enumerate(ones):
+                flip = (1 << width) - 1 if h >> k & 1 else 0
+                ones[k] = m | (m ^ flip) << width
+        low += [m ^ ones[0] for m in low]
+        high += [m ^ ones[1] for m in high]
+    full = (1 << 64) - 2
+    return tuple(full & ~(lo | hi) for lo, hi in zip(low, high))
+
+
+@cache
+def vector_mask(vectors: frozenset) -> int:
+    """The mask of a set of nonzero vectors: bit ``code`` set for each."""
+    code = vector_codes()
+    return sum(1 << code[v] for v in vectors)
 
 
 @cache

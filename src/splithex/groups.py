@@ -56,9 +56,9 @@ Permutations are tuples ``p`` with ``p[i]`` the image of ``i``;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
+from ._frozen import Frozen
 from .hexagon import Graph, IncidenceStructure
 
 Permutation = tuple
@@ -635,18 +635,19 @@ def _checked_points(points, degree: int) -> tuple:
 # the two degree-63 actions
 
 
-@dataclass(frozen=True)
-class CharacterWitness:
+class CharacterWitness(Frozen):
     """A group element whose fixed-point counts on points and lines differ.
 
     Its existence separates the two permutation characters, so the two
     degree-63 actions are not equivalent.
     """
 
-    on_points: Permutation
-    on_lines: Permutation
-    fixed_points: int
-    fixed_lines: int
+    _fields = ("on_points", "on_lines", "fixed_points", "fixed_lines")
+
+    def __init__(self, on_points: Permutation, on_lines: Permutation,
+                 fixed_points: int, fixed_lines: int):
+        self.__dict__.update(on_points=on_points, on_lines=on_lines,
+                             fixed_points=fixed_points, fixed_lines=fixed_lines)
 
 
 def preserves_incidence(
@@ -661,14 +662,14 @@ def preserves_incidence(
     )
 
 
-@dataclass(frozen=True)
-class InducedAction:
+class InducedAction(Frozen):
     """A faithful action of ``group`` on the ``degree`` vertices from
     ``offset`` on: its points or its lines, made by :func:`induced_actions`."""
 
-    group: PermutationGroup
-    offset: int
-    degree: int
+    _fields = ("group", "offset", "degree")
+
+    def __init__(self, group: PermutationGroup, offset: int, degree: int):
+        self.__dict__.update(group=group, offset=offset, degree=degree)
 
     def _restrict(self, g: Permutation) -> Permutation:
         return tuple([x - self.offset for x in g[self.offset:self.offset + self.degree]])

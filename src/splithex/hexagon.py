@@ -23,25 +23,29 @@ structure keep their sweep (``sweep``), and a structure keeps its
 line-concurrency adjacency (``concurrency``), so every caller of
 :func:`concurrency_graph` reads one.  :func:`dual` hands its result the
 structure's index views swapped and its sweep relabelled, since the dual's
-incidence graph is the same with the parts swapped.  The plane and
-concurrency-witness checks work on 6-bit vector codes
-(:func:`geometry.vector_codes`), under which addition is XOR and a set of
-vectors is an int mask; a point's plane is closed when its mask equals the
-span of three of its members, and then orthogonal when those three are.
+incidence graph is the same with the parts swapped.  The oval and twin
+lines and the plane and concurrency-witness checks work on 6-bit vector
+codes (:func:`geometry.vector_codes`), under which addition is XOR and a
+set of vectors is an int mask; a point's plane is closed when its mask
+equals the span of three of its members, and then orthogonal when those
+three are.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .algebra import ZERO_VECTOR, Vector3, hermitian, to_gf2, v_add
+from ._frozen import Frozen
+from .algebra import ZERO_VECTOR, Vector3, hermitian, to_gf2
 from .geometry import (
     HyperovalPartition,
     Strata,
+    code_vectors,
+    hermitian_perp_masks,
     hermitian_unit_pairs,
+    mask_codes,
     nonzero_vectors,
     perp_line,
     perp_masks,
@@ -52,6 +56,7 @@ from .geometry import (
     strata_for,
     ti_plane_masks,
     vector_codes,
+    vector_mask,
 )
 
 SCALAR = "scalar"
@@ -66,18 +71,17 @@ class OvalSelectionError(ValueError):
     """The chosen hyperoval partition does not produce 3-point lines."""
 
 
-@dataclass(frozen=True)
-class HexLine:
-    kind: str
-    points: frozenset
-    seed: Vector3
+class HexLine(Frozen):
+    _fields = ("kind", "points", "seed")
+
+    def __init__(self, kind: str, points: frozenset, seed: Vector3):
+        self.__dict__.update(kind=kind, points=points, seed=seed)
 
     def sort_key(self):
         return tuple(sorted(map(to_gf2, self.points)))
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
+class IncidenceStructure(Frozen):
     """Points, lines (as frozensets of points) and optional line metadata.
 
     The incidences are indexed once per instance, in two views that every
@@ -88,9 +92,10 @@ class IncidenceStructure:
     :func:`dual` puts the ones it hands over.
     """
 
-    points: tuple
-    lines: tuple
-    tags: tuple | None = None
+    _fields = ("points", "lines", "tags")
+
+    def __init__(self, points: tuple, lines: tuple, tags: tuple | None = None):
+        self.__dict__.update(points=points, lines=lines, tags=tags)
 
     @cached_property
     def incidences(self) -> tuple:
@@ -140,25 +145,27 @@ class IncidenceStructure:
         return sphere_sweep(Graph(adjacency=self.adjacency))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Frozen):
     """One verified claim: pass/fail plus a witness on failure.
 
     ``detail`` carries informative data recorded regardless of outcome
     (counts, computed invariants).
     """
 
-    name: str
-    passed: bool
-    witness: object = None
-    detail: object = None
+    _fields = ("name", "passed", "witness", "detail")
+
+    def __init__(self, name: str, passed: bool, witness: object = None,
+                 detail: object = None):
+        self.__dict__.update(name=name, passed=passed, witness=witness, detail=detail)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Frozen):
     """The checks of one verifier; it passes when every check passes."""
 
-    checks: tuple
+    _fields = ("checks",)
+
+    def __init__(self, checks: tuple):
+        self.__dict__.update(checks=checks)
 
     @property
     def passed(self) -> bool:
@@ -180,9 +187,14 @@ def scalar_line(a: Vector3) -> HexLine:
 
 
 def _half_line(a: Vector3, half: frozenset, kind: str) -> HexLine:
+    """The line of seed a over a half: its partners are the x of the half
+    hermitian-orthogonal to a with a + x in the half, read off the half's
+    mask and a's hermitian perp (codes add by XOR)."""
     if a == ZERO_VECTOR or hermitian(a, a) != 0:
         raise ValueError(f"seed not isotropic: {a}")
-    partners = [x for x in half if hermitian(a, x) == 0 and v_add(a, x) in half]
+    ca, mask, vec = vector_codes()[a], vector_mask(half), code_vectors()
+    partners = [vec[x] for x in mask_codes(hermitian_perp_masks()[ca] & mask)
+                if mask >> (ca ^ x) & 1]
     if len(partners) != 2:
         raise OvalSelectionError(
             f"hyperoval selection gives {len(partners)} partners for seed {a}, "
@@ -232,11 +244,13 @@ def build(partition: HyperovalPartition) -> IncidenceStructure:
 # graphs
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """Undirected simple graph as a tuple of sorted neighbor tuples."""
 
-    adjacency: tuple
+    _fields = ("adjacency",)
+
+    def __init__(self, adjacency: tuple):
+        self.__dict__.update(adjacency=adjacency)
 
     @cached_property
     def sweep(self) -> tuple:
@@ -648,8 +662,8 @@ def dual(structure: IncidenceStructure) -> IncidenceStructure:
     swapped, so it is handed the views it would derive again: its
     ``incidences`` are the structure's ``pencils``, its ``pencils`` the
     structure's ``incidences``, and its ``sweep`` the structure's, swept
-    now if it was not yet.  A ``dataclasses.replace`` of the result
-    derives its own."""
+    now if it was not yet.  A structure built by hand from the result's
+    fields derives its own."""
     result = IncidenceStructure(
         points=tuple(range(len(structure.lines))),
         lines=tuple(map(frozenset, structure.pencils)),

@@ -1,10 +1,8 @@
-import dataclasses
-
 import pytest
 
 from splithex.geometry import hyperoval_partitions, strata_for
 from splithex.groups import PermutationGroup, automorphism_generators, induced_actions
-from splithex.hexagon import build, incidence_graph
+from splithex.hexagon import IncidenceStructure, build, incidence_graph
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +27,7 @@ def corrupted(structure):
     old = min(line, key=structure.points.index)
     new = next(p for p in structure.points if p not in line)
     lines = ((line - {old}) | {new},) + structure.lines[1:]
-    return dataclasses.replace(structure, lines=lines)
+    return IncidenceStructure(structure.points, lines, structure.tags)
 
 
 @pytest.fixture(scope="session")

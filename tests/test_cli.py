@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -533,3 +535,21 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["nonzero_vectors"] == 63
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # measured against a bare interpreter under the same environment, since
+    # site may load modules (typing, say) before any import of ours
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys; print(' '.join(sorted(sys.modules)))"
+    loaded = []
+    for script in (probe, "import splithex.cli; " + probe):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        loaded.append(set(proc.stdout.split()))
+    added = loaded[1] - loaded[0]
+    assert "splithex.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)

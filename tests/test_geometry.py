@@ -15,6 +15,7 @@ from splithex.geometry import (
     HyperovalPartition,
     enumerate_strata,
     exterior_points,
+    hermitian_perp_masks,
     hermitian_unit_pairs,
     hyperoval_partitions,
     nonzero_vectors,
@@ -352,6 +353,15 @@ def test_perp_masks_are_the_symplectic_table():
         sum(1 << y for y in VECTOR_OF if orthogonal(x, y)) for x in range(1, 64)
     ]
     assert list(perp_masks()) == table
+
+
+def test_hermitian_perp_masks_are_the_hermitian_table():
+    # code 0, the zero vector, is hermitian-orthogonal to every vector
+    table = [FULL_MASK] + [
+        sum(1 << y for y in VECTOR_OF if hermitian(VECTOR_OF[x], VECTOR_OF[y]) == 0)
+        for x in range(1, 64)
+    ]
+    assert list(hermitian_perp_masks()) == table
 
 
 def test_ti_line_masks_are_the_isotropic_2_spans_each_once():

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from collections import Counter, deque
 from itertools import combinations
@@ -141,6 +140,45 @@ def test_bad_hyperoval_selection_raises(partition, strata):
     with pytest.raises(OvalSelectionError):
         for a in sorted(strata.isotropic, key=to_gf2):
             oval_line(a, bad)
+
+
+def _reference_half_line(a, half, kind):
+    """The oval/twin line rule tested vector by vector."""
+    partners = [x for x in half if hermitian(a, x) == 0 and v_add(a, x) in half]
+    if len(partners) != 2:
+        return (f"hyperoval selection gives {len(partners)} partners for seed {a}, "
+                "expected 2")
+    return (kind, frozenset({a, *partners}), a)
+
+
+def _half_line_or_message(a, strata, make):
+    try:
+        line = make(a, strata)
+    except OvalSelectionError as exc:
+        return str(exc)
+    return (line.kind, line.points, line.seed)
+
+
+@pytest.mark.parametrize("drop", [0, 1, 5, 17])
+def test_half_lines_match_the_vector_by_vector_rule(strata, drop):
+    # genuine halves, then halves with one vector dropped and a third of the
+    # other half added, so that seeds get 0 to 3 or more partners
+    oval = sorted(strata.oval_vectors, key=to_gf2)
+    twin = sorted(strata.twin_vectors, key=to_gf2)
+    cases = [strata]
+    if drop:
+        cases.append(Strata(strata.isotropic, strata.norm_one,
+                            frozenset(oval[:drop - 1] + oval[drop:] + twin[::drop]),
+                            frozenset(twin[drop:] + oval[::3])))
+    counts = Counter()
+    for case in cases:
+        for a in sorted(strata.isotropic, key=to_gf2):
+            for make, half, kind in ((oval_line, case.oval_vectors, OVAL),
+                                     (twin_line, case.twin_vectors, TWIN)):
+                got = _half_line_or_message(a, case, make)
+                assert got == _reference_half_line(a, half, kind)
+                counts[isinstance(got, str)] += 1
+    assert counts[False] and (counts[True] or not drop)
 
 
 def test_lines_require_hyperoval_selection():
@@ -516,8 +554,9 @@ def test_the_concurrency_adjacency_is_built_once(structure, monkeypatch):
     # the hypotheses check reads the adjacency the structure already keeps
     assert [graph.adjacency for graph in seen] == [first.adjacency]
     assert seen[0].adjacency is first.adjacency is s.concurrency
-    # the dual and a replaced structure have other lines: each derives its own
-    for derived in (dual(s), dataclasses.replace(s, lines=s.lines[1:])):
+    # the dual and a structure built with fewer lines have other lines: each
+    # derives its own
+    for derived in (dual(s), IncidenceStructure(s.points, s.lines[1:], s.tags)):
         assert "concurrency" not in derived.__dict__
         by_hand = IncidenceStructure(derived.points, derived.lines)
         assert concurrency_graph(derived).adjacency == by_hand.concurrency
@@ -867,7 +906,7 @@ def test_a_replaced_dual_sweeps_its_own_graph(structure, swept):
     d = dual(_fresh("genuine", structure, None))
     assert d.sweep == sphere_sweep(incidence_graph(d))
     # drop one dual line: the graph, and so its sweep, changes
-    other = dataclasses.replace(d, lines=d.lines[1:])
+    other = IncidenceStructure(d.points, d.lines[1:], d.tags)
     del swept[:]
     assert other.sweep == sphere_sweep(incidence_graph(other))
     assert swept == [incidence_graph(other)]
