@@ -6,12 +6,15 @@ points and 12 exterior points.  The exterior points fall into 4 self-polar
 triangles, and pairing those triangles yields the 3 candidate hyperoval
 partitions.  The trace of the hermitian form turns the same 63 triples into
 a rank-3 symplectic space over GF(2) (addition of triples is already
-addition over GF(2)).  That space is enumerated on 6-bit int codes, one per
-nonzero triple (:func:`vector_codes`), under which addition is XOR and a set
-of triples is an int mask: the perp of each code, then the totally
-isotropic lines and planes, each made once from its lowest members.  The
-masks are the source; :func:`ti_lines` and :func:`ti_planes` are views of
-them decoded into frozensets of triples.
+addition over GF(2)).  Both forms are read off one table on 6-bit int
+codes, one per nonzero triple (:func:`vector_codes`), under which addition
+is XOR and a set of triples is an int mask: for each code, the masks of the
+codes where the hermitian value has its low bit set and its high bit set.
+The hermitian perps, the symplectic perps (the trace is the high bit) and
+the pairs of hermitian value 1 are views of it.  From the symplectic perps
+the totally isotropic lines and planes are made, each once from its lowest
+members.  The masks are the source; :func:`ti_lines` and :func:`ti_planes`
+are views of them decoded into frozensets of triples.
 
 All enumerations are deterministic: vectors and points are ordered by their
 GF(2) bit layout, triangles and subspaces by their sorted members.
@@ -30,7 +33,6 @@ from .algebra import (
     f4_inv,
     f4_mul,
     hermitian,
-    symplectic,
     to_gf2,
     v_scale,
 )
@@ -119,9 +121,13 @@ def enumerate_strata() -> Strata:
 def hermitian_unit_pairs(isotropic: frozenset) -> tuple:
     """The ordered pairs (a, b) of the given isotropic vectors with
     hermitian(a, b) = 1 (216 of the 27 x 27 for the isotropic stratum),
-    sorted by a, then b, in GF(2) bit layout."""
-    ordered = sorted(isotropic, key=to_gf2)
-    return tuple((a, b) for a in ordered for b in ordered if hermitian(a, b) == 1)
+    sorted by a, then b, in GF(2) bit layout; value 1 is the low bit
+    without the high bit in the form's table."""
+    code, ordered = vector_codes(), sorted(isotropic, key=to_gf2)
+    ones = [low & ~high for low, high in _form_masks()]
+    # the zero vector takes code 0, whose row and bit are empty
+    return tuple((a, b) for a in ordered for b in ordered
+                 if ones[code.get(a, 0)] >> code.get(b, 0) & 1)
 
 
 @cache
@@ -237,58 +243,49 @@ def mask_codes(mask: int):
         mask ^= low
 
 
+# the mask of all 63 nonzero codes
+_FULL = (1 << 64) - 2
+
+
+@cache
+def _form_masks() -> tuple:
+    """Indexed by code c: the pair (low, high) of masks of the codes y whose
+    GF(4) value hermitian(c, y) has its low bit set, and its high bit set
+    (code 0, the zero vector, gives (0, 0)).
+
+    The form is biadditive and codes add by XOR, so c's pair is the XOR,
+    over the set bits i of c, of the pairs of e_i, the vector with code
+    1 << i.  Six rows of 63 ``hermitian`` calls give every pair."""
+    vec = code_vectors()
+    rows = []
+    for i in range(6):
+        low = high = 0
+        for y in range(1, 64):
+            h = hermitian(vec[1 << i], vec[y])
+            low |= (h & 1) << y
+            high |= (h >> 1) << y
+        rows.append((low, high))
+    table = [(0, 0)]
+    for c in range(1, 64):
+        low, high = table[c & (c - 1)]
+        row_low, row_high = rows[(c & -c).bit_length() - 1]
+        table.append((low ^ row_low, high ^ row_high))
+    return tuple(table)
+
+
 @cache
 def perp_masks() -> tuple:
     """Indexed by code: the mask of the vectors symplectic-orthogonal to that
     vector (itself included); code 0, the zero vector, is orthogonal to all.
-
-    The form is GF(2)-bilinear and codes add by XOR, so the vectors y with
-    symplectic(c, y) = 1 are the XOR, over the set bits i of c, of the masks
-    of the y with symplectic(e_i, y) = 1, e_i the vector with code 1 << i.
-    Six rows of 63 ``symplectic`` calls give every mask."""
-    vec = code_vectors()
-    rows = [
-        sum(1 << y for y in range(1, 64) if symplectic(vec[1 << i], vec[y]))
-        for i in range(6)
-    ]
-    full = (1 << 64) - 2
-    masks = []
-    for c in range(64):
-        ones = 0
-        for i in range(6):
-            if c >> i & 1:
-                ones ^= rows[i]
-        masks.append(full & ~ones)
-    return tuple(masks)
+    The symplectic form is the trace of the hermitian one, its high bit."""
+    return tuple(_FULL & ~high for _, high in _form_masks())
 
 
 @cache
 def hermitian_perp_masks() -> tuple:
     """Indexed by code: the mask of the vectors y with hermitian(c, y) = 0
-    (code 0, the zero vector, is orthogonal to all).
-
-    The form is biadditive and codes add by XOR, so each bit of the GF(4)
-    value hermitian(c, y) is the XOR of that bit of hermitian(e_i, e_j) over
-    the set bits i of c and j of y, e_i the vector with code 1 << i.  From
-    those 36 values, ``ones`` doubles, one bit j of y at a time, the masks
-    of the y < 2^(j+1) with each value bit set for e_i: the y with bit j set
-    repeat the y below 2^j, complemented where hermitian(e_i, e_j) has that
-    bit.  The codes' masks double the same way over the bits i of c, and a
-    code's perp is what neither of its masks covers."""
-    vec = code_vectors()
-    basis = [vec[1 << i] for i in range(6)]
-    low, high = [0], [0]
-    for a in basis:
-        ones = [0, 0]
-        for j, b in enumerate(basis):
-            h, width = hermitian(a, b), 1 << j
-            for k, m in enumerate(ones):
-                flip = (1 << width) - 1 if h >> k & 1 else 0
-                ones[k] = m | (m ^ flip) << width
-        low += [m ^ ones[0] for m in low]
-        high += [m ^ ones[1] for m in high]
-    full = (1 << 64) - 2
-    return tuple(full & ~(lo | hi) for lo, hi in zip(low, high))
+    (code 0, the zero vector, is orthogonal to all)."""
+    return tuple(_FULL & ~(low | high) for low, high in _form_masks())
 
 
 @cache
@@ -331,12 +328,6 @@ def ti_plane_masks() -> frozenset:
                 planes.append(line | 1 << x | 1 << (x ^ u) | 1 << (x ^ v)
                               | 1 << (x ^ w))
     return frozenset(planes)
-
-
-@cache
-def proj_reps() -> tuple:
-    """Indexed by code: ``proj_rep`` of that vector (None for code 0)."""
-    return tuple(None if v is None else proj_rep(v) for v in code_vectors())
 
 
 @cache

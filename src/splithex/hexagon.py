@@ -26,9 +26,10 @@ structure's index views swapped and its sweep relabelled, since the dual's
 incidence graph is the same with the parts swapped.  The oval and twin
 lines and the plane and concurrency-witness checks work on 6-bit vector
 codes (:func:`geometry.vector_codes`), under which addition is XOR and a
-set of vectors is an int mask; a point's plane is closed when its mask
-equals the span of three of its members, and then orthogonal when those
-three are.
+set of vectors is an int mask.  A point's plane passes when its mask is one
+of the enumerated plane masks, and only another mask is searched for
+witnesses; the concurrency witnesses are read off hermitian-perp masks
+alone.
 """
 
 from __future__ import annotations
@@ -47,12 +48,9 @@ from .geometry import (
     hermitian_unit_pairs,
     mask_codes,
     nonzero_vectors,
-    perp_line,
     perp_masks,
     point_vectors,
     proj_rep,
-    proj_reps,
-    span_perp,
     strata_for,
     ti_plane_masks,
     vector_codes,
@@ -476,23 +474,12 @@ def verify_plane_property(structure: IncidenceStructure) -> Report:
     planes of the symplectic space.
 
     Each union is an int mask over the vector codes (see
-    :func:`geometry.vector_codes`), under which addition is XOR, so the
-    four checks are bit tests against the union and the cached perp and
-    plane masks.  Raises ValueError if a point is not a nonzero GF(4)
-    triple.
-
-    Closure is one comparison with a span.  Take a and b the two lowest
-    members of a 7-member union U and c its lowest member outside {a, b,
-    a+b}; a, b, c are independent (codes are nonzero and distinct), so
-    their span has exactly 7 nonzero members.  U is closed exactly when it
-    equals that span: a closed U contains a, b, c and so their span, which
-    is as large as U; and a span is closed.
-
-    Orthogonality of a closed U is tested on the basis a, b, c: the form is
-    bilinear, so every member of U = <a, b, c> is orthogonal to all of U
-    exactly when a, b and c are, i.e. when perp(a) & perp(b) & perp(c)
-    covers U.  A union that is not closed has no such basis, so it is
-    tested member by member."""
+    :func:`geometry.vector_codes`), under which addition is XOR.  A union
+    that is one of the 135 enumerated plane masks passes all four checks;
+    any other is tested for witnesses: size first, then closure (the XOR of
+    every two members is a member) and orthogonality (each member's
+    symplectic perp covers the union).  Raises ValueError if a point is not
+    a nonzero GF(4) triple."""
     code, perps, known_planes = vector_codes(), perp_masks(), ti_plane_masks()
     bits = []
     for p in structure.points:
@@ -505,30 +492,17 @@ def verify_plane_property(structure: IncidenceStructure) -> Report:
         union = 0
         for i in pencil:
             union |= line_masks[i]
+        if union in known_planes:
+            continue
         if union.bit_count() != 7:
             bad_size.append(x)
             continue
-        a = (union & -union).bit_length() - 1
-        rest = union & (union - 1)
-        b = (rest & -rest).bit_length() - 1
-        line = 1 << a | 1 << b | 1 << (a ^ b)
-        rest = union & ~line
-        c = (rest & -rest).bit_length() - 1
-        span = line | 1 << c | 1 << (a ^ c) | 1 << (b ^ c) | 1 << (a ^ b ^ c)
-        if union == span:
-            orthogonal = perps[a] & perps[b] & perps[c] & union == union
-        else:
+        members = list(mask_codes(union))
+        if not all(union >> (u ^ v) & 1 for u, v in combinations(members, 2)):
             bad_closure.append(x)
-            members, rest = [], union
-            while rest:
-                low = rest & -rest
-                members.append(low.bit_length() - 1)
-                rest ^= low
-            orthogonal = all(perps[u] & union == union for u in members)
-        if not orthogonal:
+        if not all(perps[u] & union == union for u in members):
             bad_orthogonal.append(x)
-        if union not in known_planes:
-            bad_membership.append(x)
+        bad_membership.append(x)
     checks = (
         Check("plane-size-7", not bad_size, witness=bad_size or None,
               detail=len(structure.points)),
@@ -550,32 +524,35 @@ def verify_concurrency_witnesses(
     and [u+b] again over the hyperoval.  Such a u puts the oval lines of a
     and b on a common point.
 
-    Since hermitian(a, b) = 1, a and b are independent, and the projective
-    line they span is the polar of ``span_perp(a, b)``.  The projective
-    points [u+a], [u+b] are looked up by vector code (u+a has code
-    code(u) ^ code(a)), and the pairs come from the cached
-    :func:`geometry.hermitian_unit_pairs` table of the isotropic stratum."""
+    The scan reads only masks over the vector codes, with the hermitian
+    perps of :func:`geometry.hermitian_perp_masks`: since hermitian(a, b)
+    = 1, a and b are independent, the vectors orthogonal to both are the
+    three of one projective point n, and the line a and b span is the perp
+    of n.  That line meets the hyperoval twice when it holds six vectors
+    over the partition's oval points.  The candidates u are the vectors of
+    n among ``strata.oval_vectors``, and u+a (code code(u) ^ code(a)) and
+    u+b are tested against the vectors over the partition's oval points.
+    The pairs come from the cached :func:`geometry.hermitian_unit_pairs`
+    table of the isotropic stratum."""
     oval_vecs = strata.oval_vectors
     if oval_vecs is None:
         raise ValueError("strata carry no hyperoval selection")
-    code, reps, oval = vector_codes(), proj_reps(), partition.oval
+    code, vec, hperp = vector_codes(), code_vectors(), hermitian_perp_masks()
+    half = vector_mask(oval_vecs)
+    oval = vector_mask(frozenset(v for p in partition.oval for v in point_vectors(p)))
     qualifying = 0
     failures = []
     nonorthogonal = []
     for a, b in hermitian_unit_pairs(strata.isotropic):
-        perp = span_perp(a, b)
-        if len(perp_line(perp) & oval) != 2:
+        ca, cb = code[a], code[b]
+        point = hperp[ca] & hperp[cb]
+        if (hperp[(point & -point).bit_length() - 1] & oval).bit_count() != 6:
             continue
         qualifying += 1
-        ca, cb = code[a], code[b]
         witness = None
-        for u in point_vectors(perp):
-            if (
-                u in oval_vecs
-                and reps[code[u] ^ ca] in oval
-                and reps[code[u] ^ cb] in oval
-            ):
-                witness = u
+        for u in mask_codes(point & half):
+            if oval >> (u ^ ca) & 1 and oval >> (u ^ cb) & 1:
+                witness = vec[u]
                 break
         if witness is None:
             failures.append((a, b))

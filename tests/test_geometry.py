@@ -13,6 +13,7 @@ from splithex.algebra import (
 )
 from splithex.geometry import (
     HyperovalPartition,
+    _form_masks,
     enumerate_strata,
     exterior_points,
     hermitian_perp_masks,
@@ -345,6 +346,19 @@ def decoded(masks):
 def subspace_digest(subspaces):
     members = sorted(sorted(to_gf2(v) for v in sub) for sub in subspaces)
     return hashlib.sha256(repr(members).encode()).hexdigest()
+
+
+def test_form_masks_hold_the_bits_of_every_hermitian_value():
+    # the two views read off hermitian = 0 and trace = 0, which leave value
+    # 2 against value 3 open; the table's bits separate them
+    table = _form_masks()
+    assert table[0] == (0, 0)
+    for x in range(1, 64):
+        low, high = table[x]
+        assert not (low | high) & 1  # no bit for code 0
+        for y in range(1, 64):
+            h = hermitian(VECTOR_OF[x], VECTOR_OF[y])
+            assert (low >> y & 1, high >> y & 1) == (h & 1, h >> 1), (x, y)
 
 
 def test_perp_masks_are_the_symplectic_table():

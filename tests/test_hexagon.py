@@ -834,6 +834,18 @@ def test_concurrency_kernel_matches_seed(partition):
         seed_verify_concurrency_witnesses(strata, partition)
 
 
+@pytest.mark.parametrize("halves", range(3))
+@pytest.mark.parametrize("chosen", range(3))
+def test_concurrency_kernel_reads_each_side_as_the_seed(halves, chosen):
+    # the strata's vectors may come from another pairing than the partition:
+    # u is drawn from the strata, the hyperoval tests use the partition
+    strata = strata_for(hyperoval_partitions()[halves])
+    partition = hyperoval_partitions()[chosen]
+    report = verify_concurrency_witnesses(strata, partition)
+    assert report == seed_verify_concurrency_witnesses(strata, partition)
+    assert report.passed == (halves == chosen)
+
+
 def test_mixed_halves_fail_with_witnesses():
     # one self-polar triangle and one point of each other triangle: six
     # exterior points that are not a union of two triangles
