@@ -16,6 +16,16 @@ sorted class starts) differs from the first path's at the same depth holds
 no automorphism below it and is abandoned (McKay-Piperno 2014 compare a
 node's invariant with the first path's in the same way).
 
+The leaves one level below the spine's last node, and below each node at
+its depth with its shape, are read by propagation instead of refined: an
+automorphism that maps the spine's last partition onto such a node's class
+by class, and the spine's last vertex to the child's, is unique, because
+the spine is a base, and is forced along each edge from a mapped vertex to
+a neighbour alone in its class.  A walk over those edges, planned once per
+search, reads it off; it goes through the same automorphism check as a
+refined leaf's candidate and gives the same answer.  A leaf the walk
+cannot reach is refined, as is every other node.
+
 The search also reports its spine, the vertices individualized on the path
 to the first leaf, and the group order read off its tree (McKay-Piperno):
 the product, over the spine nodes, of the spine child's orbit length under
@@ -300,6 +310,69 @@ class Automorphisms(list):
         return tuple(self) == self._made_with
 
 
+def _leaf_plan(adjacency, partition: Partition, b):
+    """The walk :func:`_propagated_leaf` takes below a node one level above
+    the first leaf, with ``partition`` its refined partition and ``b`` its
+    first branching vertex, or None if the walk cannot reach every vertex.
+
+    The walk starts at b and at each singleton class, and goes from a
+    reached x to each unreached neighbour y that no other neighbour of x
+    shares a class with.  It is (b, singletons, steps): the singletons as
+    (class start, vertex), the steps in walk order as (x, y, start of y's
+    class).
+    """
+    color = partition.color
+    singles = [(partition.start[c], cell[0])
+               for c, cell in enumerate(partition.members) if len(cell) == 1]
+    reached = [False] * len(adjacency)
+    queue = [b] + [x for _, x in singles]
+    for x in queue:
+        reached[x] = True
+    steps = []
+    for x in queue:
+        nbrs = adjacency[x]
+        starts = [color[y] for y in nbrs]
+        for y, s in zip(nbrs, starts):
+            if not reached[y] and starts.count(s) == 1:
+                reached[y] = True
+                queue.append(y)
+                steps.append((x, y, s))
+    if len(queue) < len(adjacency):
+        return None
+    return b, singles, steps
+
+
+def _propagated_leaf(adjacency, plan, partition: Partition, w):
+    """The candidate automorphism of the leaf below w, read off by the
+    plan's walk instead of by refining, or None if the walk stalls.
+
+    ``partition`` is a node with the plan's shape and w is in the class
+    where the plan's b is.  The map sends b to w, each singleton class to
+    the singleton at the same start, and each step's y to a neighbour of
+    x's image in the class at the step's start; when the candidate is an
+    automorphism that neighbour is the only one (see
+    :func:`automorphism_generators`).
+    """
+    b, singles, steps = plan
+    color = partition.color
+    image = [0] * len(adjacency)
+    image[b] = w
+    if singles:
+        at = [0] * len(image)  # the first member of the class at each start
+        for cell, s in zip(partition.members, partition.start):
+            at[s] = cell[0]
+        for s, x in singles:
+            image[x] = at[s]
+    for x, y, s in steps:
+        for z in adjacency[image[x]]:
+            if color[z] == s:
+                image[y] = z
+                break
+        else:
+            return None
+    return tuple(image)
+
+
 def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
     """Generators of the color-preserving automorphism group.
 
@@ -323,7 +396,30 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
     a copy with the branching vertex split off
     (:meth:`Partition.individualized`).  The orbits that prune a node's
     branches live in a union-find that merges x with g[x] for each newly
-    found automorphism g fixing the prefix.
+    found automorphism g fixing the prefix.  A sibling is pruned by one
+    union-find lookup against the set of the explored siblings' roots,
+    which is rebuilt only after a merge.
+
+    Once the first leaf is known, each child w of a node π one level above
+    it (the spine's last node, or an off-spine node with its shape) is read
+    off, not refined.  Let π* be the spine's last partition and b* its
+    first branching vertex.  :func:`refine` commutes with relabelling, so
+    the candidate c of the leaf below w, when it is an automorphism, maps
+    π* onto π class by class (classes match by start) and b* to w; and at
+    most one automorphism does that, since two of them would differ by one
+    fixing the spine pointwise, the vertices individualized in π* and b*.
+    That automorphism is forced: each singleton of π* goes to the singleton
+    at the same start, and if y is x's only neighbour in its π*-class, y's
+    image is the only neighbour of x's image in the π-class at that start.
+    :func:`_leaf_plan` plans a walk over these steps from b* and the
+    singletons, once per search, and :func:`_propagated_leaf` follows it to
+    a map h for each w.  By construction h maps π* onto π class by class
+    and b* to w, so if h is an automorphism, refining π with w split off
+    gives h's image of the first leaf and h is c; if c is one, each step
+    finds c's image and h is c.  So h takes c's place in the automorphism
+    check, with the same outcome.  When the walk cannot reach every vertex
+    of π* (no plan), or finds no neighbour in a class (no map), the child
+    is refined.
 
     The result is an :class:`Automorphisms`: its ``base`` is the spine's
     individualized vertices, and its ``order`` the product, over the spine
@@ -342,11 +438,19 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
     spine: list = []  # the vertices individualized on the way to the first leaf
     spine_shapes: list = []  # the sorted class starts along the spine
     orbit_lengths: list = []  # of each spine child in its node's target cell
+    leaf_plan: list = [None]  # of the spine's last node, for _propagated_leaf
 
     def root(parent, x):
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         return x
+
+    def deliver(candidate) -> bool:
+        if candidate != identity(n) and _is_automorphism(
+                adjacency, neighbor_sets, initial, candidate):
+            found.append(candidate)
+            return True
+        return False
 
     def search(partition, prefix, on_spine) -> bool:
         # below the root, prefix[-1] was split off an equitable partition
@@ -369,37 +473,49 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
             candidate = [0] * n
             for v, x in enumerate(color):
                 candidate[first_leaf[0][x]] = v
-            candidate = tuple(candidate)
-            if candidate != identity(n) and _is_automorphism(
-                    adjacency, neighbor_sets, initial, candidate):
-                found.append(candidate)
-                return True
-            return False
+            return deliver(tuple(candidate))
 
         target = max((c for c, cell in enumerate(members) if len(cell) > 1),
                      key=lambda c: (len(members[c]), -start[c]))
         explored = []
+        explored_roots = set()  # of the explored vertices in the union-find
         delivered = False
         parent = list(range(n))  # orbits of found[:known] that fix the prefix
         known = 0
 
-        def merge_new():
+        def merge_new() -> bool:
+            # merge the new automorphisms that fix the prefix; were there any?
             nonlocal known
+            merged = False
             for g in found[known:]:
                 if all(g[u] == u for u in prefix):
+                    merged = True
                     for x in range(n):
                         parent[root(parent, x)] = root(parent, g[x])
             known = len(found)
+            return merged
 
         for v in members[target]:  # ascending
+            orbit = v
             if explored:
-                merge_new()
+                if merge_new():
+                    explored_roots = {root(parent, u) for u in explored}
                 orbit = root(parent, v)
-                if any(root(parent, u) == orbit for u in explored):
+                if orbit in explored_roots:
                     continue
             child_on_spine = on_spine and not explored
-            got = search(partition.individualized(v), prefix + [v], child_on_spine)
+            leaf = None
+            if leaf_plan[0] is not None and len(prefix) + 1 == len(spine):
+                leaf = _propagated_leaf(adjacency, leaf_plan[0], partition, v)
+            if leaf is not None:
+                got = deliver(leaf)
+            else:
+                got = search(partition.individualized(v), prefix + [v], child_on_spine)
+                if child_on_spine and len(prefix) + 1 == len(spine):
+                    # v's child was the first leaf: this is the spine's last node
+                    leaf_plan[0] = _leaf_plan(adjacency, partition, v)
             explored.append(v)
+            explored_roots.add(orbit)
             delivered = delivered or got
             if got and not on_spine:
                 return True

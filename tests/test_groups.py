@@ -20,6 +20,8 @@ from splithex.groups import (
     Partition,
     Permutation,
     PermutationGroup,
+    _leaf_plan,
+    _propagated_leaf,
     _refine,
     automorphism_generators,
     character_witness,
@@ -287,11 +289,8 @@ def test_c6_automorphisms_dihedral():
 
 
 def test_petersen_automorphisms():
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(i, i + 5) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    petersen = Graph.from_edges(10, edges)
-    assert PermutationGroup(10, automorphism_generators(petersen, [0] * 10)).order == 120
+    gens = automorphism_generators(petersen_graph(), [0] * 10)
+    assert PermutationGroup(10, gens).order == 120
 
 
 def test_coloring_constrains_the_search():
@@ -540,34 +539,219 @@ def test_one_colour_search_matches_seed_orbit_pruning_on_the_hexagon():
         seed_automorphism_generators(graph, coloring)
 
 
-def refine_calls(graph, coloring, monkeypatch) -> int:
-    """How many search nodes (one refine call each) a search makes."""
-    counted = []
-    refine_node = groups_module.refine
+class SearchRecord:
+    """What a search did: its refine calls (one per refined node), whether
+    each leaf plan could reach every vertex, and whether each leaf read by
+    propagation came out a complete map."""
 
-    def counting(*args, **kwargs):
-        counted.append(1)
-        return refine_node(*args, **kwargs)
+    def __init__(self, graph, coloring, monkeypatch):
+        self.refined = 0
+        self.plans: list[bool] = []
+        self.reads: list[bool] = []
+        originals = {name: getattr(groups_module, name)
+                     for name in ("refine", "_leaf_plan", "_propagated_leaf")}
 
-    monkeypatch.setattr(groups_module, "refine", counting)
-    generators = automorphism_generators(graph, coloring)
-    assert generators.order == 12096
-    assert PermutationGroup(graph.vertex_count, generators).order == 12096
-    return len(counted)
+        def refine_node(*args, **kwargs):
+            self.refined += 1
+            return originals["refine"](*args, **kwargs)
+
+        def plan(*args):
+            result = originals["_leaf_plan"](*args)
+            self.plans.append(result is not None)
+            return result
+
+        def read(*args):
+            result = originals["_propagated_leaf"](*args)
+            self.reads.append(result is not None)
+            return result
+
+        monkeypatch.setattr(groups_module, "refine", refine_node)
+        monkeypatch.setattr(groups_module, "_leaf_plan", plan)
+        monkeypatch.setattr(groups_module, "_propagated_leaf", read)
+        self.generators = automorphism_generators(graph, coloring)
+
+    @property
+    def nodes(self) -> int:
+        """Refined nodes and leaves read by propagation."""
+        return self.refined + sum(self.reads)
+
+
+def hexagon_search(pairing, seed, colors, monkeypatch) -> SearchRecord:
+    graph, coloring = hexagon_case(pairing, seed, colors)
+    record = SearchRecord(graph, coloring, monkeypatch)
+    assert record.generators.order == 12096
+    assert PermutationGroup(graph.vertex_count, record.generators).order == 12096
+    return record
 
 
 @pytest.mark.parametrize("pairing, seed", HEXAGON_CASES)
 def test_search_tree_size(pairing, seed, monkeypatch):
-    # the first smallest target cell made 45 nodes
-    graph, coloring = hexagon_case(pairing, seed, 2)
-    assert refine_calls(graph, coloring, monkeypatch) == 11
+    # the first smallest target cell made 45 nodes; the 4 leaves below the
+    # spine's last node are read by propagation, so 7 of the 11 are refined
+    record = hexagon_search(pairing, seed, 2, monkeypatch)
+    assert record.nodes == 11
+    assert record.refined == 7
+    assert record.reads == [True] * 4
 
 
 def test_one_colour_search_tree_size(monkeypatch):
-    # 38 nodes; without the shape test, the first largest target cell made
-    # 134 and the first smallest 66
-    graph, coloring = hexagon_case(0, None, 1)
-    assert refine_calls(graph, coloring, monkeypatch) <= 40
+    # 38 nodes, 34 of them refined; without the shape test, the first
+    # largest target cell made 134 and the first smallest 66
+    record = hexagon_search(0, None, 1, monkeypatch)
+    assert record.nodes <= 40
+    assert record.refined == 34
+
+
+def target_class(partition: Partition) -> int:
+    """The search's target cell: the first largest non-singleton class."""
+    members, start = partition.members, partition.start
+    return max((c for c, cell in enumerate(members) if len(cell) > 1),
+               key=lambda c: (len(members[c]), -start[c]))
+
+
+def leaf_candidate(first: Partition, leaf: Partition) -> Permutation:
+    """The map the search reads off two discrete partitions: the vertex at
+    each position of ``first`` goes to the one at that position of ``leaf``."""
+    candidate = [0] * len(first.color)
+    ordering = [0] * len(first.color)
+    for v, x in enumerate(first.color):
+        ordering[x] = v
+    for v, x in enumerate(leaf.color):
+        candidate[ordering[x]] = v
+    return tuple(candidate)
+
+
+def nodes_and_siblings(graph: Graph, coloring, depth: int):
+    """Each node the search could make within ``depth`` splits of the root,
+    branching on its target cells, with the node's siblings of its shape."""
+    root = refine(graph, Partition(coloring))
+    level = [(root, [root])]
+    for splits in range(depth + 1):
+        after = []
+        for node, siblings in level:
+            yield node, siblings
+            if splits < depth and len(node.members) < graph.vertex_count:
+                children = [refine(graph, node.individualized(u), u)
+                            for u in node.members[target_class(node)]]
+                after += [(child, [other for other in children
+                                   if sorted(other.start) == sorted(child.start)])
+                          for child in children]
+        level = after
+
+
+def read_leaves_against_refined(graph: Graph, coloring) -> Counter:
+    """Read leaves by propagation below every node within two splits of
+    the root and check each complete map against the refined leaf's
+    candidate.  Each non-singleton class with a vertex b whose child is
+    discrete is a branching class, with b as the first leaf's vertex, and
+    each sibling is read at each vertex w of its class at the same start.
+    Counts the outcomes."""
+    n = graph.vertex_count
+    adjacency = graph.adjacency
+    outcomes = Counter()
+    for node, siblings in nodes_and_siblings(graph, coloring, 2):
+        for start, cell in zip(node.start, node.members):
+            if len(cell) == 1:
+                continue
+            leaves = ((b, refine(graph, node.individualized(b), b)) for b in cell)
+            b, first = next(((b, leaf) for b, leaf in leaves if len(leaf.members) == n),
+                            (None, None))
+            plan = b is not None and _leaf_plan(adjacency, node, b)
+            if not plan:
+                outcomes["no plan"] += b is not None
+                continue
+            for sibling in siblings:
+                for w in sibling.members[sibling.start.index(start)]:
+                    mapped = _propagated_leaf(adjacency, plan, sibling, w)
+                    if mapped is None:
+                        outcomes["stalled"] += 1
+                        continue
+                    leaf = refine(graph, sibling.individualized(w), w)
+                    candidate = leaf_candidate(first, leaf) \
+                        if len(leaf.members) == n else None
+                    if candidate is not None and is_automorphism(graph, coloring,
+                                                                  candidate):
+                        assert mapped == candidate
+                    if is_automorphism(graph, coloring, mapped):
+                        assert mapped == candidate
+                        outcomes["automorphism"] += 1
+                    else:
+                        outcomes["not an automorphism"] += 1
+    return outcomes
+
+
+@settings(max_examples=200, deadline=None)
+@given(colored_graphs())
+def test_a_propagated_leaf_is_the_refined_leafs_candidate(case):
+    read_leaves_against_refined(*case)
+
+
+# Two graphs on 8 vertices: on the first a walk on a sibling node
+# finds no neighbour in a class, on the second it completes a map that is
+# no automorphism; random graphs reach either rarely.
+STALLING = Graph.from_edges(8, [(0, 1), (0, 3), (0, 5), (0, 7), (1, 2), (1, 3), (1, 6),
+                                (2, 4), (2, 5), (2, 7), (3, 5), (3, 6), (4, 5), (4, 6),
+                                (4, 7), (6, 7)])
+MISMAPPING = Graph.from_edges(8, [(0, 1), (0, 2), (0, 6), (0, 7), (1, 2), (1, 4), (1, 5),
+                                  (2, 3), (3, 4), (3, 6), (4, 6), (4, 7), (5, 6), (5, 7)])
+
+
+@pytest.mark.parametrize("graph, outcome", [(STALLING, "stalled"),
+                                            (MISMAPPING, "not an automorphism")])
+def test_propagation_stalls_and_mismaps_only_where_refinement_fails(graph, outcome):
+    assert read_leaves_against_refined(graph, [0] * 8)[outcome] > 0
+
+
+def petersen_graph() -> Graph:
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(10, edges)
+
+
+SMALL_GRAPHS = {
+    "K4": Graph.from_edges(4, list(combinations(range(4), 2))),
+    "Petersen": petersen_graph(),
+    "C6": Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)]),
+    "K3,3": Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+    "3-cube": Graph.from_edges(8, [(u, u | 1 << k) for u in range(8) for k in range(3)
+                                   if not u & 1 << k]),
+}
+
+
+@pytest.mark.parametrize("name, propagates", [
+    ("K4", True), ("Petersen", True), ("C6", False), ("K3,3", False), ("3-cube", False),
+])
+def test_small_graphs_read_or_refine_their_last_leaves(name, propagates, monkeypatch):
+    # K4 and Petersen read every leaf below the spine's last node; on C6,
+    # K3,3 and the 3-cube the walk cannot reach every vertex, so no leaf is
+    # read and the search refines them all
+    graph = SMALL_GRAPHS[name]
+    coloring = [0] * graph.vertex_count
+    record = SearchRecord(graph, coloring, monkeypatch)
+    assert record.plans == [propagates]
+    if propagates:
+        assert record.reads and all(record.reads)
+    else:
+        assert record.reads == []
+    assert record.generators == seed_automorphism_generators(graph, coloring)
+    assert record.generators.order == self_isomorphism_count(graph, coloring)
+
+
+@pytest.mark.parametrize("n, edges, generators, base, order", [
+    (0, [], [], (), 1),
+    (1, [], [], (), 1),
+    (2, [], [(1, 0)], (0,), 2),
+    (3, [(0, 1)], [(1, 0, 2)], (0,), 2),
+    (3, [], [(0, 2, 1), (1, 0, 2)], (0, 1), 6),
+])
+def test_degenerate_searches(n, edges, generators, base, order):
+    graph = Graph.from_edges(n, edges)
+    found = automorphism_generators(graph, [0] * n)
+    assert found == generators
+    assert found.base == base
+    assert found.order == order
+    assert PermutationGroup(n, found).order == order
 
 
 # ---------------------------------------------------------------------------
