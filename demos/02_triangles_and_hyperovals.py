@@ -10,12 +10,17 @@ halves of 18.
 from splithex.algebra import hermitian
 from splithex.geometry import (
     hyperoval_partitions,
-    perp_line,
     projective_points,
     self_polar_triangles,
     strata_for,
     unital_points,
 )
+
+
+def polar(p):
+    """The PG(2,4) line of the points hermitian-orthogonal to p."""
+    return frozenset(q for q in projective_points() if hermitian(p, q) == 0)
+
 
 print("=== the four self-polar triangles ===\n")
 for i, tri in enumerate(self_polar_triangles()):
@@ -37,7 +42,7 @@ for partition in hyperoval_partitions():
 print("\n=== hyperoval sanity: every PG(2,4) line meets a hyperoval in 0 or 2 ===\n")
 partition = hyperoval_partitions()[0]
 profile = {}
-for line in {perp_line(p) for p in projective_points()}:
+for line in {polar(p) for p in projective_points()}:
     meet = len(line & partition.oval)
     profile[meet] = profile.get(meet, 0) + 1
     assert meet in (0, 2)
@@ -45,6 +50,6 @@ print(f"line intersection profile with the oval: {dict(sorted(profile.items()))}
 
 print("\ntangent lines (perps of unital points) meet both halves twice:")
 for a in unital_points()[:3]:
-    tangent = perp_line(a)
+    tangent = polar(a)
     print(f"  tangent at {a}: oval {len(tangent & partition.oval)}, "
           f"twin {len(tangent & partition.twin)}")

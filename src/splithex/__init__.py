@@ -29,10 +29,8 @@ from .geometry import (  # noqa: F401
     exterior_points,
     hyperoval_partitions,
     nonzero_vectors,
-    perp_line,
     projective_points,
     self_polar_triangles,
-    span_perp,
     strata_for,
     ti_lines,
     ti_planes,

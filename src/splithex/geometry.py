@@ -29,9 +29,7 @@ from ._frozen import Frozen
 from .algebra import (
     ZERO_VECTOR,
     Vector3,
-    f4_conj,
     f4_inv,
-    f4_mul,
     hermitian,
     to_gf2,
     v_scale,
@@ -128,37 +126,6 @@ def hermitian_unit_pairs(isotropic: frozenset) -> tuple:
     # the zero vector takes code 0, whose row and bit are empty
     return tuple((a, b) for a in ordered for b in ordered
                  if ones[code.get(a, 0)] >> code.get(b, 0) & 1)
-
-
-@cache
-def perp_line(p: Vector3) -> frozenset:
-    """The PG(2,4) line of points hermitian-orthogonal to p.
-
-    For an isotropic p this is the tangent at [p] (and contains [p]); for a
-    non-isotropic p it is a secant missing [p].  The perp is a point-line
-    bijection, so the 21 lines of PG(2,4) are the perps of the 21 points.
-    """
-    return frozenset(q for q in projective_points() if hermitian(p, q) == 0)
-
-
-@cache
-def span_perp(a: Vector3, b: Vector3) -> Vector3:
-    """The unique projective point hermitian-orthogonal to both a and b.
-
-    Computed as the cross product of the conjugated vectors, which realises
-    the perp of the span for the identity Gram matrix.  Its polar
-    ``perp_line`` is the PG(2,4) line spanned by a and b.
-    """
-    ca = (f4_conj(a[0]), f4_conj(a[1]), f4_conj(a[2]))
-    cb = (f4_conj(b[0]), f4_conj(b[1]), f4_conj(b[2]))
-    u = (
-        f4_mul(ca[1], cb[2]) ^ f4_mul(ca[2], cb[1]),
-        f4_mul(ca[2], cb[0]) ^ f4_mul(ca[0], cb[2]),
-        f4_mul(ca[0], cb[1]) ^ f4_mul(ca[1], cb[0]),
-    )
-    if u == ZERO_VECTOR:
-        raise ValueError(f"degenerate span: {a} and {b} are dependent")
-    return proj_rep(u)
 
 
 @cache

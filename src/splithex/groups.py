@@ -43,12 +43,12 @@ base): a Schreier generator u_x s u_{s(x)}^-1 lies in the group, so it is
 sifted by its images of the later base points only, three lookups per base
 point and one transversal inverse per level, and a residue that fixes the
 whole base is the identity and is dropped without being built.  Only a
-residue that moves a base point becomes a permutation.  Any other generator
-list takes the general path, which appends a base point for each residue
-that fixes the base so far and strips whole permutations, as membership
-tests always do.  Each transversal carries the inverse of every coset
-representative, built alongside it from the inverses of the strong
-generators, so sifting never inverts a permutation.  Levels are extended,
+residue that moves a base point becomes a permutation.  A plain generator
+list takes the general path from an empty base, which appends a base point
+for each residue that fixes the base so far and strips whole permutations,
+as membership tests always do.  Each transversal carries the inverse of
+every coset representative, built alongside it from the inverses of the
+strong generators, so sifting never inverts a permutation.  Levels are extended,
 never rebuilt (Seress, ch. 4): a level that gains a strong generator keeps
 its coset representatives, composes only for the orbit points it adds, and
 sifts only the Schreier generators of (orbit point, strong generator) pairs
@@ -57,9 +57,11 @@ most once per level.  A pair (x, s) whose walk first reached s(x) is a tree
 edge, u_{s(x)} = u_x s, and its Schreier generator is the identity, so it
 is not formed at all.  A point's stabilizer is the first base point's,
 conjugated by the point's coset representative, or, for a point off the
-first orbit, the second level of a chain with that point as its first base
-point.  The point and line actions are faithful views of the incidence-graph
-group (see :func:`induced_actions`), so one chain serves a whole run.
+first orbit, the second level of a chain on the known base made of that
+point and the rest of the base: a finished chain's base is complete,
+whichever path built it, and a superset of a base is a base.  The point
+and line actions are faithful views of the incidence-graph group (see
+:func:`induced_actions`), so one chain serves a whole run.
 Permutations are tuples ``p`` with ``p[i]`` the image of ``i``;
 ``compose(p, q)`` applies p first, then q.
 """
@@ -291,12 +293,13 @@ def _is_automorphism(adjacency, neighbor_sets, coloring, p) -> bool:
 
 
 class Automorphisms(list):
-    """The generators :func:`automorphism_generators` found: a list (its
-    repr, ``==`` and ``len`` are the list's) that also carries the spine as
-    ``base``, a base of the group the generators make (see the module
-    docstring), and the group ``order`` read off the search tree.
-    :class:`PermutationGroup` sifts on ``base`` only while the list still
-    holds the generators it was made with.
+    """Generators with a known base: a list (its repr, ``==`` and ``len``
+    are the list's) that also carries ``base``, a base of the group the
+    generators make, and the group ``order``.  :func:`automorphism_generators`
+    makes one with the spine as base (see the module docstring), and
+    :meth:`PermutationGroup.stabilizer_generators` one for a point off the
+    first orbit.  :class:`PermutationGroup` sifts on ``base`` only while
+    the list still holds the generators it was made with.
     """
 
     def __init__(self, generators, base, order: int):
@@ -395,10 +398,10 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
     its partition in place by a call to :func:`refine` and hands each child
     a copy with the branching vertex split off
     (:meth:`Partition.individualized`).  The orbits that prune a node's
-    branches live in a union-find that merges x with g[x] for each newly
-    found automorphism g fixing the prefix.  A sibling is pruned by one
-    union-find lookup against the set of the explored siblings' roots,
-    which is rebuilt only after a merge.
+    branches live in a union-find that merges x with g[x] for each vertex x
+    that a newly found automorphism g fixing the prefix moves.  A sibling is
+    pruned by one union-find lookup against the set of the explored
+    siblings' roots, which is rebuilt only after a merge.
 
     Once the first leaf is known, each child w of a node π one level above
     it (the spine's last node, or an off-spine node with its shape) is read
@@ -490,8 +493,9 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
             for g in found[known:]:
                 if all(g[u] == u for u in prefix):
                     merged = True
-                    for x in range(n):
-                        parent[root(parent, x)] = root(parent, g[x])
+                    for x, y in enumerate(g):
+                        if x != y:
+                            parent[root(parent, x)] = root(parent, y)
             known = len(found)
             return merged
 
@@ -527,6 +531,7 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
         return delivered
 
     search(Partition(initial), [], True)
+    del search  # it refers to itself: free its state now, not at a gc pass
     order = 1
     for length in orbit_lengths:
         order *= length
@@ -543,17 +548,15 @@ class PermutationGroup:
     Built deterministically from the generator list; the order is the
     product of the fundamental orbit lengths along the base.  When the
     generators are an :class:`Automorphisms` that still holds the
-    generators the search verified and no ``base_hint`` is given, its spine
-    is the base, fixed up front, and Schreier generators are sifted by
-    their images of the base points.  Otherwise base points are chosen as
-    residues need them; ``base_hint`` pre-seeds base points (distinct ints
-    in ``range(degree)``), which makes the stabilizer of a chosen point
-    directly available as the second level of the chain.
+    generators it was made with, its ``base`` (distinct ints in
+    ``range(degree)``) is the base, fixed up front, and Schreier generators
+    are sifted by their images of the base points.  Otherwise base points
+    are chosen as residues need them.
     """
 
-    def __init__(self, degree: int, generators, base_hint=()):
+    def __init__(self, degree: int, generators):
         self.degree = degree
-        self._known_base = (isinstance(generators, Automorphisms) and not base_hint
+        self._known_base = (isinstance(generators, Automorphisms)
                             and generators.base_is_known())
         self.generators = [self._checked(g) for g in generators]
         self.base: list[int] = []
@@ -564,9 +567,9 @@ class PermutationGroup:
         self._sifted: list[tuple] = []  # (orbit points, strong generators) sifted
         self._tree_edges: list[set] = []  # (x, k): u_{s_k(x)} was made as u_x s_k
         self._identity = identity(degree)
-        base = generators.base if self._known_base else base_hint
-        for b in _checked_points(base, degree):
-            self._append_level(b)
+        if self._known_base:
+            for b in _checked_points(generators.base, degree):
+                self._append_level(b)
         for g in self.generators:
             self._add((g,), 0)
         del self._sifted, self._tree_edges
@@ -696,19 +699,15 @@ class PermutationGroup:
     def stabilizer_generators(self, point: int) -> list:
         """Strong generators of the stabilizer of a point: the second
         level's, conjugated by the point's first-level coset representative
-        u, or those of a new chain with the point as first base point for a
-        point off the first orbit.  A new chain after a known base keeps
-        the base behind the point: a superset of a base is a base."""
+        u, or, for a point off the first orbit, those of a new chain on the
+        known base of the point followed by the rest of this chain's base:
+        a finished chain's base is complete, so a superset of it is a base."""
         _checked_points((point,), self.degree)
         u = self._transversals[0].get(point) if self.base else None
         if u is None:
-            if self._known_base:
-                base = (point, *(b for b in self.base if b != point))
-                chain = PermutationGroup(self.degree, Automorphisms(
-                    self.generators, base, self.order))
-            else:
-                chain = PermutationGroup(self.degree, self.generators,
-                                         base_hint=(point,))
+            base = (point, *(b for b in self.base if b != point))
+            chain = PermutationGroup(self.degree, Automorphisms(
+                self.generators, base, self.order))
             return chain.stabilizer_generators(point)
         if len(self.base) == 1:
             return []

@@ -398,7 +398,7 @@ def test_symplectic_counts_census_and_failure(monkeypatch, capsys, case):
 
 def test_cold_counts_and_verify_decode_no_tuples():
     # both read the symplectic space and the hermitian perps as masks:
-    # ti_lines/ti_planes stay unbuilt, span_perp/perp_line are never asked
+    # ti_lines/ti_planes stay unbuilt
     script = (
         "import contextlib, io\n"
         "from splithex import cli, geometry\n"
@@ -406,12 +406,12 @@ def test_cold_counts_and_verify_decode_no_tuples():
         "    assert cli.main(['counts']) == 0\n"
         "    assert cli.main(['verify', '--with-aut']) == 0\n"
         "print(*(f.cache_info().currsize for f in (geometry.ti_lines,"
-        " geometry.ti_planes, geometry.span_perp, geometry.perp_line)))\n"
+        " geometry.ti_planes)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "0", "0"]
+    assert proc.stdout.split() == ["0", "0"]
 
 
 def test_pairings_all_pass():

@@ -14,19 +14,18 @@ from splithex.algebra import (
 from splithex.geometry import (
     HyperovalPartition,
     _form_masks,
+    code_vectors,
     enumerate_strata,
     exterior_points,
     hermitian_perp_masks,
     hermitian_unit_pairs,
     hyperoval_partitions,
     nonzero_vectors,
-    perp_line,
     perp_masks,
     point_vectors,
     proj_rep,
     projective_points,
     self_polar_triangles,
-    span_perp,
     strata_for,
     ti_line_masks,
     ti_lines,
@@ -93,49 +92,6 @@ def test_proj_rep_of_zero_raises_value_error():
         proj_rep(ZERO_VECTOR)
 
 
-def test_perp_line_against_enumeration_oracle():
-    for p in projective_points():
-        expected = frozenset(
-            q for q in projective_points() if hermitian(p, q) == 0
-        )
-        assert perp_line(p) == expected
-        assert len(expected) == 5
-
-
-def test_perp_line_examples():
-    p = proj_rep((1, 1, 0))
-    assert hermitian(p, p) == 0
-    assert p in perp_line(p)
-    non_iso = sum(1 for q in perp_line(p) if hermitian(q, q) == 1)
-    assert non_iso == 4
-
-    e1 = (1, 0, 0)
-    line = perp_line(e1)
-    assert e1 not in line
-    assert line == frozenset(q for q in projective_points() if q[0] == 0)
-
-
-def test_span_perp_examples_and_oracle():
-    assert span_perp((1, 0, 0), (0, 1, 0)) == (0, 0, 1)
-    assert span_perp((1, 0, 0), (0, 1, 1)) == (0, 1, 1)
-
-    a, b = (1, 1, 0), (1, 0, 1)
-    u = span_perp(a, b)
-    matches = [
-        q
-        for q in projective_points()
-        if hermitian(q, a) == 0 and hermitian(q, b) == 0
-    ]
-    assert matches == [u]
-
-
-def test_span_perp_degenerate():
-    with pytest.raises(ValueError, match="degenerate span"):
-        span_perp((1, 0, 0), (2, 0, 0))
-    with pytest.raises(ValueError, match="degenerate span"):
-        span_perp((1, 2, 3), (0, 0, 0))
-
-
 def test_hermitian_unit_pairs_are_the_scan_in_order():
     isotropic = enumerate_strata().isotropic
     ordered = sorted(isotropic, key=to_gf2)
@@ -143,20 +99,6 @@ def test_hermitian_unit_pairs_are_the_scan_in_order():
     table = hermitian_unit_pairs(isotropic)
     assert list(table) == scan and len(table) == 216
     assert hermitian_unit_pairs(isotropic) is table  # derived once
-
-
-def pg_lines() -> set:
-    """The 21 lines of PG(2,4): the perps of its 21 points."""
-    return {perp_line(p) for p in projective_points()}
-
-
-def test_pg_lines():
-    lines = pg_lines()
-    assert len(lines) == 21
-    assert all(len(L) == 5 for L in lines)
-    through = perp_line(span_perp((1, 0, 0), (0, 1, 0)))
-    assert through in lines
-    assert {(1, 0, 0), (0, 1, 0)} <= through
 
 
 def seed_pg_line_through(p, q):
@@ -172,21 +114,43 @@ def seed_pg_line_through(p, q):
     return frozenset(pts)
 
 
-def test_polar_of_span_perp_is_the_spanned_line():
-    vectors = (ZERO_VECTOR,) + nonzero_vectors()
-    degenerate = 0
-    for p in vectors:
-        for q in vectors:
-            try:
-                expected = seed_pg_line_through(p, q)
-            except ValueError:
-                degenerate += 1
-                with pytest.raises(ValueError, match="degenerate span"):
-                    span_perp(p, q)
-            else:
-                assert perp_line(span_perp(p, q)) == expected
-    # zero against anything (127 pairs) and the 63 * 3 dependent nonzero pairs
-    assert degenerate == 127 + 63 * 3
+def polar(p) -> frozenset:
+    """The PG(2,4) line of the points hermitian-orthogonal to p."""
+    return frozenset(q for q in projective_points() if hermitian(p, q) == 0)
+
+
+def pg_lines() -> set:
+    """The 21 lines of PG(2,4): the spans of its pairs of points."""
+    return {seed_pg_line_through(p, q) for p, q in combinations(projective_points(), 2)}
+
+
+def test_pg_lines_are_the_polars_of_the_points():
+    lines = pg_lines()
+    assert len(lines) == 21
+    assert all(len(L) == 5 for L in lines)
+    assert {polar(p) for p in projective_points()} == lines
+    # a tangent holds its unital point, a secant misses its exterior point
+    assert all((hermitian(p, p) == 0) == (p in polar(p)) for p in projective_points())
+    assert polar((1, 0, 0)) == frozenset(q for q in projective_points() if q[0] == 0)
+
+
+def test_hermitian_perp_masks_give_the_pole_of_each_spanned_line():
+    # the AND of two independent vectors' hermitian perps is the three
+    # vectors of one point, whose polar is the line the two span
+    code, vec = vector_codes(), code_vectors()
+    perps = hermitian_perp_masks()
+    spans = 0
+    for p, q in combinations(nonzero_vectors(), 2):
+        try:
+            line = seed_pg_line_through(p, q)
+        except ValueError:
+            continue
+        spans += 1
+        both = perps[code[p]] & perps[code[q]]
+        pole = [vec[c] for c in range(1, 64) if both >> c & 1]
+        assert len(pole) == 3 and len({proj_rep(u) for u in pole}) == 1
+        assert polar(pole[0]) == line
+    assert spans == 63 * 60 // 2
 
 
 def test_self_polar_triangles_partition_the_exterior_points():
@@ -232,14 +196,14 @@ def test_hyperoval_partitions_structure():
 
 def test_every_tangent_meets_each_triangle_once():
     for a in unital_points():
-        tangent = perp_line(a)
+        tangent = polar(a)
         assert a in tangent
         for tri in self_polar_triangles():
             assert len(tangent & tri) == 1
 
 
 def test_every_secant_pair_lies_in_one_triangle():
-    tangents = {perp_line(a) for a in unital_points()}
+    tangents = {polar(a) for a in unital_points()}
     member = {p: tri for tri in self_polar_triangles() for p in tri}
     for line in pg_lines():
         if line in tangents:
@@ -259,7 +223,7 @@ def test_hyperovals_meet_every_line_in_0_or_2_points():
 def test_hyperovals_meet_every_tangent_twice():
     for partition in hyperoval_partitions():
         for a in unital_points():
-            tangent = perp_line(a)
+            tangent = polar(a)
             assert len(tangent & partition.oval) == 2
             assert len(tangent & partition.twin) == 2
 

@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import random
 from collections import Counter
@@ -754,6 +755,18 @@ def test_degenerate_searches(n, edges, generators, base, order):
     assert PermutationGroup(n, found).order == order
 
 
+def test_a_search_leaves_no_cyclic_garbage(structure):
+    # the search's state is freed by reference counting when it returns
+    graph = incidence_graph(structure)
+    gc.collect()
+    gc.disable()
+    try:
+        automorphism_generators(graph, [0] * 63 + [1] * 63)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # Schreier-Sims
 
@@ -854,16 +867,8 @@ def test_chains_are_golden(structure):
         assert_base_and_strong_generating_set(group)
 
 
-def test_base_hint_gives_point_stabilizer(aut_generators):
-    group = PermutationGroup(126, aut_generators, base_hint=(0,))
-    assert group.base[0] == 0
-    assert group.order == 12096
-    sizes = group.stabilizer_orbit_sizes(0)
-    assert sum(sizes) == 126
-
-
 @pytest.mark.parametrize(
-    "hint, message",
+    "base, message",
     [
         ((-1,), "base point -1 is not in range"),
         ((7,), "base point 7 is not in range"),
@@ -871,9 +876,9 @@ def test_base_hint_gives_point_stabilizer(aut_generators):
         ((0, 0), "base points repeat"),
     ],
 )
-def test_base_hint_is_validated(hint, message):
+def test_known_base_is_validated(base, message):
     with pytest.raises(ValueError, match=message):
-        PermutationGroup(4, [(1, 0, 2, 3)], base_hint=hint)
+        PermutationGroup(4, Automorphisms([(1, 0, 2, 3)], base, 2))
 
 
 @pytest.mark.parametrize("point", [-1, 7])
@@ -915,19 +920,18 @@ class SeedSchreierSims(PermutationGroup):
 
 @st.composite
 def generator_sets(draw):
-    """Up to four permutations of degree <= 8 and, sometimes, a base hint."""
+    """Up to four permutations of degree <= 8."""
     n = draw(st.integers(1, 8))
     gens = draw(st.lists(st.permutations(range(n)).map(tuple), max_size=4))
-    hint = draw(st.one_of(st.just(()), st.lists(st.integers(0, n - 1), unique=True)))
-    return n, gens, tuple(hint)
+    return n, gens
 
 
 @settings(max_examples=150, deadline=None)
 @given(generator_sets())
 def test_skipped_pairs_leave_the_chain_unchanged(case):
-    n, gens, hint = case
-    group = PermutationGroup(n, gens, base_hint=hint)
-    seed = SeedSchreierSims(n, gens, base_hint=hint)
+    n, gens = case
+    group = PermutationGroup(n, gens)
+    seed = SeedSchreierSims(n, gens)
     assert chain(group) == chain(seed)
     assert group._level_inverses == seed._level_inverses
     assert group.order == closure_order(gens)
@@ -964,8 +968,8 @@ def pair_counts(group):
 @settings(max_examples=150, deadline=None)
 @given(generator_sets())
 def test_each_pair_is_formed_once_per_level(case):
-    n, gens, hint = case
-    group = CountingSchreierSims(n, gens, base_hint=hint)
+    n, gens = case
+    group = CountingSchreierSims(n, gens)
     assert all(formed == pairs for formed, pairs in pair_counts(group))
 
 
@@ -1004,19 +1008,23 @@ class TreeEdgeSchreierSims(PermutationGroup):
 @settings(max_examples=150, deadline=None)
 @given(generator_sets())
 def test_skipped_tree_edges_give_the_identity(case):
-    n, gens, hint = case
-    group = TreeEdgeSchreierSims(n, gens, base_hint=hint)
+    n, gens = case
+    group = TreeEdgeSchreierSims(n, gens)
     assert all(group.tree_edges.values())
     # one tree edge reached each orbit point but the base point
     per_level = Counter(j for j, _, _ in group.tree_edges)
     assert all(per_level[j] == len(t) - 1 for j, t in enumerate(group._transversals))
 
 
+def sympy_group(gens):
+    return SympyGroup([SympyPermutation(list(g)) for g in gens])
+
+
 def sympy_order(gens) -> int:
     """Oracle: the order sympy's own Schreier-Sims gives."""
     if not gens:
         return 1
-    return SympyGroup([SympyPermutation(list(g)) for g in gens]).order()
+    return sympy_group(gens).order()
 
 
 def assert_base_and_strong_generating_set(group):
@@ -1034,30 +1042,50 @@ def assert_base_and_strong_generating_set(group):
 @settings(max_examples=150, deadline=None)
 @given(generator_sets())
 def test_orders_match_sympy(case):
-    n, gens, hint = case
-    group = PermutationGroup(n, gens, base_hint=hint)
+    n, gens = case
+    group = PermutationGroup(n, gens)
     assert group.order == sympy_order(gens)
     assert_base_and_strong_generating_set(group)
 
 
 @settings(max_examples=150, deadline=None)
 @given(generator_sets())
-def test_conjugated_stabilizers_match_a_rebuilt_chain(case):
-    n, gens, hint = case
-    group = PermutationGroup(n, gens, base_hint=hint)
+def test_conjugated_stabilizers_match_sympy(case):
+    n, gens = case
+    group = PermutationGroup(n, gens)
     if not group.base:
         return
     first_orbit = next(o for o in orbits(gens, n) if group.base[0] in o)
     for p in first_orbit:
-        # reference: a chain with p as its first base point, whose second
-        # level is the stabilizer of p as built, not conjugated
-        reference = PermutationGroup(n, gens, base_hint=(p,))
-        level = reference._level_gens[1] if len(reference.base) > 1 else []
+        # reference: sympy's own stabilizer of p
+        reference = [g.array_form for g in sympy_group(gens).stabilizer(p).generators]
         assert group.stabilizer_orbit_sizes(p) == tuple(
-            sorted(len(o) for o in orbits(level, n)))
+            sorted(len(o) for o in orbits(reference, n)))
         conjugated = group.stabilizer_generators(p)
         assert all(g[p] == p and g in group for g in conjugated)
         assert PermutationGroup(n, conjugated).order * len(first_orbit) == group.order
+
+
+def assert_stabilizers_off_the_first_orbit(group, gens):
+    """Each point off the first orbit gets a new chain on (point, *rest of
+    the base): its stabilizer fixes it, lies in the group, has the order
+    sympy gives and the index of the point's orbit."""
+    n = group.degree
+    first_orbit = group._transversals[0] if group.base else {}
+    for p in (p for p in range(n) if p not in first_orbit):
+        stabilizer = group.stabilizer_generators(p)
+        assert all(g[p] == p and g in group for g in stabilizer)
+        orbit = next(o for o in orbits(gens, n) if p in o)
+        order = PermutationGroup(n, stabilizer).order
+        assert order * len(orbit) == group.order
+        assert order == (sympy_group(gens).stabilizer(p).order() if gens else 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_stabilizers_off_the_first_orbit_of_a_plain_list_match_sympy(case):
+    n, gens = case
+    assert_stabilizers_off_the_first_orbit(PermutationGroup(n, gens), gens)
 
 
 def test_hexagon_order_matches_sympy(aut_group):
@@ -1075,13 +1103,7 @@ def test_chains_on_the_search_base_match_sympy(case):
     assert group.base == list(gens.base)
     assert group.order == sympy_order(gens)
     assert_base_and_strong_generating_set(group)
-    # a point off the first orbit gets a new chain on (point, *base)
-    first_orbit = group._transversals[0] if group.base else {}
-    for p in (p for p in range(n) if p not in first_orbit):
-        stabilizer = group.stabilizer_generators(p)
-        assert all(g[p] == p and g in group for g in stabilizer)
-        orbit = next(o for o in orbits(gens, n) if p in o)
-        assert PermutationGroup(n, stabilizer).order * len(orbit) == group.order
+    assert_stabilizers_off_the_first_orbit(group, gens)
 
 
 def test_an_appended_generator_takes_the_general_path(aut_generators):

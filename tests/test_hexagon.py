@@ -16,11 +16,10 @@ from splithex.geometry import (
     exterior_points,
     hyperoval_partitions,
     nonzero_vectors,
-    perp_line,
     point_vectors,
     proj_rep,
+    projective_points,
     self_polar_triangles,
-    span_perp,
     strata_for,
     ti_lines,
     ti_planes,
@@ -710,8 +709,11 @@ def seed_verify_concurrency_witnesses(
         for b in isotropic:
             if hermitian(a, b) != 1:
                 continue
-            perp = span_perp(a, b)
-            if len(perp_line(perp) & partition.oval) != 2:
+            # the one point orthogonal to both, and its polar: the line a, b span
+            perp = next(p for p in projective_points()
+                        if hermitian(p, a) == 0 and hermitian(p, b) == 0)
+            polar = {q for q in projective_points() if hermitian(perp, q) == 0}
+            if len(polar & partition.oval) != 2:
                 continue
             qualifying += 1
             witness = None
