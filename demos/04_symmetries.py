@@ -6,9 +6,11 @@ Schreier-Sims on the search's spine as its base pins the same exact order,
 12096 = 2^6 * 3^3 * 7.  No two lines share all their points and no two
 points lie on the same lines, so restricting to points and to lines gives
 two faithful degree-63 actions of that one group, with its order, without
-building either; both are transitive.  An exhaustive scan finds an element
-whose fixed-point counts differ, so the two permutation characters (hence
-the two representations) are genuinely different.
+building either; both are transitive.  A scan of the generators, then of
+the group's elements, finds an element whose fixed-point counts differ, so
+the two permutation characters (hence the two representations) are
+genuinely different.  A search generator already separates them, so the
+witness does not depend on the chain's base.
 """
 
 import time

@@ -10,6 +10,12 @@ The ladder is one list of ``(name, anchor, fn)`` stages: ``verify`` runs
 backed by a verifier report carries one payload: the ``detail`` of every
 check, plus, when the report fails, a ``failures`` map from each failing
 check to its witness.
+
+Each stage's verdict is a :class:`hexagon.Check` with the payload as its
+witness, and ``verify`` gathers them in a :class:`VerificationReport`: a
+:class:`hexagon.Report` with the version, the pairing and the ``millis``
+sidecar, one stage time per check.  The JSON and text forms read each
+check's anchor by name from the stage table (``ANCHORS``).
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import sys
 import time
 
 from . import __version__
-from ._frozen import Frozen
 from .algebra import to_gf2
 from .geometry import (
     exterior_points,
@@ -42,7 +47,9 @@ from .groups import (
 )
 from .hexagon import (
     DISTANCE_DISTRIBUTION,
+    Check,
     IncidenceStructure,
+    Report,
     build,
     concurrency_graph,
     dual,
@@ -64,45 +71,30 @@ EXPECTED_STRATA_COUNTS = dict(
 )
 
 
-class CheckRecord(Frozen):
-    """One report entry: the claim checked, outcome, payload and timing."""
+class VerificationReport(Report):
+    """The ladder's checks for one pairing, in stage order, and ``millis``,
+    the timing sidecar: each check's time in milliseconds, in check order."""
 
-    _fields = ("name", "anchor", "passed", "witness", "millis")
+    _fields = ("version", "pairing", "checks", "millis")
 
-    def __init__(self, name: str, anchor: str, passed: bool, witness: object = None,
-                 millis: float = 0.0):
-        self.__dict__.update(name=name, anchor=anchor, passed=passed, witness=witness,
+    def __init__(self, version: str, pairing: int, checks: tuple, millis: tuple):
+        self.__dict__.update(version=version, pairing=pairing, checks=checks,
                              millis=millis)
-
-    def to_dict(self) -> dict:
-        out = {"name": self.name, "anchor": self.anchor, "pass": self.passed}
-        if self.witness is not None:
-            out["witness"] = _jsonable(self.witness)
-        out["millis"] = self.millis
-        return out
-
-
-class VerificationReport(Frozen):
-    _fields = ("version", "pairing", "checks")
-
-    def __init__(self, version: str, pairing: int, checks: tuple):
-        self.__dict__.update(version=version, pairing=pairing, checks=checks)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
     @property
     def verdict(self) -> str:
         return "PASS" if self.passed else "FAIL"
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "pairing": self.pairing,
-            "checks": [c.to_dict() for c in self.checks],
-            "verdict": self.verdict,
-        }
+        checks = []
+        for c, millis in zip(self.checks, self.millis, strict=True):
+            out = {"name": c.name, "anchor": ANCHORS[c.name], "pass": c.passed}
+            if c.witness is not None:
+                out["witness"] = _jsonable(c.witness)
+            out["millis"] = millis
+            checks.append(out)
+        return {"version": self.version, "pairing": self.pairing, "checks": checks,
+                "verdict": self.verdict}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -111,7 +103,7 @@ class VerificationReport(Frozen):
         lines = []
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
-            lines.append(f"[{status}] {c.name}: {c.anchor}")
+            lines.append(f"[{status}] {c.name}: {ANCHORS[c.name]}")
             if c.witness is not None:
                 lines.append(f"       {_compact(c.witness)}")
         headline = next(
@@ -173,13 +165,14 @@ def _context(pairing: int) -> dict:
 
 
 def _run_stages(stages, ctx: dict) -> tuple:
-    records = []
-    for name, anchor, fn in stages:
+    """Each stage's check (its payload the witness) and time in ms, in stage order."""
+    checks, millis = [], []
+    for name, _, fn in stages:
         start = time.perf_counter()
         passed, witness = fn(ctx)
-        elapsed = round((time.perf_counter() - start) * 1000.0, 3)
-        records.append(CheckRecord(name, anchor, passed, witness, elapsed))
-    return tuple(records)
+        millis.append(round((time.perf_counter() - start) * 1000.0, 3))
+        checks.append(Check(name, passed, witness=witness))
+    return tuple(checks), tuple(millis)
 
 
 def _payload(report) -> tuple:
@@ -386,14 +379,14 @@ AUT_STAGES = (
      _character_witness),
 )
 
+ANCHORS = {name: anchor for name, anchor, _ in BASE_STAGES + AUT_STAGES}
+
 
 def run_verify(pairing: int = 0, with_aut: bool = False) -> VerificationReport:
     """Run the verification ladder for one hyperoval pairing."""
     stages = BASE_STAGES + AUT_STAGES if with_aut else BASE_STAGES
-    return VerificationReport(
-        version=__version__, pairing=pairing,
-        checks=_run_stages(stages, _context(pairing)),
-    )
+    checks, millis = _run_stages(stages, _context(pairing))
+    return VerificationReport(__version__, pairing, checks, millis)
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +431,12 @@ def collect_pairings() -> list:
 
 
 def collect_aut(pairing: int) -> dict:
-    return _aut_summary(pairing, _run_stages(AUT_STAGES, _context(pairing)))
+    checks, _ = _run_stages(AUT_STAGES, _context(pairing))
+    return _aut_summary(pairing, checks)
 
 
-def _aut_summary(pairing: int, records) -> dict:
-    checks = {c.name: c for c in records}
+def _aut_summary(pairing: int, checks) -> dict:
+    checks = {c.name: c for c in checks}
     actions = checks["induced-actions"].witness
     witness = checks["character-witness"]
     return {
@@ -614,10 +608,9 @@ def main(argv=None) -> int:
         return 0 if all(v["verdict"] == "PASS" for v in verdicts) else 1
 
     if args.command == "aut":
-        records = _run_stages(AUT_STAGES, _context(args.pairing))
-        info = _aut_summary(args.pairing, records)
-        _emit(_render(info, args.format), args.out)
-        return 0 if all(c.passed for c in records) else 1
+        checks, _ = _run_stages(AUT_STAGES, _context(args.pairing))
+        _emit(_render(_aut_summary(args.pairing, checks), args.format), args.out)
+        return 0 if all(c.passed for c in checks) else 1
 
     if args.command == "export":
         structure = build(hyperoval_partitions()[args.pairing])

@@ -68,6 +68,7 @@ Permutations are tuples ``p`` with ``p[i]`` the image of ``i``;
 
 from __future__ import annotations
 
+import itertools
 from operator import itemgetter
 
 from ._frozen import Frozen
@@ -840,18 +841,18 @@ def character_witness(group: PermutationGroup, npts: int):
     """Scan a group for an element with differing fixed-point counts.
 
     The group acts on points then lines: 0..npts-1 are the points, the rest
-    are the lines.  Elements are enumerated in a fixed order and the first
-    separating element is returned; if the scan exhausts the group without
-    finding one, returns None (no certificate -- not a proof of
-    equivalence).
+    are the lines.  The generators are scanned first, in order, and only
+    then the chain's elements, lazily; the first separating element is
+    returned.  If the scan exhausts the group without finding one, returns
+    None (no certificate -- not a proof of equivalence).
 
-    The order is the chain's enumeration order, which follows its base and
-    transversals, so the witness depends on the base: the same generators
-    passed as the search's ``Automorphisms`` (base fixed up front) or as a
-    plain list (base chosen as residues need it) can give different
-    witnesses, each of them valid.
+    A separating generator is found before any element is enumerated, so
+    the witness does not depend on the base: the same generators passed as
+    the search's ``Automorphisms`` (base fixed up front) or as a plain list
+    (base chosen as residues need it) give the same witness whenever one of
+    them separates, as the search's generators do.
     """
-    for g in group.elements():
+    for g in itertools.chain(group.generators, group.elements()):
         fixed_points = sum(1 for i in range(npts) if g[i] == i)
         fixed_lines = sum(1 for i in range(npts, group.degree) if g[i] == i)
         if fixed_points != fixed_lines:

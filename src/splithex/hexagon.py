@@ -434,11 +434,12 @@ def verify_partial_linear_space(structure: IncidenceStructure) -> Report:
     checks.append(Check("line-count", nlines == 63, detail=nlines))
 
     if structure.tags is not None:
-        kinds = {SCALAR: 0, OVAL: 0, TWIN: 0}
-        for tag in structure.tags:
-            kinds[tag.kind] += 1
-        counts = (kinds[SCALAR], kinds[OVAL], kinds[TWIN])
-        checks.append(Check("line-kind-counts", counts == (9, 27, 27), detail=counts))
+        kinds = [tag.kind for tag in structure.tags]
+        counts = tuple(kinds.count(kind) for kind in (SCALAR, OVAL, TWIN))
+        stray = next((i for i, kind in enumerate(kinds)
+                      if kind not in (SCALAR, OVAL, TWIN)), None)
+        ok = stray is None and counts == (9, 27, 27)
+        checks.append(Check("line-kind-counts", ok, witness=stray, detail=counts))
 
     bad_line = next((i for i, L in enumerate(structure.lines) if len(L) != 3), None)
     checks.append(Check("points-per-line", bad_line is None, witness=bad_line, detail=3))

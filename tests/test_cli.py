@@ -23,6 +23,7 @@ from splithex.groups import (
     character_witness,
     induced_actions,
 )
+from splithex.hexagon import Check, Report, verify_generalized_hexagon
 
 
 def test_run_verify_passes_and_has_schema():
@@ -46,6 +47,25 @@ def test_run_verify_passes_and_has_schema():
         "generalized-hexagon",
         "dual-generalized-hexagon",
     ]
+
+
+def test_the_report_is_a_report_of_checks_with_a_timing_sidecar():
+    report = run_verify(pairing=0, with_aut=True)
+    assert isinstance(report, Report)
+    assert all(type(c) is Check for c in report.checks)
+    assert report.failures() == ()
+    assert len(report.millis) == len(report.checks)
+    assert [c["millis"] for c in report.to_dict()["checks"]] == list(report.millis)
+
+
+def test_every_stage_has_one_anchor_in_the_stage_table():
+    stages = cli_module.BASE_STAGES + cli_module.AUT_STAGES
+    names = [name for name, _, _ in stages]
+    assert len(set(names)) == len(names)
+    assert cli_module.ANCHORS == {name: anchor for name, anchor, _ in stages}
+    report = run_verify(pairing=0, with_aut=True)
+    assert [(c["name"], c["anchor"]) for c in report.to_dict()["checks"]] == [
+        (name, anchor) for name, anchor, _ in stages]
 
 
 def test_run_verify_with_aut_adds_group_checks():
@@ -120,21 +140,28 @@ def test_main_verify_json(capsys):
 
 
 def test_main_verify_reports_failure_with_exit_1(monkeypatch, capsys):
+    # a hand-built report: its one check takes its anchor from the stage table
     failing = cli_module.VerificationReport(
         version="0.0.0",
         pairing=0,
-        checks=(
-            cli_module.CheckRecord(
-                name="doomed", anchor="always fails", passed=False
-            ),
-        ),
+        checks=(Check("generalized-hexagon", False, witness={"girth": 10}),),
+        millis=(0.0,),
     )
     monkeypatch.setattr(
         cli_module, "run_verify", lambda pairing=0, with_aut=False: failing
     )
     assert cli_module.main(["verify"]) == 1
     out = capsys.readouterr().out
+    anchor = cli_module.ANCHORS["generalized-hexagon"]
+    assert f"[FAIL] generalized-hexagon: {anchor}" in out
+    assert '{"girth": 10}' in out
+    assert "GH(2,2): FAIL" in out
     assert "verdict: FAIL" in out
+    assert main(["verify", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"] == [{
+        "name": "generalized-hexagon", "anchor": anchor, "pass": False,
+        "witness": {"girth": 10}, "millis": 0.0,
+    }]
 
 
 # sha256 of the indented JSON of each deterministic report; any change to a
@@ -423,7 +450,8 @@ def test_pairings_all_pass():
 @pytest.mark.parametrize("pairing", [0, 1, 2])
 def test_character_witness_stage_matches_certificate(pairing):
     ctx = cli_module._context(pairing)
-    checks = {c.name: c for c in cli_module._run_stages(cli_module.AUT_STAGES, ctx)}
+    checks, _ = cli_module._run_stages(cli_module.AUT_STAGES, ctx)
+    checks = {c.name: c for c in checks}
     structure = ctx["structure"]
     npts = len(structure.points)
     # the joint group rebuilt from the two actions' generators, not the
@@ -469,6 +497,27 @@ def test_main_counts_and_pairings(capsys):
     assert main(["pairings"]) == 0
     out = capsys.readouterr().out
     assert "pairing 0: GH(2,2) PASS" in out
+
+
+def test_main_pairings_reports_a_failing_pairing_with_exit_1(monkeypatch, capsys,
+                                                             corrupted):
+    build = cli_module.build
+    monkeypatch.setattr(cli_module, "build", lambda partition: (
+        corrupted if partition.index == 1 else build(partition)))
+    assert main(["pairings"]) == 1
+    assert capsys.readouterr().out == (
+        "pairing 0: GH(2,2) PASS\n"
+        "pairing 1: GH(2,2) FAIL\n"
+        "pairing 2: GH(2,2) PASS\n"
+    )
+    assert main(["pairings", "--format", "json"]) == 1
+    verdicts = json.loads(capsys.readouterr().out)
+    assert [v["verdict"] for v in verdicts] == ["PASS", "FAIL", "PASS"]
+    failing = {c.name for c in verify_generalized_hexagon(corrupted).failures()}
+    assert failing
+    for v in verdicts:
+        expected = failing if v["pairing"] == 1 else set()
+        assert {name for name, ok in v["checks"].items() if not ok} == expected
 
 
 def test_export_hexagon_json(capsys):

@@ -1236,24 +1236,41 @@ def test_character_witness_exists(aut_group, actions):
     assert witness.on_points + tuple(x + 63 for x in witness.on_lines) in aut_group
 
 
-def test_character_witness_depends_on_the_base():
-    # The witness is the first separating element in the chain's enumeration
-    # order, which follows the base: the search's Automorphisms fix the
-    # base up front, a plain list lets the chain choose it.  Both witnesses
-    # are valid; on relabelled pairing 1 they are different elements.
+def test_character_witness_does_not_depend_on_the_base():
+    # The generators are scanned before the chain's elements, whose order
+    # follows the base.  The search's Automorphisms fix the base up front, a
+    # plain list lets the chain choose it; on relabelled pairing 1 the bases
+    # differ, and scanning the elements alone gave (3, 7) and (0, 1).  A
+    # generator separates, so both give that same witness.
     structure = relabeled(build(hyperoval_partitions()[1]), 2026)
     gens = automorphism_generators(incidence_graph(structure), [0] * 63 + [1] * 63)
-    found = {}
-    for name, generators in (("Automorphisms", gens), ("list", list(gens))):
-        group = PermutationGroup(126, generators)
-        witness = character_witness(group, 63)
-        assert witness.fixed_points != witness.fixed_lines
-        element = witness.on_points + tuple(x + 63 for x in witness.on_lines)
-        assert element in group
-        found[name] = (witness.fixed_points, witness.fixed_lines)
-    # the CLI's witness on pairing 0 as built stays GOLDEN_WITNESS_FIXED
-    # (test_character_witness_exists)
-    assert found == {"Automorphisms": (3, 7), "list": (0, 1)}
+    groups = [PermutationGroup(126, generators) for generators in (gens, list(gens))]
+    assert groups[0].base != groups[1].base
+    witnesses = [character_witness(group, 63) for group in groups]
+    assert witnesses[0] == witnesses[1]
+    witness = witnesses[0]
+    assert witness.fixed_points != witness.fixed_lines
+    element = witness.on_points + tuple(x + 63 for x in witness.on_lines)
+    assert element in list(gens)
+    assert all(element in group for group in groups)
+
+
+@pytest.mark.parametrize("pairing", [0, 1, 2])
+def test_character_witness_is_a_generator(pairing, monkeypatch):
+    # on each pairing as built the first generator separates, with the
+    # golden counts, and the chain's elements are never enumerated
+    structure = build(hyperoval_partitions()[pairing])
+    gens = automorphism_generators(incidence_graph(structure), [0] * 63 + [1] * 63)
+    group = PermutationGroup(126, gens)
+
+    def unenumerated(self):
+        raise AssertionError("an element was enumerated")
+        yield
+
+    monkeypatch.setattr(PermutationGroup, "elements", unenumerated)
+    witness = character_witness(group, 63)
+    assert (witness.fixed_points, witness.fixed_lines) == GOLDEN_WITNESS_FIXED
+    assert witness.on_points + tuple(x + 63 for x in witness.on_lines) == gens[0]
 
 
 def test_identity_fixes_everything(aut_group):

@@ -30,6 +30,7 @@ from splithex.hexagon import (
     TWIN,
     Check,
     Graph,
+    HexLine,
     IncidenceStructure,
     OvalSelectionError,
     Report,
@@ -248,6 +249,17 @@ def test_partial_linear_space_catches_duplicated_line(structure):
     pair_check = next(c for c in report.checks if c.name == "two-points-one-line")
     assert not pair_check.passed
     assert pair_check.witness is not None
+
+
+def test_partial_linear_space_fails_an_unknown_line_kind(structure):
+    tag = structure.tags[0]
+    tags = (HexLine("mystery", tag.points, tag.seed),) + structure.tags[1:]
+    report = verify_partial_linear_space(
+        IncidenceStructure(structure.points, structure.lines, tags))
+    assert [c.name for c in report.failures()] == ["line-kind-counts"]
+    kinds = report.failures()[0]
+    assert kinds.witness == 0
+    assert sum(kinds.detail) == 62  # the other 62 lines are still counted
 
 
 def test_plane_property_passes_for_all_63_points(structure):

@@ -10,7 +10,7 @@ the instance's ``__dict__``.
 import pytest
 
 import splithex.hexagon as hexagon_module
-from splithex.cli import CheckRecord, VerificationReport
+from splithex.cli import VerificationReport
 from splithex.geometry import HyperovalPartition, Strata, hyperoval_partitions, strata_for
 from splithex.groups import CharacterWitness, InducedAction
 from splithex.hexagon import (
@@ -25,13 +25,10 @@ from splithex.hexagon import (
 # class, field names, one value per field, defaults of the trailing fields,
 # and the repr of cls(*values)
 CASES = [
-    (CheckRecord, ("name", "anchor", "passed", "witness", "millis"),
-     ("plane", "Thm 1", True, (1, 2), 3.5), {"witness": None, "millis": 0.0},
-     "CheckRecord(name='plane', anchor='Thm 1', passed=True, witness=(1, 2), "
-     "millis=3.5)"),
-    (VerificationReport, ("version", "pairing", "checks"),
-     ("0.1.0", 1, ("c",)), {},
-     "VerificationReport(version='0.1.0', pairing=1, checks=('c',))"),
+    (VerificationReport, ("version", "pairing", "checks", "millis"),
+     ("0.1.0", 1, ("c",), (3.5,)), {},
+     "VerificationReport(version='0.1.0', pairing=1, checks=('c',), "
+     "millis=(3.5,))"),
     (Strata, ("isotropic", "norm_one", "oval_vectors", "twin_vectors"),
      (frozenset({(0, 0, 1)}), frozenset({(0, 1, 1)}), frozenset(), frozenset({1})),
      {"oval_vectors": None, "twin_vectors": None},
