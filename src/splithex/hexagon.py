@@ -22,14 +22,14 @@ girth rules, so the exact girth costs no second scan.  A graph and a
 structure keep their sweep (``sweep``), and a structure keeps its
 line-concurrency adjacency (``concurrency``), so every caller of
 :func:`concurrency_graph` reads one.  :func:`dual` hands its result the
-structure's index views swapped and its sweep relabelled, since the dual's
-incidence graph is the same with the parts swapped.  The oval and twin
-lines and the plane and concurrency-witness checks work on 6-bit vector
-codes (:func:`geometry.vector_codes`), under which addition is XOR and a
-set of vectors is an int mask.  A point's plane passes when its mask is one
-of the enumerated plane masks, and only another mask is searched for
-witnesses; the concurrency witnesses are read off hermitian-perp masks
-alone.
+structure's index views swapped and its sweep relabelled, one shift per
+sphere mask, since the dual's incidence graph is the same with the parts
+swapped.  The oval and twin lines and the plane and concurrency-witness
+checks work on 6-bit vector codes (:func:`geometry.vector_codes`), under
+which addition is XOR and a set of vectors is an int mask.  A point's
+plane passes when its mask is one of the enumerated plane masks, and only
+another mask is searched for witnesses; the concurrency witnesses are read
+off hermitian-perp masks alone.
 """
 
 from __future__ import annotations
@@ -310,12 +310,13 @@ def sphere_sweep(graph: Graph) -> tuple:
     where U_k(w) is the union of S_{k-1}(u) over the neighbours u of w (a
     vertex at distance k from w is at distance k-1 from the next vertex of
     a geodesic, and a vertex at distance k-1 from a neighbour is at most k
-    from w).  The rounds stop when no ball grows.  Returns ``(spheres,
-    girth)``, where ``spheres[k][v]`` is the bitmask S_k(v) of the vertices
-    at distance exactly k from v (the spheres of the round in which nothing
-    grew are not kept, so the largest finite distance is ``len(spheres) -
-    1``), and ``girth`` is the length of a shortest cycle, or None if the
-    graph is acyclic.
+    from w).  The rounds stop when no ball grows or, once the girth is
+    known, as soon as every ball is the whole vertex set.  Returns
+    ``(spheres, girth)``, where ``spheres[k][v]`` is the bitmask S_k(v) of
+    the vertices at distance exactly k from v (the spheres of a round in
+    which nothing grew are not kept, so the largest finite distance is
+    ``len(spheres) - 1``), and ``girth`` is the length of a shortest cycle,
+    or None if the graph is acyclic.
 
     The girth is exact: it is the first of 2k, 2k+1 (k = 1, 2, ...) at
     which one of these rules fires.
@@ -337,15 +338,20 @@ def sphere_sweep(graph: Graph) -> tuple:
     S_k(w)``; the odd rule of level k-1 is ``once & S_{k-1}(w)`` (an edge
     (u, w) with S_{k-1}(u) & S_{k-1}(w) != 0).  The odd rule is taken
     first, since 2k-1 < 2k; the even rule of level k-1 fired, if at all,
-    in the round before.  The last round, in which nothing grows, still
-    applies the odd rule of the last level kept.  Once the girth is known
-    the rounds only grow the spheres, without the ``twice`` bookkeeping:
-    a line set with one substituted point (hexbench's ``screen-mixed`` FAIL
-    candidates) has girth 4 to 10, so 3 to 9 of its 8 to 11 rounds come
+    in the round before.  While the girth is unknown, a round in which
+    nothing grows is still run, even when every ball is already full, since
+    it applies the odd rule of the last level kept.  Once the girth is
+    known the rounds only grow the spheres, without the ``twice``
+    bookkeeping, and stop when every ball is full without that empty round:
+    the hexagon's 6 rounds end with the one that finds girth 12, and a line
+    set with one substituted point (hexbench's ``screen-mixed`` FAIL
+    candidates) has girth 4 to 10, so 2 to 8 of its 7 to 10 rounds come
     after the girth is known.
     """
     adjacency = graph.adjacency
-    balls = [1 << v for v in range(len(adjacency))]
+    n = len(adjacency)
+    full = (1 << n) - 1
+    balls = [1 << v for v in range(n)]
     spheres = [balls]
     best = None
     while True:
@@ -378,6 +384,8 @@ def sphere_sweep(graph: Graph) -> tuple:
             return spheres, best
         balls = grown
         spheres.append(shell)
+        if best is not None and balls.count(full) == n:
+            return spheres, best
 
 
 def diameter(graph: Graph) -> int:
@@ -427,7 +435,12 @@ def point_graph(structure: IncidenceStructure) -> Graph:
 
 
 def verify_partial_linear_space(structure: IncidenceStructure) -> Report:
-    """Check the order-(2,2) partial linear space axioms, with witnesses."""
+    """Check the order-(2,2) partial linear space axioms, with witnesses.
+
+    Two points on two lines are found on integer keys: each line's
+    ascending index pairs (i, j) from ``incidences`` as i * npts + j.  Only
+    when a key repeats are the lines walked again as point pairs, to name
+    the pair and the first two lines, in order, that hold it."""
     checks = []
     npts, nlines = len(structure.points), len(structure.lines)
     checks.append(Check("point-count", npts == 63, detail=npts))
@@ -450,22 +463,27 @@ def verify_partial_linear_space(structure: IncidenceStructure) -> Report:
         Check("lines-per-point", bad_point is None, witness=bad_point, detail=3)
     )
 
-    pair_witness = None
-    seen_pairs = {}
-    for i, line in enumerate(structure.lines):
-        for pair in combinations(line, 2):
-            key = frozenset(pair)
-            if key in seen_pairs:
-                pair_witness = (tuple(pair), seen_pairs[key], i)
-                break
-            seen_pairs[key] = i
-        if pair_witness:
-            break
+    keys = [i * npts + j for line in structure.incidences
+            for i, j in combinations(line, 2)]
+    pair_witness = _repeated_pair(structure.lines) if len(set(keys)) < len(keys) else None
     checks.append(Check("two-points-one-line", pair_witness is None, witness=pair_witness))
 
     uniform = bad_line is None and bad_point is None
     checks.append(Check("order", uniform, detail=(2, 2) if uniform else None))
     return Report(checks=tuple(checks))
+
+
+def _repeated_pair(lines) -> tuple | None:
+    """(pair, i, j): the first line j, in order, that shares a pair of
+    points with an earlier line i."""
+    seen = {}
+    for j, line in enumerate(lines):
+        for pair in combinations(line, 2):
+            key = frozenset(pair)
+            if key in seen:
+                return tuple(pair), seen[key], j
+            seen[key] = j
+    return None
 
 
 def verify_plane_property(structure: IncidenceStructure) -> Report:
@@ -640,18 +658,26 @@ def dual(structure: IncidenceStructure) -> IncidenceStructure:
     swapped, so it is handed the views it would derive again: its
     ``incidences`` are the structure's ``pencils``, its ``pencils`` the
     structure's ``incidences``, and its ``sweep`` the structure's, swept
-    now if it was not yet.  A structure built by hand from the result's
-    fields derives its own."""
+    now if it was not yet, relabelled.  Dual vertex v is vertex (v + npts)
+    mod n of the structure, and since the incidence graph is bipartite each
+    sphere lies in one part, so each mask moves by one shift: right by
+    npts from the line part, left by the number of lines from the point
+    part.  A structure built by hand from the result's fields derives its
+    own."""
     result = IncidenceStructure(
         points=tuple(range(len(structure.lines))),
         lines=tuple(map(frozenset, structure.pencils)),
     )
     (spheres, girth), npts = structure.sweep, len(structure.points)
-    # Dual vertex v is vertex (v + npts) mod n of the structure: rotate every
-    # sphere list and every mask by npts.
-    low, nlines = (1 << npts) - 1, len(structure.lines)
-    rotated = [[(m >> npts) | ((m & low) << nlines) for m in layer[npts:] + layer[:npts]]
-               for layer in spheres]
+    nlines = len(structure.lines)
+    rotated = []
+    for k, layer in enumerate(spheres):
+        if k % 2:  # a line's sphere holds points, a point's holds lines
+            rotated.append([m << nlines for m in layer[npts:]]
+                           + [m >> npts for m in layer[:npts]])
+        else:
+            rotated.append([m >> npts for m in layer[npts:]]
+                           + [m << nlines for m in layer[:npts]])
     result.__dict__.update(incidences=structure.pencils, pencils=structure.incidences,
                            sweep=(rotated, girth))
     return result

@@ -473,6 +473,18 @@ C7_AND_C8 = Graph.from_edges(15, _cycle(list(range(7))) + _cycle(list(range(7, 1
 C4_AND_C5_ON_AN_EDGE = Graph.from_edges(
     7, _cycle([0, 1, 2, 3]) + [(1, 4), (4, 5), (5, 6), (6, 0)])
 K4 = Graph.from_edges(4, list(combinations(range(4), 2)))
+# Graphs that pin where the sweep stops.  Once the girth is known it stops as
+# soon as every ball is the whole graph.  A C6's balls fill in the round its
+# girth is found, so it stops there.  A C5's balls fill before the odd rule of
+# its last level is applied, so a sweep that stopped on full balls before the
+# girth is known would miss it.  A triangle with a two-edge tail fills the
+# ball of the tail's root two rounds before the tail's end, and a cycle
+# beside an isolated vertex never fills a ball; a path is acyclic.
+C6 = Graph.from_edges(6, _cycle(list(range(6))))
+C5 = Graph.from_edges(5, _cycle(list(range(5))))
+TRIANGLE_WITH_A_TAIL = Graph.from_edges(5, _cycle([0, 1, 2]) + [(2, 3), (3, 4)])
+C4_AND_A_POINT = Graph.from_edges(5, _cycle([0, 1, 2, 3]))
+PATH = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
 
 @settings(max_examples=400, deadline=None)
@@ -483,6 +495,11 @@ K4 = Graph.from_edges(4, list(combinations(range(4), 2)))
 @example(C7_AND_C8)
 @example(C4_AND_C5_ON_AN_EDGE)
 @example(K4)
+@example(C6)
+@example(C5)
+@example(TRIANGLE_WITH_A_TAIL)
+@example(C4_AND_A_POINT)
+@example(PATH)
 def test_sphere_sweep_matches_seed_sweep(graph):
     rows, seed_girth = seed_bfs_sweep(graph)
     spheres, best = sphere_sweep(graph)
@@ -821,6 +838,105 @@ def test_plane_kernel_names_the_first_point_that_is_not_a_vector(structure):
         points = structure.points[:5] + (bad,) + structure.points[6:]
         with pytest.raises(ValueError, match=re.escape(f"point {bad!r} is not a")):
             verify_plane_property(IncidenceStructure(points, ()))
+
+
+def seed_verify_partial_linear_space(structure: IncidenceStructure) -> Report:
+    checks = []
+    npts, nlines = len(structure.points), len(structure.lines)
+    checks.append(Check("point-count", npts == 63, detail=npts))
+    checks.append(Check("line-count", nlines == 63, detail=nlines))
+
+    if structure.tags is not None:
+        kinds = [tag.kind for tag in structure.tags]
+        counts = tuple(kinds.count(kind) for kind in (SCALAR, OVAL, TWIN))
+        stray = next((i for i, kind in enumerate(kinds)
+                      if kind not in (SCALAR, OVAL, TWIN)), None)
+        ok = stray is None and counts == (9, 27, 27)
+        checks.append(Check("line-kind-counts", ok, witness=stray, detail=counts))
+
+    bad_line = next((i for i, L in enumerate(structure.lines) if len(L) != 3), None)
+    checks.append(Check("points-per-line", bad_line is None, witness=bad_line, detail=3))
+
+    bad_point = next((p for p, pencil in zip(structure.points, structure.pencils)
+                      if len(pencil) != 3), None)
+    checks.append(
+        Check("lines-per-point", bad_point is None, witness=bad_point, detail=3)
+    )
+
+    pair_witness = None
+    seen_pairs = {}
+    for i, line in enumerate(structure.lines):
+        for pair in combinations(line, 2):
+            key = frozenset(pair)
+            if key in seen_pairs:
+                pair_witness = (tuple(pair), seen_pairs[key], i)
+                break
+            seen_pairs[key] = i
+        if pair_witness:
+            break
+    checks.append(Check("two-points-one-line", pair_witness is None, witness=pair_witness))
+
+    uniform = bad_line is None and bad_point is None
+    checks.append(Check("order", uniform, detail=(2, 2) if uniform else None))
+    return Report(checks=tuple(checks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_sets())
+def test_partial_linear_space_kernel_matches_seed(structure):
+    assert verify_partial_linear_space(structure) == \
+        seed_verify_partial_linear_space(structure)
+
+
+def _pair_check(report):
+    return next(c for c in report.checks if c.name == "two-points-one-line")
+
+
+@pytest.mark.parametrize("case", ["repeated-pair", "duplicated-line", "four-point-line"])
+def test_partial_linear_space_names_the_pair_like_the_seed(structure, case):
+    lines = list(structure.lines)
+    first = sorted(lines[1], key=structure.points.index)
+    if case == "repeated-pair":
+        # line 5 keeps two points of line 1 and one of its own
+        own = min(lines[5] - lines[1], key=structure.points.index)
+        lines[5] = frozenset(first[:2]) | {own}
+    elif case == "duplicated-line":
+        lines.append(lines[1])
+    else:
+        # line 1 gains a point collinear with one of its own, on another line
+        other = lines[structure.pencils[structure.points.index(first[0])][-1]]
+        lines[1] = lines[1] | {min(other - lines[1], key=structure.points.index)}
+    s = IncidenceStructure(structure.points, tuple(lines), structure.tags)
+    report = verify_partial_linear_space(s)
+    assert report == seed_verify_partial_linear_space(s)
+    pair, i, j = _pair_check(report).witness
+    assert i < j and set(pair) <= lines[i] & lines[j]
+    if case == "four-point-line":
+        assert 1 in (i, j)
+        assert next(c for c in report.checks if c.name == "points-per-line").witness == 1
+
+
+@st.composite
+def sparse_line_sets(draw):
+    """:func:`line_sets` with some lines dropped and perhaps an empty line
+    added, so the point and line counts differ and some points are on no
+    line."""
+    s = draw(line_sets())
+    drop = draw(st.sets(st.integers(0, max(len(s.lines) - 1, 0))))
+    lines = [line for i, line in enumerate(s.lines) if i not in drop]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), frozenset())
+    return IncidenceStructure(s.points, tuple(lines))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(line_sets(), sparse_line_sets()))
+def test_the_dual_sweep_is_the_hand_built_duals(structure):
+    # S_k(v) lies in v's own part for even k and in the other part for odd
+    # k, so dual() moves each sphere mask with one shift
+    d = dual(structure)
+    assert d.sweep == sphere_sweep(incidence_graph(IncidenceStructure(d.points, d.lines)))
+    assert dual(d).sweep == structure.sweep
 
 
 EXTERIOR = sorted(exterior_points(), key=to_gf2)
