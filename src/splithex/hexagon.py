@@ -21,7 +21,13 @@ the round before, and the same pass over the neighbours applies the two
 girth rules, so the exact girth costs no second scan.  A graph and a
 structure keep their sweep (``sweep``), and a structure keeps its
 line-concurrency adjacency (``concurrency``), so every caller of
-:func:`concurrency_graph` reads one.  :func:`dual` hands its result the
+:func:`concurrency_graph` reads one.  A structure also keeps the reports of
+:func:`verify_partial_linear_space` and :func:`verify_plane_property`, so
+:func:`verify_generalized_hexagon` and
+:func:`verify_classification_hypotheses` read the ones a caller already
+has, and the concurrency witnesses, which depend on the pairing alone, are
+scanned once per pairing (:func:`_witness_scan`); only their hermitian
+cross-check runs on every call.  :func:`dual` hands its result the
 structure's index views swapped and its sweep relabelled, one shift per
 sphere mask, since the dual's incidence graph is the same with the parts
 swapped.  The oval and twin lines and the plane and concurrency-witness
@@ -35,7 +41,7 @@ off hermitian-perp masks alone.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 from ._frozen import Frozen
@@ -85,9 +91,11 @@ class IncidenceStructure(Frozen):
     The incidences are indexed once per instance, in two views that every
     graph builder and verifier reads: ``incidences`` and ``pencils``.  Three
     more views hold the incidence graph (``adjacency``), its distance sweep
-    (``sweep``) and the line-concurrency graph (``concurrency``).  The views
-    are cached properties, kept in the instance's ``__dict__``, where
-    :func:`dual` puts the ones it hands over.
+    (``sweep``) and the line-concurrency graph (``concurrency``), and two
+    hold the reports of the verifiers that read only the structure
+    (``partial_linear_space`` and ``plane_property``).  The views are cached
+    properties, kept in the instance's ``__dict__``, where :func:`dual` puts
+    the ones it hands over; it hands over no report.
     """
 
     _fields = ("points", "lines", "tags")
@@ -141,6 +149,16 @@ class IncidenceStructure(Frozen):
     def sweep(self) -> tuple:
         """:func:`sphere_sweep` of the incidence graph: (spheres, girth)."""
         return sphere_sweep(Graph(adjacency=self.adjacency))
+
+    @cached_property
+    def partial_linear_space(self) -> Report:
+        """The report of :func:`verify_partial_linear_space`."""
+        return _partial_linear_space(self)
+
+    @cached_property
+    def plane_property(self) -> Report:
+        """The report of :func:`verify_plane_property`."""
+        return _plane_property(self)
 
 
 class Check(Frozen):
@@ -310,8 +328,11 @@ def sphere_sweep(graph: Graph) -> tuple:
     where U_k(w) is the union of S_{k-1}(u) over the neighbours u of w (a
     vertex at distance k from w is at distance k-1 from the next vertex of
     a geodesic, and a vertex at distance k-1 from a neighbour is at most k
-    from w).  The rounds stop when no ball grows or, once the girth is
-    known, as soon as every ball is the whole vertex set.  Returns
+    from w).  What is kept of a ball is its complement R_k(w), the vertices
+    not yet reached: S_k(w) = U_k(w) & R_{k-1}(w) and R_k(w) = R_{k-1}(w) ^
+    S_k(w), two operations where the ball took three.  The rounds stop when
+    no ball grows or, once the girth is known, as soon as every ball is the
+    whole vertex set (every complement is empty).  Returns
     ``(spheres, girth)``, where ``spheres[k][v]`` is the bitmask S_k(v) of
     the vertices at distance exactly k from v (the spheres of a round in
     which nothing grew are not kept, so the largest finite distance is
@@ -333,12 +354,14 @@ def sphere_sweep(graph: Graph) -> tuple:
     opposite a vertex.
 
     Round k reads both rules off the same pass over the neighbours that
-    forms U_k(w): ``once`` = U_k(w) and ``twice``, the vertices in S_{k-1}
-    of at least two neighbours.  The even rule of level k is ``twice &
-    S_k(w)``; the odd rule of level k-1 is ``once & S_{k-1}(w)`` (an edge
-    (u, w) with S_{k-1}(u) & S_{k-1}(w) != 0).  The odd rule is taken
-    first, since 2k-1 < 2k; the even rule of level k-1 fired, if at all,
-    in the round before.  While the girth is unknown, a round in which
+    forms U_k(w): ``once`` = U_k(w), which starts as the first nonempty
+    neighbour sphere rather than as 0, and ``twice``, the vertices in
+    S_{k-1} of at least two neighbours.  The even rule of level k is
+    ``twice & S_k(w)``; the odd rule of level k-1 is ``once & S_{k-1}(w)``
+    (an edge (u, w) with S_{k-1}(u) & S_{k-1}(w) != 0).  Each rule is
+    tested for truth at each vertex, not ORed into a mask.  The odd rule is
+    taken first, since 2k-1 < 2k; the even rule of level k-1 fired, if at
+    all, in the round before.  While the girth is unknown, a round in which
     nothing grows is still run, even when every ball is already full, since
     it applies the odd rule of the last level kept.  Once the girth is
     known the rounds only grow the spheres, without the ``twice``
@@ -350,24 +373,29 @@ def sphere_sweep(graph: Graph) -> tuple:
     """
     adjacency = graph.adjacency
     n = len(adjacency)
-    full = (1 << n) - 1
-    balls = [1 << v for v in range(n)]
-    spheres = [balls]
+    rests = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
+    spheres = [[1 << v for v in range(n)]]
     best = None
     while True:
         inner = spheres[-1]
-        grown, shell = [], []
+        left, shell = [], []
         if best is None:
-            odd = even = 0
-            for ball, s, nbrs in zip(balls, inner, adjacency):
+            odd = even = False
+            for rest, s, nbrs in zip(rests, inner, adjacency):
                 once = twice = 0
                 for u in nbrs:
-                    twice |= once & inner[u]
-                    once |= inner[u]
-                new = once & ~ball
-                odd |= once & s
-                even |= twice & new
-                grown.append(ball | once)
+                    x = inner[u]
+                    if once:
+                        twice |= once & x
+                        once |= x
+                    else:
+                        once = x
+                new = once & rest
+                if once & s:
+                    odd = True
+                if twice & new:
+                    even = True
+                left.append(rest ^ new)
                 shell.append(new)
             k = len(spheres)
             if odd:
@@ -375,16 +403,18 @@ def sphere_sweep(graph: Graph) -> tuple:
             elif even:
                 best = 2 * k
         else:
-            for ball, nbrs in zip(balls, adjacency):
+            for rest, nbrs in zip(rests, adjacency):
+                once = 0
                 for u in nbrs:
-                    ball |= inner[u]
-                grown.append(ball)
-            shell = [new & ~old for new, old in zip(grown, balls)]
+                    once |= inner[u]
+                new = once & rest
+                left.append(rest ^ new)
+                shell.append(new)
         if not any(shell):
             return spheres, best
-        balls = grown
+        rests = left
         spheres.append(shell)
-        if best is not None and balls.count(full) == n:
+        if best is not None and not any(rests):
             return spheres, best
 
 
@@ -440,7 +470,16 @@ def verify_partial_linear_space(structure: IncidenceStructure) -> Report:
     Two points on two lines are found on integer keys: each line's
     ascending index pairs (i, j) from ``incidences`` as i * npts + j.  Only
     when a key repeats are the lines walked again as point pairs, to name
-    the pair and the first two lines, in order, that hold it."""
+    the pair and the first two lines, in order, that hold it.
+
+    The report is kept on the structure (``partial_linear_space``), so the
+    checks run once per instance however often this is called, for
+    instance once more inside :func:`verify_generalized_hexagon`; the
+    same object is returned each time."""
+    return structure.partial_linear_space
+
+
+def _partial_linear_space(structure: IncidenceStructure) -> Report:
     checks = []
     npts, nlines = len(structure.points), len(structure.lines)
     checks.append(Check("point-count", npts == 63, detail=npts))
@@ -498,7 +537,15 @@ def verify_plane_property(structure: IncidenceStructure) -> Report:
     any other is tested for witnesses: size first, then closure (the XOR of
     every two members is a member) and orthogonality (each member's
     symplectic perp covers the union).  Raises ValueError if a point is not
-    a nonzero GF(4) triple."""
+    a nonzero GF(4) triple.
+
+    The report is kept on the structure (``plane_property``), like that of
+    :func:`verify_partial_linear_space`, so
+    :func:`verify_classification_hypotheses` reads the same object."""
+    return structure.plane_property
+
+
+def _plane_property(structure: IncidenceStructure) -> Report:
     code, perps, known_planes = vector_codes(), perp_masks(), ti_plane_masks()
     bits = []
     for p in structure.points:
@@ -543,47 +590,57 @@ def verify_concurrency_witnesses(
     and [u+b] again over the hyperoval.  Such a u puts the oval lines of a
     and b on a common point.
 
+    The pairs and their witnesses depend on the pairing alone and are found
+    once per (isotropic stratum, oval half, hyperoval) by
+    :func:`_witness_scan`.  Each call still tests every witness against a
+    and b with :func:`algebra.hermitian`, a route independent of the scan's
+    perp masks."""
+    if strata.oval_vectors is None:
+        raise ValueError("strata carry no hyperoval selection")
+    scan = _witness_scan(strata.isotropic, strata.oval_vectors, partition.oval)
+    failures = [(a, b) for a, b, witness in scan if witness is None]
+    nonorthogonal = [(a, b, witness) for a, b, witness in scan if witness is not None
+                     and (hermitian(a, witness) != 0 or hermitian(b, witness) != 0)]
+    checks = (
+        Check("qualifying-pairs-have-witness", not failures,
+              witness=failures or None, detail=len(scan)),
+        Check("witnesses-orthogonal-to-both", not nonorthogonal,
+              witness=nonorthogonal or None),
+    )
+    return Report(checks=checks)
+
+
+@cache
+def _witness_scan(isotropic: frozenset, oval_vectors: frozenset,
+                  oval: frozenset) -> tuple:
+    """The qualifying pairs of :func:`verify_concurrency_witnesses` as
+    ``(a, b, u)`` triples, in the order of
+    :func:`geometry.hermitian_unit_pairs`, where u is the pair's first
+    witness in code order, or None if it has none.  Cached like
+    ``hermitian_unit_pairs``: the arguments are the frozensets the scan
+    reads, so an equal pairing hits the cache.
+
     The scan reads only masks over the vector codes, with the hermitian
     perps of :func:`geometry.hermitian_perp_masks`: since hermitian(a, b)
     = 1, a and b are independent, the vectors orthogonal to both are the
     three of one projective point n, and the line a and b span is the perp
     of n.  That line meets the hyperoval twice when it holds six vectors
-    over the partition's oval points.  The candidates u are the vectors of
-    n among ``strata.oval_vectors``, and u+a (code code(u) ^ code(a)) and
-    u+b are tested against the vectors over the partition's oval points.
-    The pairs come from the cached :func:`geometry.hermitian_unit_pairs`
-    table of the isotropic stratum."""
-    oval_vecs = strata.oval_vectors
-    if oval_vecs is None:
-        raise ValueError("strata carry no hyperoval selection")
+    over the oval points.  The candidates u are the vectors of n among
+    ``oval_vectors``, and u+a (code code(u) ^ code(a)) and u+b are tested
+    against the vectors over the oval points."""
     code, vec, hperp = vector_codes(), code_vectors(), hermitian_perp_masks()
-    half = vector_mask(oval_vecs)
-    oval = vector_mask(frozenset(v for p in partition.oval for v in point_vectors(p)))
-    qualifying = 0
-    failures = []
-    nonorthogonal = []
-    for a, b in hermitian_unit_pairs(strata.isotropic):
+    half = vector_mask(oval_vectors)
+    over = vector_mask(frozenset(v for p in oval for v in point_vectors(p)))
+    triples = []
+    for a, b in hermitian_unit_pairs(isotropic):
         ca, cb = code[a], code[b]
         point = hperp[ca] & hperp[cb]
-        if (hperp[(point & -point).bit_length() - 1] & oval).bit_count() != 6:
+        if (hperp[(point & -point).bit_length() - 1] & over).bit_count() != 6:
             continue
-        qualifying += 1
-        witness = None
-        for u in mask_codes(point & half):
-            if oval >> (u ^ ca) & 1 and oval >> (u ^ cb) & 1:
-                witness = vec[u]
-                break
-        if witness is None:
-            failures.append((a, b))
-        elif hermitian(a, witness) != 0 or hermitian(b, witness) != 0:
-            nonorthogonal.append((a, b, witness))
-    checks = (
-        Check("qualifying-pairs-have-witness", not failures,
-              witness=failures or None, detail=qualifying),
-        Check("witnesses-orthogonal-to-both", not nonorthogonal,
-              witness=nonorthogonal or None),
-    )
-    return Report(checks=checks)
+        witness = next((vec[u] for u in mask_codes(point & half)
+                        if over >> (u ^ ca) & 1 and over >> (u ^ cb) & 1), None)
+        triples.append((a, b, witness))
+    return tuple(triples)
 
 
 def verify_generalized_hexagon(structure: IncidenceStructure) -> Report:
@@ -591,7 +648,8 @@ def verify_generalized_hexagon(structure: IncidenceStructure) -> Report:
     incidence graph has diameter 6 and girth 12.  Also records the point
     distance distribution, which must be (1, 6, 24, 32) from every point.
     All three are read off the structure's ``sweep``, which :func:`dual`
-    hands over relabelled."""
+    hands over relabelled; the axioms are the structure's kept
+    :func:`verify_partial_linear_space` report."""
     pls = verify_partial_linear_space(structure)
     graph = incidence_graph(structure)
     checks = [
@@ -637,7 +695,8 @@ def verify_classification_hypotheses(structure: IncidenceStructure) -> Report:
     known to define the split Cayley hexagon of order 2: every point lies on
     3 lines whose union spans a plane, and the concurrency graph of the line
     set is connected.  Hypotheses only; the hexagon conclusion is verified
-    independently by the generalized-hexagon check."""
+    independently by the generalized-hexagon check.  The planes are the
+    structure's kept :func:`verify_plane_property` report."""
     planes = verify_plane_property(structure)
     connected = is_connected(concurrency_graph(structure))
     checks = (

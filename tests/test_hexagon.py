@@ -989,6 +989,69 @@ def test_mixed_halves_fail_with_witnesses():
     assert report.failures()[0].witness
 
 
+def test_the_witness_scan_is_kept_and_the_cross_check_is_not(monkeypatch):
+    partition = hyperoval_partitions()[1]
+    strata = strata_for(partition)
+    key = (strata.isotropic, strata.oval_vectors, partition.oval)
+    first = verify_concurrency_witnesses(strata, partition)
+    scan = hexagon_module._witness_scan(*key)
+    assert verify_concurrency_witnesses(strata, partition) == first
+    assert hexagon_module._witness_scan(*key) is scan
+    assert len(scan) == GOLDEN_QUALIFYING_PAIRS
+    assert all(witness is not None for _, _, witness in scan)
+    # a form that makes no witness orthogonal: the kept scan is read again,
+    # and every one of its triples fails the cross-check
+    called = []
+
+    def skewed(u, v):
+        called.append((u, v))
+        return 1
+
+    monkeypatch.setattr(hexagon_module, "hermitian", skewed)
+    report = verify_concurrency_witnesses(strata, partition)
+    assert hexagon_module._witness_scan(*key) is scan
+    assert {c.name: c.witness for c in report.failures()} == {
+        "witnesses-orthogonal-to-both": list(scan)}
+    assert called == [(a, witness) for a, _, witness in scan]
+
+
+def test_a_structure_runs_each_screening_kernel_once(structure, monkeypatch):
+    runs = []
+    for name in ("_partial_linear_space", "_plane_property"):
+        kernel = getattr(hexagon_module, name)
+
+        def counted(s, name=name, kernel=kernel):
+            runs.append((name, s))
+            return kernel(s)
+
+        monkeypatch.setattr(hexagon_module, name, counted)
+    s = IncidenceStructure(structure.points, structure.lines, structure.tags)
+    shown = (repr(s), hash(s))
+    # the screen: axioms, planes, the verdict, the hypotheses, the dual's verdict
+    axioms = verify_partial_linear_space(s)
+    planes = verify_plane_property(s)
+    assert verify_generalized_hexagon(s).passed
+    assert verify_classification_hypotheses(s).passed
+    d = dual(s)
+    assert "partial_linear_space" not in d.__dict__
+    assert verify_generalized_hexagon(d).passed
+    assert [name for name, _ in runs] == [
+        "_partial_linear_space", "_plane_property", "_partial_linear_space"]
+    assert runs[0][1] is s and runs[1][1] is s and runs[2][1] is d
+    assert verify_partial_linear_space(s) is axioms is s.__dict__["partial_linear_space"]
+    assert verify_plane_property(s) is planes is s.__dict__["plane_property"]
+    # an equal structure built apart keeps reports of its own
+    other = IncidenceStructure(s.points, s.lines, s.tags)
+    assert verify_partial_linear_space(other) == axioms
+    assert verify_partial_linear_space(other) is not axioms
+    assert verify_plane_property(other) == planes
+    assert [name for name, _ in runs[3:]] == ["_partial_linear_space", "_plane_property"]
+    assert all(x is other for _, x in runs[3:])
+    # the reports are not fields: equality, hash and repr ignore them
+    assert (repr(s), hash(s)) == shown
+    assert other == s and hash(other) == hash(s) and repr(other) == repr(s)
+
+
 # ---------------------------------------------------------------------------
 # one sweep for a structure and its dual
 
