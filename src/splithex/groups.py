@@ -8,13 +8,16 @@ refined :class:`Partition`, and each child refines a copy with its vertex
 split off, so no node rebuilds its classes from a flat coloring.  The
 partition is equitable before a vertex is split off, so the first
 refinement round after it re-examines only the classes of that vertex's
-neighbours.  Candidate automorphisms are read off discrete partitions by
-comparison with the first leaf; discovered automorphisms prune later
-branches by orbits, kept in a union-find per node that merges only what
-each new automorphism adds.  An off-spine node whose partition shape (its
-sorted class starts) differs from the first path's at the same depth holds
-no automorphism below it and is abandoned (McKay-Piperno 2014 compare a
-node's invariant with the first path's in the same way).
+neighbours.  A round signs (sorts the neighbour colors of) only the
+vertices next to a part split off in the round before, and one other member
+per class, which stands for the rest of its class.  Candidate automorphisms
+are read off discrete partitions by comparison with the first leaf;
+discovered automorphisms prune later branches by orbits, kept in a
+union-find per node that merges only what each new automorphism adds.  An
+off-spine node whose partition shape (its sorted class starts) differs from
+the first path's at the same depth holds no automorphism below it and is
+abandoned (McKay-Piperno 2014 compare a node's invariant with the first
+path's in the same way).
 
 The leaves one level below the spine's last node, and below each node at
 its depth with its shape, are read by propagation instead of refined: an
@@ -40,10 +43,12 @@ base and strong generating set; the order is the product of the fundamental
 orbit lengths.  On generators from the search, the spine is the base, fixed
 up front (Seress, *Permutation Group Algorithms*, ch. 4-5, on a known
 base): a Schreier generator u_x s u_{s(x)}^-1 lies in the group, so it is
-sifted by its images of the later base points only, three lookups per base
-point and one transversal inverse per level, and a residue that fixes the
-whole base is the identity and is dropped without being built.  Only a
-residue that moves a base point becomes a permutation.  A plain generator
+sifted by its images of the later base points only.  u_x's images are read
+once per orbit point, so a pair costs two lookups per base point and one
+transversal inverse per level, and a Schreier generator whose images strip
+to the base fixes the whole base, is the identity and is dropped without
+being built.  Only one that moves a base point becomes a permutation and is
+inserted, like an input generator.  A plain generator
 list takes the general path from an empty base, which appends a base point
 for each residue that fixes the base so far and strips whole permutations,
 as membership tests always do.  Each transversal carries the inverse of
@@ -201,6 +206,19 @@ def refine(graph: Graph, coloring, individualized=None):
     one part split off, so the first round re-examines only the classes of
     v's neighbours; it splits the same classes, and the result and the
     number of rounds are those of a first round over every class.
+
+    A round signs only the touched members of a class it re-examines, the
+    vertices with a neighbour in a part split off in the round before (in
+    the first round, v's neighbours, or every vertex if there is no v),
+    and one untouched member, if any, for all the others.  Every member
+    of a class had one signature in the round before.  An untouched
+    member's neighbours lie in classes that did not split or in the
+    largest part of a split class, and each of those has one color now,
+    though it may have moved; so the untouched members share one new
+    signature.  A touched member sees the color of a part split off, where
+    no untouched member has a neighbour, so its signature is not theirs:
+    the parts are those of signing every member, each still ascending, and
+    are laid out in the same order.
     """
     if isinstance(coloring, Partition):
         _refine(graph, coloring, individualized)
@@ -218,20 +236,29 @@ def _refine(graph: Graph, partition: Partition, individualized) -> int:
                                   partition.cls, partition.color)
     color_of = color.__getitem__
     if individualized is None:
+        touched = range(len(cls))
         stale = range(len(members))
     else:
+        touched = set(adjacency[individualized])
         stale = {cls[w] for w in adjacency[individualized]}
     rounds = 0
     while True:
         rounds += 1
         split = {}  # class id -> its parts in signature order
         for c in stale:
-            if len(members[c]) == 1:
+            cell = members[c]
+            if len(cell) == 1:
                 continue
             parts = {}
-            for v in members[c]:
-                key = tuple(sorted(map(color_of, adjacency[v])))
-                parts.setdefault(key, []).append(v)
+            rest = []  # the untouched members, which share one signature
+            for v in cell:
+                if v in touched:
+                    key = tuple(sorted(map(color_of, adjacency[v])))
+                    parts.setdefault(key, []).append(v)
+                else:
+                    rest.append(v)
+            if rest:
+                parts[tuple(sorted(map(color_of, adjacency[rest[0]])))] = rest
             if len(parts) > 1:
                 split[c] = [parts[key] for key in sorted(parts)]
         if not split:
@@ -572,7 +599,9 @@ class PermutationGroup:
             for b in _checked_points(generators.base, degree):
                 self._append_level(b)
         for g in self.generators:
-            self._add((g,), 0)
+            if not (self._known_base and self._strips_to_base(
+                    [g[b] for b in self.base], 0)):
+                self._add((g,), 0)
         del self._sifted, self._tree_edges
 
     def _checked(self, g) -> Permutation:
@@ -611,28 +640,27 @@ class PermutationGroup:
                     tree_edges.add((x, k))
                     walk.append(y)
 
-    def _strip(self, word, start: int, by_images: bool):
+    def _strips_to_base(self, images, start: int) -> bool:
+        """Do ``images``, a group element's images of ``base[start:]``, strip
+        through the levels from ``start`` to those base points themselves?
+
+        Each level's transversal inverse takes the first image back to its
+        base point, and only the later images are carried on.  The base must
+        be a base of the group: then an element whose images strip to the
+        base fixes it and is the identity.
+        """
+        for inverses in self._transversal_inverses[start:]:
+            u_inv = inverses.get(images[0])
+            if u_inv is None:
+                return False
+            images = [u_inv[y] for y in images[1:]]
+        return True
+
+    def _strip(self, word, start: int):
         """Strip the product of ``word`` (permutations applied in turn)
         through the levels from ``start``: the residue, and the level whose
-        orbit misses its image of the base point (``len(base)`` if none).
-
-        With ``by_images`` the product must lie in the group, and the base
-        must be a base of it: then only its images of the base points are
-        stripped, one transversal inverse per level, and a product whose
-        images strip to the base itself is the identity and is not built.
-        """
+        orbit misses its image of the base point (``len(base)`` if none)."""
         base = self.base
-        if by_images:
-            images = base[start:]
-            for p in word:
-                images = [p[b] for b in images]
-            for inverses in self._transversal_inverses[start:]:
-                u_inv = inverses.get(images[0])
-                if u_inv is None:
-                    break
-                images = [u_inv[y] for y in images[1:]]
-            else:
-                return self._identity, len(base)
         g = word[0]
         for p in word[1:]:
             g = compose(g, p)
@@ -646,9 +674,10 @@ class PermutationGroup:
     def _add(self, word, start: int) -> None:
         # Sift the product of word into the levels from start.  With
         # start == len(base) there is no level to strip through: the
-        # product is the identity or opens a new level, which on a known
-        # base it cannot.
-        h, level = self._strip(word, start, self._known_base)
+        # product is the identity or opens a new level.  On a known base
+        # only products whose base images do not strip to the base come
+        # here, so the residue is never the identity and opens no level.
+        h, level = self._strip(word, start)
         if h == self._identity:
             return
         if level == len(self.base):
@@ -664,25 +693,43 @@ class PermutationGroup:
             self._sift_schreier_generators(j)
 
     def _sift_schreier_generators(self, j: int) -> None:
-        # A pair (x, s) sifted by an earlier complete sift of this level gave
-        # the same Schreier generator it would give now, and that generator
-        # lies in <level_gens[j + 1]>, which only grows: only pairs with a
-        # new orbit point or a new strong generator are formed.  Nor are
-        # tree edges (Seress, ch. 4.1): u_{s(x)} was made as u_x s, so their
-        # Schreier generator is the identity.
+        """Sift the Schreier generators of level j into the levels below.
+
+        A pair (x, s) sifted by an earlier complete sift of this level gave
+        the same Schreier generator it would give now, and that generator
+        lies in <level_gens[j + 1]>, which only grows: only pairs with a
+        new orbit point or a new strong generator are formed.  Nor are
+        tree edges (Seress, ch. 4.1): u_{s(x)} was made as u_x s, so their
+        Schreier generator is the identity.
+
+        On a known base the Schreier generator u_x s v, with v the inverse
+        of u_{s(x)}, lies in the group, so it is sifted by its images
+        v[s[u_x[b]]] of the later base points b, with u_x's images read
+        once per orbit point, and is dropped when they strip to the base
+        (:meth:`_strips_to_base`).  Only one that moves a base point goes
+        to :meth:`_add` as the word (u_x, s, v), which builds and strips the
+        whole permutation.  Otherwise every pair goes to :meth:`_add`.
+        """
         transversal = self._transversals[j]
         inverses = self._transversal_inverses[j]
         tree_edges = self._tree_edges[j]
         gens = self._level_gens[j]
+        later = self.base[j + 1:] if self._known_base else None
         sifted_points, sifted_gens = self._sifted[j]
         for x in sorted(transversal):
             ux = transversal[x]
+            if later is not None:
+                ux_later = [ux[b] for b in later]
             for k in range(sifted_gens if x in sifted_points else 0, len(gens)):
                 if (x, k) in tree_edges:
                     continue
                 s = gens[k]
+                v = inverses[s[x]]
+                if later is not None and self._strips_to_base(
+                        [v[s[y]] for y in ux_later], j + 1):
+                    continue
                 # u_x, then s, then the inverse of u_{s(x)}
-                self._add((ux, s, inverses[s[x]]), j + 1)
+                self._add((ux, s, v), j + 1)
         self._sifted[j] = (set(transversal), len(gens))
 
     @property
@@ -694,7 +741,7 @@ class PermutationGroup:
 
     def __contains__(self, g) -> bool:
         # g is not known to lie in the group: strip the whole permutation
-        h, _ = self._strip((self._checked(g),), 0, False)
+        h, _ = self._strip((self._checked(g),), 0)
         return h == self._identity
 
     def stabilizer_generators(self, point: int) -> list:

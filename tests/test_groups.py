@@ -259,6 +259,98 @@ def test_a_carried_partition_refines_like_an_individualized_coloring(case):
     assert (carried.members, carried.start, carried.cls, carried.color) == layout
 
 
+def full_signature_refine(graph: Graph, partition: Partition, individualized) -> int:
+    """Reference: the refinement loop that re-signs every member of a class
+    it re-examines, not only the members next to a part split off; it lays
+    the parts out and numbers the new classes as :func:`refine` does."""
+    adjacency = graph.adjacency
+    members, start, cls, color = (partition.members, partition.start,
+                                  partition.cls, partition.color)
+    if individualized is None:
+        stale = range(len(members))
+    else:
+        stale = {cls[w] for w in adjacency[individualized]}
+    rounds = 0
+    while True:
+        rounds += 1
+        split = {}
+        for c in stale:
+            if len(members[c]) == 1:
+                continue
+            parts = {}
+            for v in members[c]:
+                key = tuple(sorted(color[w] for w in adjacency[v]))
+                parts.setdefault(key, []).append(v)
+            if len(parts) > 1:
+                split[c] = [parts[key] for key in sorted(parts)]
+        if not split:
+            return rounds
+        touched = set()
+        for c, parts in split.items():
+            largest = max(parts, key=len)
+            position = start[c]
+            for part in parts:
+                if part is largest:
+                    members[c] = part
+                    new = c
+                else:
+                    new = len(members)
+                    members.append(part)
+                    start.append(0)
+                    for v in part:
+                        touched.update(adjacency[v])
+                start[new] = position
+                for v in part:
+                    cls[v] = new
+                    color[v] = position
+                position += len(part)
+        stale = {cls[v] for v in touched}
+
+
+def layout(partition: Partition) -> tuple:
+    return (partition.members, partition.start, partition.cls, partition.color)
+
+
+def assert_refines_like_the_full_signature_loop(graph, partition, individualized):
+    """Refine copies of the partition both ways: the same layout and rounds.
+    The refined copy is returned."""
+    reference = copy.deepcopy(partition)
+    refined = copy.deepcopy(partition)
+    rounds = full_signature_refine(graph, reference, individualized)
+    assert _refine(graph, refined, individualized) == rounds
+    assert layout(refined) == layout(reference)
+    return refined
+
+
+@settings(max_examples=200, deadline=None)
+@given(colored_graphs())
+def test_refine_resigns_only_the_touched_vertices(case):
+    graph, coloring = case
+    root = assert_refines_like_the_full_signature_loop(graph, Partition(coloring), None)
+    for v in (v for v in range(graph.vertex_count) if len(root.members[root.cls[v]]) > 1):
+        child = assert_refines_like_the_full_signature_loop(
+            graph, root.individualized(v), v)
+        for w in (w for w in range(graph.vertex_count)
+                  if len(child.members[child.cls[w]]) > 1):
+            assert_refines_like_the_full_signature_loop(
+                graph, child.individualized(w), w)
+
+
+def test_an_untouched_member_is_resigned_after_its_neighbours_move():
+    # The first round splits {0, 1, 2} into {0} before {1, 2}: 1 and 2 see
+    # the singleton 6.  The largest part moves from start 0 to start 1, so
+    # the neighbours of 4 and 5 change color although they were not split
+    # off; only 3, next to {0}, is touched in the second round, and 4 stands
+    # for itself and 5, so the class {3, 4, 5} splits into {3} and {4, 5}.
+    graph = Graph.from_edges(7, [(0, 3), (1, 4), (2, 5), (1, 6), (2, 6)])
+    coloring = [0, 0, 0, 1, 1, 1, 2]
+    partition = Partition(coloring)
+    assert _refine(graph, partition, None) == 3
+    assert layout(partition) == ([[1, 2], [4, 5], [6], [0], [3]], [1, 4, 6, 0, 3],
+                                 [3, 0, 0, 4, 1, 1, 2], [0, 1, 1, 3, 4, 4, 6])
+    assert_refines_like_the_full_signature_loop(graph, Partition(coloring), None)
+
+
 def test_refine_commutes_with_relabeling():
     rng = random.Random(7)
     edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6)]
@@ -595,6 +687,23 @@ def test_search_tree_size(pairing, seed, monkeypatch):
     assert record.reads == [True] * 4
 
 
+def test_signatures_per_search(monkeypatch):
+    # Refinement re-signs a class's members next to a part split off in the
+    # round before, and one of the rest for them all: the search on pairing 0
+    # computes 1 268 neighbour-colour signatures, where re-signing every
+    # member of a re-examined class computed 2 220.
+    signatures = Counter()
+
+    def counting_sorted(iterable, *args, **kwargs):
+        signatures[isinstance(iterable, map)] += 1
+        return sorted(iterable, *args, **kwargs)
+
+    graph, coloring = hexagon_case(0, None, 2)
+    monkeypatch.setattr(groups_module, "sorted", counting_sorted, raising=False)
+    assert automorphism_generators(graph, coloring).order == 12096
+    assert signatures[True] == 1268
+
+
 def test_one_colour_search_tree_size(monkeypatch):
     # 38 nodes, 34 of them refined; without the shape test, the first
     # largest target cell made 134 and the first smallest 66
@@ -895,7 +1004,7 @@ class SeedSchreierSims(PermutationGroup):
     whole permutation."""
 
     def _add(self, word, start):
-        h, level = self._strip(word, start, False)
+        h, level = self._strip(word, start)
         if h == self._identity:
             return
         if level == len(self.base):
@@ -939,20 +1048,29 @@ def test_skipped_pairs_leave_the_chain_unchanged(case):
 
 class CountingSchreierSims(PermutationGroup):
     """Counts the Schreier generators each level forms and sifts, and the
-    residues the sifts leave: each is a whole permutation."""
+    residues the sifts leave as whole permutations.  On a known base each
+    formed generator is sifted by its base images, and only one that leaves
+    a residue goes on to _add; otherwise each is sifted by _add."""
 
     def __init__(self, *args, **kwargs):
-        self.formed = Counter()  # level j -> _add(word, j + 1) calls
+        self.formed = Counter()  # level j -> Schreier generators sifted into j + 1
+        self.added = Counter()  # start -> _add calls
         self.residues = Counter()  # start -> residues that are not the identity
         super().__init__(*args, **kwargs)
 
-    def _add(self, word, start):
-        if start:  # only the input generators are added at level 0
+    def _strips_to_base(self, images, start):
+        if start:  # only the input generators are checked at level 0
             self.formed[start - 1] += 1
+        return super()._strips_to_base(images, start)
+
+    def _add(self, word, start):
+        if start and not self._known_base:
+            self.formed[start - 1] += 1
+        self.added[start] += 1
         super()._add(word, start)
 
-    def _strip(self, word, start, by_images):
-        h, level = super()._strip(word, start, by_images)
+    def _strip(self, word, start):
+        h, level = super()._strip(word, start)
         if h != self._identity:
             self.residues[start] += 1
         return h, level
@@ -981,9 +1099,10 @@ def test_each_pair_is_formed_once_on_the_hexagon(aut_generators):
     assert [len(t) for t in group._transversals] == [63, 48, 4]
     assert sum(len(t) - 1 for t in group._transversals) == 112  # tree edges skipped
     # 292 Schreier generators are sifted by their base images, and none
-    # leaves a residue; the 4 input generators become the strong generators
+    # leaves a residue; the 4 input generators become the strong generators,
+    # and only they are inserted
     assert sum(group.formed.values()) == 292
-    assert group.residues == {0: 4}
+    assert group.residues == group.added == {0: 4}
 
 
 class TreeEdgeSchreierSims(PermutationGroup):
@@ -1221,7 +1340,7 @@ def test_line_subdegrees(actions, aut_generators, monkeypatch):
     assert chain.base == [63, *aut_generators.base]
     assert chain.order == 12096
     assert sum(chain.formed.values()) == 266
-    assert chain.residues == {0: 4, 1: 2}
+    assert chain.residues == chain.added == {0: 4, 1: 2}
 
 
 def test_character_witness_exists(aut_group, actions):
