@@ -15,7 +15,6 @@ from splithex.hexagon import (
     dual,
     girth,
     incidence_graph,
-    is_connected,
     oval_line,
     point_graph,
     scalar_line,
@@ -54,7 +53,7 @@ print(f"three lines through each point span a t.i. plane: "
       f"{'PASS' if planes.passed else 'FAIL'}")
 
 conc = concurrency_graph(structure)
-print(f"concurrency graph: connected={is_connected(conc)}, "
+print(f"concurrency graph: connected={conc.connected}, "
       f"degrees={sorted(set(conc.degrees()))}")
 
 graph = incidence_graph(structure)

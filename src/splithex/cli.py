@@ -54,7 +54,6 @@ from .hexagon import (
     concurrency_graph,
     dual,
     incidence_graph,
-    is_connected,
     point_graph,
     verify_classification_hypotheses,
     verify_concurrency_witnesses,
@@ -260,9 +259,8 @@ def _check_strata_counts(ctx):
 def _concurrency_connected(ctx):
     graph = concurrency_graph(ctx["structure"])
     degrees = set(graph.degrees())
-    connected = is_connected(graph)
-    payload = {"connected": connected, "degrees": sorted(degrees)}
-    return connected and degrees == {6}, payload
+    payload = {"connected": graph.connected, "degrees": sorted(degrees)}
+    return graph.connected and degrees == {6}, payload
 
 
 def _group_order(ctx):

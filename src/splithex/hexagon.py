@@ -18,24 +18,26 @@ Every distance -- diameter, girth and each distance distribution -- is
 read off one bit-parallel sweep (:func:`sphere_sweep`): the balls around
 all vertices grow together as int bitmasks, each round from the spheres of
 the round before, and the same pass over the neighbours applies the two
-girth rules, so the exact girth costs no second scan.  A graph and a
-structure keep their sweep (``sweep``), and a structure keeps its
-line-concurrency adjacency (``concurrency``), so every caller of
-:func:`concurrency_graph` reads one.  A structure also keeps the reports of
+girth rules, so the exact girth costs no second scan.  A :class:`Graph`
+keeps its sweep and its connectivity (``sweep``, ``connected``), and a
+structure keeps its incidence and line-concurrency graphs (``graph`` and
+``concurrency``, returned by :func:`incidence_graph` and
+:func:`concurrency_graph`).  A structure also keeps the reports of
 :func:`verify_partial_linear_space` and :func:`verify_plane_property`, so
 :func:`verify_generalized_hexagon` and
 :func:`verify_classification_hypotheses` read the ones a caller already
 has, and the concurrency witnesses, which depend on the pairing alone, are
 scanned once per pairing (:func:`_witness_scan`); only their hermitian
 cross-check runs on every call.  :func:`dual` hands its result the
-structure's index views swapped and its sweep relabelled, one shift per
-sphere mask, since the dual's incidence graph is the same with the parts
-swapped.  The oval and twin lines and the plane and concurrency-witness
-checks work on 6-bit vector codes (:func:`geometry.vector_codes`), under
-which addition is XOR and a set of vectors is an int mask.  A point's
-plane passes when its mask is one of the enumerated plane masks, and only
-another mask is searched for witnesses; the concurrency witnesses are read
-off hermitian-perp masks alone.
+structure's index views swapped and its graph's connectivity and sweep,
+the sweep relabelled one shift per sphere mask, since the dual's
+incidence graph is the same with the parts swapped.  The oval and twin
+lines and the plane and concurrency-witness checks work on 6-bit vector
+codes (:func:`geometry.vector_codes`), under which addition is XOR and a
+set of vectors is an int mask.  A point's plane passes when its mask is
+one of the enumerated plane masks, and only another mask is searched for
+witnesses; the concurrency witnesses are read off hermitian-perp masks
+alone.
 """
 
 from __future__ import annotations
@@ -89,13 +91,13 @@ class IncidenceStructure(Frozen):
     """Points, lines (as frozensets of points) and optional line metadata.
 
     The incidences are indexed once per instance, in two views that every
-    graph builder and verifier reads: ``incidences`` and ``pencils``.  Three
-    more views hold the incidence graph (``adjacency``), its distance sweep
-    (``sweep``) and the line-concurrency graph (``concurrency``), and two
-    hold the reports of the verifiers that read only the structure
-    (``partial_linear_space`` and ``plane_property``).  The views are cached
-    properties, kept in the instance's ``__dict__``, where :func:`dual` puts
-    the ones it hands over; it hands over no report.
+    graph builder and verifier reads: ``incidences`` and ``pencils``.  Two
+    more views hold the incidence graph (``graph``) and the line-concurrency
+    graph (``concurrency``), each a :class:`Graph` that keeps its sweep and
+    connectivity, and two hold the reports of the verifiers that read only
+    the structure (``partial_linear_space`` and ``plane_property``).  The
+    views are cached properties, kept in the instance's ``__dict__``, where
+    :func:`dual` puts the ones it hands over; it hands over no report.
     """
 
     _fields = ("points", "lines", "tags")
@@ -124,18 +126,17 @@ class IncidenceStructure(Frozen):
         return tuple(map(tuple, pencils))
 
     @cached_property
-    def adjacency(self) -> tuple:
-        """The incidence graph's neighbour tuples, points then lines: a
-        point's neighbours are its pencil and a line's are its points, both
-        already ascending."""
+    def graph(self) -> Graph:
+        """The incidence graph, points then lines: a point's neighbours are
+        its pencil and a line's are its points, both already ascending."""
         npts = len(self.points)
         points = (tuple(npts + j for j in pencil) for pencil in self.pencils)
-        return (*points, *self.incidences)
+        return Graph(adjacency=(*points, *self.incidences))
 
     @cached_property
-    def concurrency(self) -> tuple:
-        """The concurrency graph's neighbour tuples: each line's neighbours
-        are the lines through its points, itself left out, ascending."""
+    def concurrency(self) -> Graph:
+        """The concurrency graph: each line's neighbours are the lines
+        through its points, itself left out, ascending."""
         pencils, rows = self.pencils, []
         for j, line in enumerate(self.incidences):
             near = set()
@@ -143,12 +144,7 @@ class IncidenceStructure(Frozen):
                 near.update(pencils[i])
             near.discard(j)
             rows.append(tuple(sorted(near)))
-        return tuple(rows)
-
-    @cached_property
-    def sweep(self) -> tuple:
-        """:func:`sphere_sweep` of the incidence graph: (spheres, girth)."""
-        return sphere_sweep(Graph(adjacency=self.adjacency))
+        return Graph(adjacency=tuple(rows))
 
     @cached_property
     def partial_linear_space(self) -> Report:
@@ -274,6 +270,11 @@ class Graph(Frozen):
         distance distributions from every base read one sweep."""
         return sphere_sweep(self)
 
+    @cached_property
+    def connected(self) -> bool:
+        """Does one queue BFS from vertex 0 reach every vertex?  Kept."""
+        return not self.adjacency or -1 not in bfs_distances(self, 0)
+
     @property
     def vertex_count(self) -> int:
         return len(self.adjacency)
@@ -289,6 +290,8 @@ class Graph(Frozen):
     def from_edges(cls, n: int, edges) -> "Graph":
         nbrs = [set() for _ in range(n)]
         for u, v in edges:
+            _check_vertex(n, u)
+            _check_vertex(n, v)
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             nbrs[u].add(v)
@@ -310,10 +313,9 @@ def bfs_distances(graph: Graph, start: int) -> list:
     return dist
 
 
-def is_connected(graph: Graph) -> bool:
-    if graph.vertex_count == 0:
-        return True
-    return -1 not in bfs_distances(graph, 0)
+def _check_vertex(n: int, v: int) -> None:
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} is not one of the graph's {n} vertices")
 
 
 def sphere_sweep(graph: Graph) -> tuple:
@@ -437,21 +439,20 @@ def girth(graph: Graph) -> int:
 def distance_distribution(graph: Graph, base: int) -> tuple:
     """Counts of vertices at each distance from base (unreachables dropped),
     read off the graph's cached sweep (:func:`sphere_sweep`) at base."""
+    _check_vertex(graph.vertex_count, base)
     spheres, _ = graph.sweep
     counts = (layer[base].bit_count() for layer in spheres)
     return tuple(c for c in counts if c)
 
 
 def incidence_graph(structure: IncidenceStructure) -> Graph:
-    """Bipartite graph on points then lines; edges are incident pairs (see
-    ``IncidenceStructure.adjacency``)."""
-    return Graph(adjacency=structure.adjacency)
+    """Bipartite graph on points then lines, incident pairs adjacent: ``graph``."""
+    return structure.graph
 
 
 def concurrency_graph(structure: IncidenceStructure) -> Graph:
-    """Graph on lines, adjacent when they share a point (see
-    ``IncidenceStructure.concurrency``)."""
-    return Graph(adjacency=structure.concurrency)
+    """Graph on lines, adjacent when they share a point: ``concurrency``."""
+    return structure.concurrency
 
 
 def point_graph(structure: IncidenceStructure) -> Graph:
@@ -647,8 +648,8 @@ def verify_generalized_hexagon(structure: IncidenceStructure) -> Report:
     """The headline verdict: a partial linear space of order (2,2) whose
     incidence graph has diameter 6 and girth 12.  Also records the point
     distance distribution, which must be (1, 6, 24, 32) from every point.
-    All three are read off the structure's ``sweep``, which :func:`dual`
-    hands over relabelled; the axioms are the structure's kept
+    All three are read off the incidence graph's kept ``sweep``, which
+    :func:`dual` hands over; the axioms are the structure's kept
     :func:`verify_partial_linear_space` report."""
     pls = verify_partial_linear_space(structure)
     graph = incidence_graph(structure)
@@ -660,10 +661,9 @@ def verify_generalized_hexagon(structure: IncidenceStructure) -> Report:
         Check("incidence-edge-count", graph.edge_count == 189,
               detail=graph.edge_count),
     ]
-    connected = is_connected(graph)
-    checks.append(Check("incidence-connected", connected))
-    if connected:
-        spheres, g = structure.sweep
+    checks.append(Check("incidence-connected", graph.connected))
+    if graph.connected:
+        spheres, g = graph.sweep
         d = len(spheres) - 1
         checks.append(Check("incidence-diameter", d == 6, detail=d))
         checks.append(Check("incidence-girth", g == 12, detail=g))
@@ -698,12 +698,11 @@ def verify_classification_hypotheses(structure: IncidenceStructure) -> Report:
     independently by the generalized-hexagon check.  The planes are the
     structure's kept :func:`verify_plane_property` report."""
     planes = verify_plane_property(structure)
-    connected = is_connected(concurrency_graph(structure))
     checks = (
         Check("three-lines-span-a-plane", planes.passed,
               witness=[c.name for c in planes.failures()] or None,
               detail="supplied by the point-plane-property check"),
-        Check("concurrency-graph-connected", connected,
+        Check("concurrency-graph-connected", concurrency_graph(structure).connected,
               detail="supplied by the concurrency-graph check"),
     )
     return Report(checks=checks)
@@ -716,18 +715,18 @@ def dual(structure: IncidenceStructure) -> IncidenceStructure:
     The result's incidence graph is the structure's with the parts
     swapped, so it is handed the views it would derive again: its
     ``incidences`` are the structure's ``pencils``, its ``pencils`` the
-    structure's ``incidences``, and its ``sweep`` the structure's, swept
-    now if it was not yet, relabelled.  Dual vertex v is vertex (v + npts)
-    mod n of the structure, and since the incidence graph is bipartite each
-    sphere lies in one part, so each mask moves by one shift: right by
-    npts from the line part, left by the number of lines from the point
-    part.  A structure built by hand from the result's fields derives its
-    own."""
+    structure's ``incidences``, and its graph the structure graph's
+    ``connected`` and ``sweep``, relabelled; both are found now if not yet.
+    Dual vertex v is vertex (v + npts) mod n of the structure, and since
+    the incidence graph is bipartite each sphere lies in one part, so each
+    mask moves by one shift: right by npts from the line part, left by the
+    number of lines from the point part.  A structure built by hand from
+    the result's fields derives its own."""
     result = IncidenceStructure(
         points=tuple(range(len(structure.lines))),
         lines=tuple(map(frozenset, structure.pencils)),
     )
-    (spheres, girth), npts = structure.sweep, len(structure.points)
+    (spheres, girth), npts = structure.graph.sweep, len(structure.points)
     nlines = len(structure.lines)
     rotated = []
     for k, layer in enumerate(spheres):
@@ -737,6 +736,7 @@ def dual(structure: IncidenceStructure) -> IncidenceStructure:
         else:
             rotated.append([m >> npts for m in layer[npts:]]
                            + [m << nlines for m in layer[:npts]])
-    result.__dict__.update(incidences=structure.pencils, pencils=structure.incidences,
-                           sweep=(rotated, girth))
+    result.__dict__.update(incidences=structure.pencils, pencils=structure.incidences)
+    result.graph.__dict__.update(sweep=(rotated, girth),
+                                 connected=structure.graph.connected)
     return result

@@ -32,7 +32,6 @@ from splithex.hexagon import (
     dual,
     girth,
     incidence_graph,
-    is_connected,
     point_graph,
     verify_concurrency_witnesses,
     verify_generalized_hexagon,
@@ -123,7 +122,7 @@ def test_criterion_05_concurrency_witnesses(strata, partition):
 
 def test_criterion_06_concurrency_graph(structure):
     graph = concurrency_graph(structure)
-    ok = is_connected(graph) and set(graph.degrees()) == {6}
+    ok = graph.connected and set(graph.degrees()) == {6}
     _line(6, "concurrency-graph", ok)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import splithex.cli as cli_module
+import splithex.hexagon as hexagon_module
 from splithex.cli import (
     collect_aut,
     collect_counts,
@@ -23,7 +24,7 @@ from splithex.groups import (
     character_witness,
     induced_actions,
 )
-from splithex.hexagon import Check, Report, verify_generalized_hexagon
+from splithex.hexagon import Check, Report, bfs_distances, verify_generalized_hexagon
 
 
 def test_run_verify_passes_and_has_schema():
@@ -80,6 +81,21 @@ def test_run_verify_with_aut_adds_group_checks():
     ]
     order_check = next(c for c in report.checks if c.name == "automorphism-group-order")
     assert order_check.witness == {"order": 12096}
+
+
+def test_the_ladder_searches_each_graph_once(monkeypatch):
+    searched = []
+
+    def counted(graph, start):
+        searched.append(graph)
+        return bfs_distances(graph, start)
+
+    monkeypatch.setattr(hexagon_module, "bfs_distances", counted)
+    assert run_verify(0).passed
+    # one BFS of the incidence graph, which the dual inherits, and one of
+    # the concurrency graph, which the hypotheses stage reads again
+    assert len(searched) == 2
+    assert sorted(graph.vertex_count for graph in searched) == [63, 126]
 
 
 def test_the_group_order_needs_the_search_order_to_agree(monkeypatch):

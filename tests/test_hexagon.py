@@ -34,6 +34,7 @@ from splithex.hexagon import (
     IncidenceStructure,
     OvalSelectionError,
     Report,
+    bfs_distances,
     build,
     concurrency_graph,
     diameter,
@@ -41,7 +42,6 @@ from splithex.hexagon import (
     dual,
     girth,
     incidence_graph,
-    is_connected,
     oval_line,
     point_graph,
     scalar_line,
@@ -352,12 +352,12 @@ def test_concurrency_graph_is_6_regular_and_connected(structure):
     graph = concurrency_graph(structure)
     assert graph.vertex_count == 63
     assert set(graph.degrees()) == {6}
-    assert is_connected(graph)
+    assert graph.connected
 
 
 def test_two_disjoint_edges_are_disconnected():
     graph = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert not is_connected(graph)
+    assert not graph.connected
 
 
 def test_incidence_graph_shape(structure):
@@ -568,26 +568,22 @@ def test_distance_distribution_reads_only_the_sweep(monkeypatch, swept):
     assert swept == [graph]
 
 
-def test_the_concurrency_adjacency_is_built_once(structure, monkeypatch):
-    seen = []
-
-    def recorded(graph):
-        seen.append(graph)
-        return is_connected(graph)
-
-    monkeypatch.setattr(hexagon_module, "is_connected", recorded)
+def test_the_concurrency_adjacency_is_built_once(structure, searched):
     s = IncidenceStructure(structure.points, structure.lines, structure.tags)
     first = concurrency_graph(s)
+    assert first is concurrency_graph(s) is s.concurrency
     assert verify_classification_hypotheses(s).passed
-    # the hypotheses check reads the adjacency the structure already keeps
-    assert [graph.adjacency for graph in seen] == [first.adjacency]
-    assert seen[0].adjacency is first.adjacency is s.concurrency
+    assert verify_classification_hypotheses(s).passed
+    # the hypotheses check reads the graph the structure already keeps, and
+    # the graph searches once however often it is asked
+    assert len(searched) == 1 and searched[0] is first
+    assert first.__dict__["connected"]
     # the dual and a structure built with fewer lines have other lines: each
     # derives its own
     for derived in (dual(s), IncidenceStructure(s.points, s.lines[1:], s.tags)):
         assert "concurrency" not in derived.__dict__
         by_hand = IncidenceStructure(derived.points, derived.lines)
-        assert concurrency_graph(derived).adjacency == by_hand.concurrency
+        assert concurrency_graph(derived) == by_hand.concurrency
         assert derived.concurrency is not s.concurrency
 
 
@@ -935,8 +931,12 @@ def test_the_dual_sweep_is_the_hand_built_duals(structure):
     # S_k(v) lies in v's own part for even k and in the other part for odd
     # k, so dual() moves each sphere mask with one shift
     d = dual(structure)
-    assert d.sweep == sphere_sweep(incidence_graph(IncidenceStructure(d.points, d.lines)))
-    assert dual(d).sweep == structure.sweep
+    by_hand = IncidenceStructure(d.points, d.lines)
+    assert d.graph.sweep == sphere_sweep(incidence_graph(by_hand))
+    assert dual(d).graph.sweep == structure.graph.sweep
+    # the dual's graph is the structure's relabelled, so it is handed the
+    # structure's connectivity too
+    assert d.graph.__dict__["connected"] == by_hand.graph.connected
 
 
 EXTERIOR = sorted(exterior_points(), key=to_gf2)
@@ -1081,7 +1081,7 @@ def test_dual_report_equals_the_hand_built_dual(structure, corrupted, case):
     d = dual(_fresh(case, structure, corrupted))
     by_hand = IncidenceStructure(d.points, d.lines)
     assert verify_generalized_hexagon(d) == verify_generalized_hexagon(by_hand)
-    assert d.sweep == sphere_sweep(incidence_graph(by_hand))
+    assert d.graph.sweep == sphere_sweep(incidence_graph(by_hand))
     assert verify_generalized_hexagon(d).passed == (case == "genuine")
 
 
@@ -1104,17 +1104,63 @@ def test_the_dual_is_handed_its_structures_views(structure, corrupted, case, swe
     assert d.incidences is s.pencils
     assert d.pencils is s.incidences
     # the structure is swept once, by dual(), and the dual never
-    assert d.sweep and swept == [incidence_graph(s)]
+    assert d.graph.sweep and swept == [incidence_graph(s)]
+    assert d.graph.__dict__["connected"] == s.graph.connected
 
 
 def test_a_replaced_dual_sweeps_its_own_graph(structure, swept):
     d = dual(_fresh("genuine", structure, None))
-    assert d.sweep == sphere_sweep(incidence_graph(d))
+    assert d.graph.sweep == sphere_sweep(incidence_graph(d))
     # drop one dual line: the graph, and so its sweep, changes
     other = IncidenceStructure(d.points, d.lines[1:], d.tags)
     del swept[:]
-    assert other.sweep == sphere_sweep(incidence_graph(other))
+    assert other.graph.sweep == sphere_sweep(incidence_graph(other))
     assert swept == [incidence_graph(other)]
-    assert other.sweep != d.sweep
+    assert other.graph.sweep != d.graph.sweep
     assert verify_generalized_hexagon(other) == verify_generalized_hexagon(
         IncidenceStructure(other.points, other.lines))
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The graphs that hexagon's ``bfs_distances`` is called on from now on."""
+    graphs = []
+
+    def counted(graph, start):
+        graphs.append(graph)
+        return bfs_distances(graph, start)
+
+    monkeypatch.setattr(hexagon_module, "bfs_distances", counted)
+    return graphs
+
+
+def test_each_structure_keeps_one_graph_per_kind(partition, swept, searched):
+    s = build(partition)
+    assert incidence_graph(s) is incidence_graph(s) is s.graph
+    assert concurrency_graph(s) is concurrency_graph(s) is s.concurrency
+    assert verify_generalized_hexagon(s).passed
+    assert swept == [s.graph] and len(searched) == 1 and searched[0] is s.graph
+    # the graph facts read the sweep the verdict already made
+    graph = incidence_graph(s)
+    assert (diameter(graph), girth(graph)) == (6, 12)
+    assert distance_distribution(graph, 0) == (1, 3, 6, 12, 24, 48, 32)
+    assert len(swept) == 1
+    # the dual's graph is handed its sweep and its connectivity
+    d = dual(s)
+    del swept[:], searched[:]
+    assert verify_generalized_hexagon(d).passed
+    assert swept == [] and searched == []
+
+
+@pytest.mark.parametrize("vertex", [-1, 4])
+def test_from_edges_refuses_a_vertex_out_of_range(vertex):
+    for edge in ((0, vertex), (vertex, 0)):
+        with pytest.raises(ValueError, match=f"vertex {vertex} is not one of"):
+            Graph.from_edges(4, [edge])
+
+
+@pytest.mark.parametrize("vertex", [-1, 4])
+def test_distance_distribution_refuses_a_base_out_of_range(vertex):
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match=f"vertex {vertex} is not one of"):
+        distance_distribution(path, vertex)

@@ -152,12 +152,14 @@ def test_structure_views_are_computed_once(structure, monkeypatch):
 
     monkeypatch.setattr(hexagon_module, "sphere_sweep", recorded)
     s = IncidenceStructure(structure.points, structure.lines, structure.tags)
-    views = ("incidences", "pencils", "adjacency", "concurrency", "sweep")
+    views = ("incidences", "pencils", "graph", "concurrency")
     assert not any(name in s.__dict__ for name in views)
     first = [getattr(s, name) for name in views]
     assert all(s.__dict__[name] is view for name, view in zip(views, first))
     assert all(getattr(s, name) is view for name, view in zip(views, first))
-    assert len(swept) == 1
+    # the structure's sweep is its incidence graph's, kept there
+    assert s.graph.sweep is s.graph.sweep is s.graph.__dict__["sweep"]
+    assert swept == [s.graph]
     # the views are not fields: equality and hash ignore them
     fresh = IncidenceStructure(structure.points, structure.lines, structure.tags)
     assert fresh == s and hash(fresh) == hash(s)
@@ -171,7 +173,7 @@ def test_graph_sweep_is_computed_once(structure, monkeypatch):
         return sphere_sweep(graph)
 
     monkeypatch.setattr(hexagon_module, "sphere_sweep", recorded)
-    graph = Graph(structure.adjacency)
+    graph = Graph(structure.graph.adjacency)
     assert graph.sweep is graph.sweep is graph.__dict__["sweep"]
     assert swept == [graph]
 
