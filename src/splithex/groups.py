@@ -13,7 +13,9 @@ vertices next to a part split off in the round before, and one other member
 per class, which stands for the rest of its class.  Candidate automorphisms
 are read off discrete partitions by comparison with the first leaf;
 discovered automorphisms prune later branches by orbits, kept in a
-union-find per node that merges only what each new automorphism adds.  An
+union-find per node that merges only what each new automorphism adds, and
+only on the node's target cell, which an automorphism fixing the node's
+prefix maps onto itself.  An
 off-spine node whose partition shape (its sorted class starts) differs from
 the first path's at the same depth holds no automorphism below it and is
 abandoned (McKay-Piperno 2014 compare a node's invariant with the first
@@ -24,9 +26,13 @@ its depth with its shape, are read by propagation instead of refined: an
 automorphism that maps the spine's last partition onto such a node's class
 by class, and the spine's last vertex to the child's, is unique, because
 the spine is a base, and is forced along each edge from a mapped vertex to
-a neighbour alone in its class.  A walk over those edges, planned once per
-search, reads it off; it goes through the same automorphism check as a
-refined leaf's candidate and gives the same answer.  A leaf the walk
+a neighbour alone in its class.  A walk over those edges reads it off; it
+goes through the same automorphism check as a refined leaf's candidate and
+gives the same answer.  The walk is planned at each spine node before its
+first child is searched, and one that reaches every vertex shows that the
+child is discrete, so the node is the spine's last: the first leaf, whose
+candidate is the identity, is read like its siblings, and refined only if
+a leaf the walk cannot reach has to be compared with it.  A leaf the walk
 cannot reach is refined, as is every other node.
 
 The search also reports its spine, the vertices individualized on the path
@@ -44,16 +50,18 @@ orbit lengths.  On generators from the search, the spine is the base, fixed
 up front (Seress, *Permutation Group Algorithms*, ch. 4-5, on a known
 base): a Schreier generator u_x s u_{s(x)}^-1 lies in the group, so it is
 sifted by its images of the later base points only.  u_x's images are read
-once per orbit point, so a pair costs two lookups per base point and one
-transversal inverse per level, and a Schreier generator whose images strip
-to the base fixes the whole base, is the identity and is dropped without
-being built.  Only one that moves a base point becomes a permutation and is
+off u_x^-1 once per orbit point, so a pair costs two lookups per base point
+and one transversal inverse per level, and a Schreier generator whose
+images strip to the base fixes the whole base, is the identity and is
+dropped without being built.  Only one that moves a base point becomes a permutation and is
 inserted, like an input generator.  A plain generator
 list takes the general path from an empty base, which appends a base point
 for each residue that fixes the base so far and strips whole permutations,
-as membership tests always do.  Each transversal carries the inverse of
-every coset representative, built alongside it from the inverses of the
-strong generators, so sifting never inverts a permutation.  Levels are extended,
+as membership tests always do.  Each transversal keeps only the inverse
+u_x^-1 of every coset representative, built from the inverses of the strong
+generators, which is all that sifting reads; the rare Schreier generator
+built whole, a stabilizer's conjugation and :meth:`PermutationGroup.elements`
+invert a representative when they need it.  Levels are extended,
 never rebuilt (Seress, ch. 4): a level that gains a strong generator keeps
 its coset representatives, composes only for the orbit points it adds, and
 sifts only the Schreier generators of (orbit point, strong generator) pairs
@@ -345,6 +353,9 @@ def _leaf_plan(adjacency, partition: Partition, b):
     """The walk :func:`_propagated_leaf` takes below a node one level above
     the first leaf, with ``partition`` its refined partition and ``b`` its
     first branching vertex, or None if the walk cannot reach every vertex.
+    A walk that reaches every vertex shows that b's child refines to a
+    discrete partition, so the node is one level above the first leaf (see
+    :func:`automorphism_generators`).
 
     The walk starts at b and at each singleton class, and goes from a
     reached x to each unreached neighbour y that no other neighbour of x
@@ -427,13 +438,17 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
     a copy with the branching vertex split off
     (:meth:`Partition.individualized`).  The orbits that prune a node's
     branches live in a union-find that merges x with g[x] for each vertex x
-    that a newly found automorphism g fixing the prefix moves.  A sibling is
-    pruned by one union-find lookup against the set of the explored
-    siblings' roots, which is rebuilt only after a merge.
+    of the node's target cell that a newly found automorphism g fixing the
+    prefix moves.  :func:`refine` and the target-cell rule commute with
+    relabelling, so such a g maps the node's partition onto itself class by
+    class and its target cell onto itself: the orbits on the cell are those
+    of merging every vertex.  A sibling is pruned by one union-find lookup
+    against the set of the explored siblings' roots, which is rebuilt only
+    after a merge.
 
-    Once the first leaf is known, each child w of a node π one level above
-    it (the spine's last node, or an off-spine node with its shape) is read
-    off, not refined.  Let π* be the spine's last partition and b* its
+    Each child w of a node π one level above the first leaf (the spine's
+    last node, or an off-spine node with its shape) is read off, not
+    refined.  Let π* be the spine's last partition and b* its
     first branching vertex.  :func:`refine` commutes with relabelling, so
     the candidate c of the leaf below w, when it is an automorphism, maps
     π* onto π class by class (classes match by start) and b* to w; and at
@@ -443,14 +458,26 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
     at the same start, and if y is x's only neighbour in its π*-class, y's
     image is the only neighbour of x's image in the π-class at that start.
     :func:`_leaf_plan` plans a walk over these steps from b* and the
-    singletons, once per search, and :func:`_propagated_leaf` follows it to
-    a map h for each w.  By construction h maps π* onto π class by class
+    singletons, and :func:`_propagated_leaf` follows it to a map h for each
+    w.  By construction h maps π* onto π class by class
     and b* to w, so if h is an automorphism, refining π with w split off
     gives h's image of the first leaf and h is c; if c is one, each step
     finds c's image and h is c.  So h takes c's place in the automorphism
     check, with the same outcome.  When the walk cannot reach every vertex
     of π* (no plan), or finds no neighbour in a class (no map), the child
     is refined.
+
+    The walk is planned at each spine node π, with its first branching
+    vertex v as b*, before v's child is searched.  If it reaches every
+    vertex, that child refines to a discrete partition: b* is split off,
+    singletons stay singletons, and each step's y is the only neighbour of
+    a singleton x in y's class, so refinement splits y off.  Then π is the
+    spine's last node, v's child is the first leaf, and it is read like
+    its siblings (its map is the identity) instead of refined; its
+    ordering is refined only when a leaf at its depth has to be, after a
+    walk that finds no neighbour in a class.  A walk that cannot reach
+    every vertex says nothing, and v's child is searched as before; below
+    the spine's last node the first leaf is then refined as the spine's end.
 
     The result is an :class:`Automorphisms`: its ``base`` is the spine's
     individualized vertices, and its ``order`` the product, over the spine
@@ -465,7 +492,8 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
     neighbor_sets = [set(nbrs) for nbrs in adjacency]
     initial = list(coloring)
     found: list[Permutation] = []
-    first_leaf: list = [None]
+    first_leaf: list = [None]  # the vertex at each position of the first leaf
+    planned: list = [None]  # the spine's last partition and vertex, if planned
     spine: list = []  # the vertices individualized on the way to the first leaf
     spine_shapes: list = []  # the sorted class starts along the spine
     orbit_lengths: list = []  # of each spine child in its node's target cell
@@ -475,6 +503,21 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         return x
+
+    def positions(color):
+        # the vertex at each position of a discrete partition
+        ordering = [0] * n
+        for v, x in enumerate(color):
+            ordering[x] = v
+        return ordering
+
+    def first_ordering():
+        # a planned first leaf is refined only when another leaf is
+        if first_leaf[0] is None:
+            partition, v = planned[0]
+            first_leaf[0] = positions(
+                refine(graph, partition.individualized(v), individualized=v).color)
+        return first_leaf[0]
 
     def deliver(candidate) -> bool:
         if candidate != identity(n) and _is_automorphism(
@@ -494,24 +537,23 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
             return False
 
         if len(members) == n:  # discrete: color[v] is v's position
-            if first_leaf[0] is None:
-                ordering = [0] * n
-                for v, x in enumerate(color):
-                    ordering[x] = v
-                first_leaf[0] = ordering
+            if on_spine:  # the first leaf: no walk planned above it reached every vertex
+                first_leaf[0] = positions(color)
                 spine.extend(prefix)
                 return False
+            ordering = first_ordering()
             candidate = [0] * n
             for v, x in enumerate(color):
-                candidate[first_leaf[0][x]] = v
+                candidate[ordering[x]] = v
             return deliver(tuple(candidate))
 
         target = max((c for c, cell in enumerate(members) if len(cell) > 1),
                      key=lambda c: (len(members[c]), -start[c]))
+        cell = members[target]
         explored = []
         explored_roots = set()  # of the explored vertices in the union-find
         delivered = False
-        parent = list(range(n))  # orbits of found[:known] that fix the prefix
+        parent = list(range(n))  # orbits on the cell of found[:known] fixing the prefix
         known = 0
 
         def merge_new() -> bool:
@@ -521,13 +563,14 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
             for g in found[known:]:
                 if all(g[u] == u for u in prefix):
                     merged = True
-                    for x, y in enumerate(g):
+                    for x in cell:
+                        y = g[x]
                         if x != y:
                             parent[root(parent, x)] = root(parent, y)
             known = len(found)
             return merged
 
-        for v in members[target]:  # ascending
+        for v in cell:  # ascending
             orbit = v
             if explored:
                 if merge_new():
@@ -536,6 +579,13 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
                 if orbit in explored_roots:
                     continue
             child_on_spine = on_spine and not explored
+            if child_on_spine:
+                plan = _leaf_plan(adjacency, partition, v)
+                if plan is not None:  # v's child is discrete: the first leaf
+                    spine.extend(prefix + [v])
+                    spine_shapes.append(list(range(n)))
+                    leaf_plan[0] = plan
+                    planned[0] = (partition, v)
             leaf = None
             if leaf_plan[0] is not None and len(prefix) + 1 == len(spine):
                 leaf = _propagated_leaf(adjacency, leaf_plan[0], partition, v)
@@ -543,9 +593,6 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
                 got = deliver(leaf)
             else:
                 got = search(partition.individualized(v), prefix + [v], child_on_spine)
-                if child_on_spine and len(prefix) + 1 == len(spine):
-                    # v's child was the first leaf: this is the spine's last node
-                    leaf_plan[0] = _leaf_plan(adjacency, partition, v)
             explored.append(v)
             explored_roots.add(orbit)
             delivered = delivered or got
@@ -554,8 +601,7 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
         if on_spine:
             merge_new()
             orbit = root(parent, explored[0])
-            orbit_lengths.append(sum(1 for u in members[target]
-                                     if root(parent, u) == orbit))
+            orbit_lengths.append(sum(1 for u in cell if root(parent, u) == orbit))
         return delivered
 
     search(Partition(initial), [], True)
@@ -579,7 +625,9 @@ class PermutationGroup:
     generators it was made with, its ``base`` (distinct ints in
     ``range(degree)``) is the base, fixed up front, and Schreier generators
     are sifted by their images of the base points.  Otherwise base points
-    are chosen as residues need them.
+    are chosen as residues need them.  Each level keeps the inverses of its
+    coset representatives only (``_transversal_inverses``, orbit point x to
+    u_x^-1); a representative itself is inverted when it is needed.
     """
 
     def __init__(self, degree: int, generators):
@@ -590,8 +638,7 @@ class PermutationGroup:
         self.base: list[int] = []
         self._level_gens: list[list] = []
         self._level_inverses: list[list] = []
-        self._transversals: list[dict] = []
-        self._transversal_inverses: list[dict] = []
+        self._transversal_inverses: list[dict] = []  # orbit point x -> u_x^-1
         self._sifted: list[tuple] = []  # (orbit points, strong generators) sifted
         self._tree_edges: list[set] = []  # (x, k): u_{s_k(x)} was made as u_x s_k
         self._identity = identity(degree)
@@ -614,7 +661,6 @@ class PermutationGroup:
         self.base.append(point)
         self._level_gens.append([])
         self._level_inverses.append([])
-        self._transversals.append({point: self._identity})
         self._transversal_inverses.append({point: self._identity})
         self._sifted.append((set(), 0))
         self._tree_edges.append(set())
@@ -622,20 +668,18 @@ class PermutationGroup:
     def _extend_orbit(self, level: int) -> None:
         # The representatives found so far stay; the walk visits the orbit
         # in insertion order and composes only for the points it adds,
-        # recording the (x, k) that first reached each one.
-        transversal = self._transversals[level]
+        # recording the (x, k) that first reached each one.  u_{s(x)} is
+        # u_x s, kept as its inverse s^-1 u_x^-1.
         inverses = self._transversal_inverses[level]
         tree_edges = self._tree_edges[level]
         strong = list(enumerate(zip(self._level_gens[level],
                                     self._level_inverses[level])))
-        walk = list(transversal)
+        walk = list(inverses)
         for x in walk:
-            ux = transversal[x]
             ux_inv = inverses[x]
             for k, (s, s_inv) in strong:
                 y = s[x]
-                if y not in transversal:
-                    transversal[y] = compose(ux, s)
+                if y not in inverses:
                     inverses[y] = compose(s_inv, ux_inv)
                     tree_edges.add((x, k))
                     walk.append(y)
@@ -705,21 +749,21 @@ class PermutationGroup:
         On a known base the Schreier generator u_x s v, with v the inverse
         of u_{s(x)}, lies in the group, so it is sifted by its images
         v[s[u_x[b]]] of the later base points b, with u_x's images read
-        once per orbit point, and is dropped when they strip to the base
-        (:meth:`_strips_to_base`).  Only one that moves a base point goes
-        to :meth:`_add` as the word (u_x, s, v), which builds and strips the
-        whole permutation.  Otherwise every pair goes to :meth:`_add`.
+        once per orbit point, as the positions of the b in u_x^-1, and is
+        dropped when they strip to the base (:meth:`_strips_to_base`).  Only
+        one that moves a base point goes to :meth:`_add` as the word
+        (u_x, s, v), with u_x inverted from u_x^-1, which builds and strips
+        the whole permutation.  Otherwise every pair goes to :meth:`_add`.
         """
-        transversal = self._transversals[j]
         inverses = self._transversal_inverses[j]
         tree_edges = self._tree_edges[j]
         gens = self._level_gens[j]
         later = self.base[j + 1:] if self._known_base else None
         sifted_points, sifted_gens = self._sifted[j]
-        for x in sorted(transversal):
-            ux = transversal[x]
+        for x in sorted(inverses):
+            ux_inv = inverses[x]
             if later is not None:
-                ux_later = [ux[b] for b in later]
+                ux_later = [ux_inv.index(b) for b in later]
             for k in range(sifted_gens if x in sifted_points else 0, len(gens)):
                 if (x, k) in tree_edges:
                     continue
@@ -729,14 +773,14 @@ class PermutationGroup:
                         [v[s[y]] for y in ux_later], j + 1):
                     continue
                 # u_x, then s, then the inverse of u_{s(x)}
-                self._add((ux, s, v), j + 1)
-        self._sifted[j] = (set(transversal), len(gens))
+                self._add((inverse(ux_inv), s, v), j + 1)
+        self._sifted[j] = (set(inverses), len(gens))
 
     @property
     def order(self) -> int:
         n = 1
-        for transversal in self._transversals:
-            n *= len(transversal)
+        for inverses in self._transversal_inverses:
+            n *= len(inverses)
         return n
 
     def __contains__(self, g) -> bool:
@@ -751,15 +795,15 @@ class PermutationGroup:
         known base of the point followed by the rest of this chain's base:
         a finished chain's base is complete, so a superset of it is a base."""
         _checked_points((point,), self.degree)
-        u = self._transversals[0].get(point) if self.base else None
-        if u is None:
+        u_inv = self._transversal_inverses[0].get(point) if self.base else None
+        if u_inv is None:
             base = (point, *(b for b in self.base if b != point))
             chain = PermutationGroup(self.degree, Automorphisms(
                 self.generators, base, self.order))
             return chain.stabilizer_generators(point)
         if len(self.base) == 1:
             return []
-        u_inv = self._transversal_inverses[0][point]
+        u = inverse(u_inv)
         # u^-1, then s, then u
         return [tuple([u[s[x]] for x in u_inv]) for s in self._level_gens[1]]
 
@@ -775,11 +819,11 @@ class PermutationGroup:
             if level == len(self.base):
                 yield self._identity
                 return
-            transversal = self._transversals[level]
-            keys = sorted(transversal)
+            inverses = self._transversal_inverses[level]
+            representatives = [inverse(inverses[x]) for x in sorted(inverses)]
             for rest in rec(level + 1):
-                for x in keys:
-                    yield compose(rest, transversal[x])
+                for u in representatives:
+                    yield compose(rest, u)
 
         return rec(0)
 

@@ -1,6 +1,7 @@
 import copy
 import gc
 import hashlib
+import math
 import random
 from collections import Counter
 from itertools import combinations
@@ -488,11 +489,13 @@ def test_search_order_matches_networkx(case):
         PermutationGroup(n, list(gens)).order == self_isomorphism_count(graph, coloring)
 
 
-def seed_automorphism_generators(graph: Graph, coloring) -> list:
+def seed_automorphism_generators(graph: Graph, coloring) -> Automorphisms:
     """Reference: the search that recomputed the orbit of every vertex of a
     target cell after the first, by a fresh breadth-first search (``orbit_of``),
     and pruned no node by its partition's shape.  Only its target-cell rule
-    follows the library's.
+    follows the library's.  Its base is the path to its first leaf and its
+    order the product, over that path's nodes, of the number of target-cell
+    vertices in the first one's orbit, found by the same breadth-first search.
 
     Generators of the color-preserving automorphism group.
 
@@ -507,6 +510,8 @@ def seed_automorphism_generators(graph: Graph, coloring) -> list:
     initial = list(coloring)
     found: list[Permutation] = []
     first_leaf: list = [None]
+    spine: list = []
+    orbit_lengths: list = []
 
     def individualize(colors, v):
         doubled = [2 * c for c in colors]
@@ -538,6 +543,7 @@ def seed_automorphism_generators(graph: Graph, coloring) -> list:
                 ordering[colors[v]] = v
             if first_leaf[0] is None:
                 first_leaf[0] = ordering
+                spine.extend(prefix)
                 return False
             candidate = [0] * n
             for i in range(n):
@@ -563,10 +569,13 @@ def seed_automorphism_generators(graph: Graph, coloring) -> list:
             delivered = delivered or got
             if got and not on_spine:
                 return True
+        if on_spine:
+            stabilizing = [g for g in found if all(g[u] == u for u in prefix)]
+            orbit_lengths.append(len(orbit_of(cell[0], stabilizing) & set(cell)))
         return delivered
 
     search(initial, [], True)
-    return found
+    return Automorphisms(found, spine, math.prod(orbit_lengths))
 
 
 def latin_square_graph(shifts) -> Graph:
@@ -633,20 +642,34 @@ def test_one_colour_search_matches_seed_orbit_pruning_on_the_hexagon():
 
 
 class SearchRecord:
-    """What a search did: its refine calls (one per refined node), whether
-    each leaf plan could reach every vertex, and whether each leaf read by
-    propagation came out a complete map."""
+    """What a search did: its refine calls (one per refined node), each
+    refined node as (prefix, refined partition), whether each leaf plan, one
+    per spine node tried, could reach every vertex, and whether each leaf
+    read by propagation came out a complete map."""
 
     def __init__(self, graph, coloring, monkeypatch):
         self.refined = 0
+        self.refined_nodes: list[tuple] = []
         self.plans: list[bool] = []
         self.reads: list[bool] = []
         originals = {name: getattr(groups_module, name)
                      for name in ("refine", "_leaf_plan", "_propagated_leaf")}
+        split_off = Partition.individualized
+        children = []  # every child made, kept alive so that ids stay unique
+        prefixes = {}  # id(child) -> the vertices split off on the way to it
 
-        def refine_node(*args, **kwargs):
+        def individualized(partition, v):
+            child = split_off(partition, v)
+            children.append(child)
+            prefixes[id(child)] = prefixes.get(id(partition), ()) + (v,)
+            return child
+
+        def refine_node(graph, partition, *args, **kwargs):
             self.refined += 1
-            return originals["refine"](*args, **kwargs)
+            result = originals["refine"](graph, partition, *args, **kwargs)
+            # a node's partition is not changed after it is refined
+            self.refined_nodes.append((prefixes.get(id(partition), ()), partition))
+            return result
 
         def plan(*args):
             result = originals["_leaf_plan"](*args)
@@ -658,6 +681,7 @@ class SearchRecord:
             self.reads.append(result is not None)
             return result
 
+        monkeypatch.setattr(Partition, "individualized", individualized)
         monkeypatch.setattr(groups_module, "refine", refine_node)
         monkeypatch.setattr(groups_module, "_leaf_plan", plan)
         monkeypatch.setattr(groups_module, "_propagated_leaf", read)
@@ -679,19 +703,22 @@ def hexagon_search(pairing, seed, colors, monkeypatch) -> SearchRecord:
 
 @pytest.mark.parametrize("pairing, seed", HEXAGON_CASES)
 def test_search_tree_size(pairing, seed, monkeypatch):
-    # the first smallest target cell made 45 nodes; the 4 leaves below the
-    # spine's last node are read by propagation, so 7 of the 11 are refined
+    # the first smallest target cell made 45 nodes; the 5 leaves below the
+    # spine's last node, the first leaf among them, are read by propagation,
+    # so 6 of the 11 are refined (refining the first leaf made 7)
     record = hexagon_search(pairing, seed, 2, monkeypatch)
     assert record.nodes == 11
-    assert record.refined == 7
-    assert record.reads == [True] * 4
+    assert record.refined == 6
+    assert record.reads == [True] * 5
+    assert record.plans == [False, False, True]
 
 
 def test_signatures_per_search(monkeypatch):
     # Refinement re-signs a class's members next to a part split off in the
     # round before, and one of the rest for them all: the search on pairing 0
-    # computes 1 268 neighbour-colour signatures, where re-signing every
-    # member of a re-examined class computed 2 220.
+    # computes 1 127 neighbour-colour signatures, where re-signing every
+    # member of a re-examined class computed 2 220, and refining the first
+    # leaf as well 1 268.
     signatures = Counter()
 
     def counting_sorted(iterable, *args, **kwargs):
@@ -701,15 +728,16 @@ def test_signatures_per_search(monkeypatch):
     graph, coloring = hexagon_case(0, None, 2)
     monkeypatch.setattr(groups_module, "sorted", counting_sorted, raising=False)
     assert automorphism_generators(graph, coloring).order == 12096
-    assert signatures[True] == 1268
+    assert signatures[True] == 1127
 
 
 def test_one_colour_search_tree_size(monkeypatch):
-    # 38 nodes, 34 of them refined; without the shape test, the first
-    # largest target cell made 134 and the first smallest 66
+    # 38 nodes, 33 of them refined (34 when the first leaf was refined);
+    # without the shape test, the first largest target cell made 134 and the
+    # first smallest 66
     record = hexagon_search(0, None, 1, monkeypatch)
     assert record.nodes <= 40
-    assert record.refined == 34
+    assert record.refined == 33
 
 
 def target_class(partition: Partition) -> int:
@@ -833,19 +861,88 @@ SMALL_GRAPHS = {
     ("K4", True), ("Petersen", True), ("C6", False), ("K3,3", False), ("3-cube", False),
 ])
 def test_small_graphs_read_or_refine_their_last_leaves(name, propagates, monkeypatch):
-    # K4 and Petersen read every leaf below the spine's last node; on C6,
-    # K3,3 and the 3-cube the walk cannot reach every vertex, so no leaf is
-    # read and the search refines them all
+    # A walk is planned at each spine node until one reaches every vertex.
+    # K4 and Petersen plan one at the spine's last node, their third, and
+    # read every leaf below it; on C6, K3,3 and the 3-cube no walk reaches
+    # every vertex, so no leaf is read and the search refines them all.
     graph = SMALL_GRAPHS[name]
     coloring = [0] * graph.vertex_count
     record = SearchRecord(graph, coloring, monkeypatch)
-    assert record.plans == [propagates]
+    spine = len(record.generators.base)
+    assert record.plans == [False] * (spine - 1) + [propagates]
     if propagates:
         assert record.reads and all(record.reads)
     else:
         assert record.reads == []
     assert record.generators == seed_automorphism_generators(graph, coloring)
     assert record.generators.order == self_isomorphism_count(graph, coloring)
+
+
+def first_leaf_refines(record: SearchRecord) -> int:
+    """How often the search refined its first leaf, the node below its base."""
+    base = tuple(record.generators.base)
+    return sum(prefix == base for prefix, _ in record.refined_nodes)
+
+
+@pytest.mark.parametrize("pairing, seed", HEXAGON_CASES)
+def test_the_hexagons_first_leaf_is_read_not_refined(pairing, seed, monkeypatch):
+    # the walk planned at the spine's last node reaches every vertex, so the
+    # first leaf is known to be discrete and is read like its siblings
+    record = hexagon_search(pairing, seed, 2, monkeypatch)
+    assert first_leaf_refines(record) == 0
+    last = tuple(record.generators.base[:-1])  # the spine's last node is refined once
+    assert sum(prefix == last for prefix, _ in record.refined_nodes) == 1
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(STALLING, id="STALLING"), pytest.param(MISMAPPING, id="MISMAPPING"),
+    *(pytest.param(SMALL_GRAPHS[name], id=name) for name in ("C6", "K3,3", "3-cube")),
+])
+def test_a_first_leaf_is_refined_at_most_once(graph, monkeypatch):
+    # with no plan the first leaf is refined on the spine; on MISMAPPING a
+    # walk is planned but a sibling's stalls, and refining that sibling's
+    # leaf refines the first leaf too, once
+    coloring = [0] * graph.vertex_count
+    record = SearchRecord(graph, coloring, monkeypatch)
+    assert first_leaf_refines(record) == 1
+    assert record.generators == seed_automorphism_generators(graph, coloring)
+    if graph is MISMAPPING:
+        assert record.plans[-1] and False in record.reads
+
+
+def assert_equals_the_seed_search(record: SearchRecord, graph, coloring):
+    """The search's generators, base and order are the seed search's, and
+    each generator that fixes a refined node's prefix maps the node's
+    target cell onto itself, so orbits merged over that cell alone are the
+    orbits there."""
+    seed = seed_automorphism_generators(graph, coloring)
+    found = record.generators
+    assert (found, found.base, found.order) == (seed, seed.base, seed.order)
+    for prefix, partition in record.refined_nodes:
+        if len(partition.members) == graph.vertex_count:
+            continue
+        cell = partition.members[target_class(partition)]
+        for g in found:
+            if all(g[u] == u for u in prefix):
+                assert sorted(g[x] for x in cell) == cell
+
+
+@pytest.mark.parametrize("pairing", [0, 1, 2])
+@pytest.mark.parametrize("seed", range(5))
+def test_orbits_merged_over_the_target_cell_on_relabelled_hexagons(pairing, seed,
+                                                                   monkeypatch):
+    graph, coloring = hexagon_case(pairing, seed, 2)
+    record = SearchRecord(graph, coloring, monkeypatch)
+    assert record.generators.order == 12096
+    assert_equals_the_seed_search(record, graph, coloring)
+
+
+@pytest.mark.parametrize("name", SMALL_GRAPHS)
+def test_orbits_merged_over_the_target_cell_on_small_graphs(name, monkeypatch):
+    graph = SMALL_GRAPHS[name]
+    coloring = [0] * graph.vertex_count
+    assert_equals_the_seed_search(SearchRecord(graph, coloring, monkeypatch),
+                                  graph, coloring)
 
 
 @pytest.mark.parametrize("n, edges, generators, base, order", [
@@ -949,16 +1046,23 @@ def digest(value) -> str:
 
 
 def chain(group):
-    transversals = [sorted(t.items()) for t in group._transversals]
+    """The chain with the coset representatives u_x, each derived from the
+    u_x^-1 the chain keeps."""
+    transversals = [sorted((x, inverse(u_inv)) for x, u_inv in t.items())
+                    for t in group._transversal_inverses]
     return (group.base, transversals, group._level_gens)
 
 
 def assert_inverses_stored(group):
+    """Each kept u_x^-1 is a permutation that sends x to the level's base
+    point, and each strong generator's stored inverse is its inverse."""
     e = identity(group.degree)
-    for level, transversal in enumerate(group._transversals):
-        inverses = group._transversal_inverses[level]
-        assert inverses.keys() == transversal.keys()
-        assert all(compose(u, inverses[x]) == e for x, u in transversal.items())
+    for level, inverses in enumerate(group._transversal_inverses):
+        b = group.base[level]
+        assert b in inverses
+        for x, u_inv in inverses.items():
+            assert sorted(u_inv) == list(e)
+            assert u_inv[x] == b
         strong = zip(group._level_gens[level], group._level_inverses[level])
         assert all(compose(s, s_inv) == e for s, s_inv in strong)
 
@@ -1017,10 +1121,9 @@ class SeedSchreierSims(PermutationGroup):
         # first; residues found on the way are inserted recursively.
         for j in range(level, start - 1, -1):
             self._extend_orbit(j)
-            transversal = self._transversals[j]
             inverses = self._transversal_inverses[j]
-            for x in sorted(transversal):
-                ux = transversal[x]
+            for x in sorted(inverses):
+                ux = inverse(inverses[x])
                 for s in self._level_gens[j]:
                     # u_x, then s, then the inverse of u_{s(x)}
                     back = inverses[s[x]]
@@ -1080,7 +1183,7 @@ def pair_counts(group):
     """Formed Schreier generators, and (orbit point, strong generator) pairs
     less the tree edges: one per orbit point but the base point."""
     return [(group.formed[j], len(t) * len(group._level_gens[j]) - (len(t) - 1))
-            for j, t in enumerate(group._transversals)]
+            for j, t in enumerate(group._transversal_inverses)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -1096,8 +1199,8 @@ def test_each_pair_is_formed_once_on_the_hexagon(aut_generators):
     assert group.base == list(aut_generators.base) == [0, 66, 23]
     assert group.order == 12096
     assert all(formed == pairs for formed, pairs in pair_counts(group))
-    assert [len(t) for t in group._transversals] == [63, 48, 4]
-    assert sum(len(t) - 1 for t in group._transversals) == 112  # tree edges skipped
+    assert [len(t) for t in group._transversal_inverses] == [63, 48, 4]
+    assert sum(len(t) - 1 for t in group._transversal_inverses) == 112  # tree edges skipped
     # 292 Schreier generators are sifted by their base images, and none
     # leaves a residue; the 4 input generators become the strong generators,
     # and only they are inserted
@@ -1114,12 +1217,11 @@ class TreeEdgeSchreierSims(PermutationGroup):
         super().__init__(*args, **kwargs)
 
     def _sift_schreier_generators(self, j):
-        transversal = self._transversals[j]
         inverses = self._transversal_inverses[j]
         for x, k in self._tree_edges[j]:
             s = self._level_gens[j][k]
             back = inverses[s[x]]
-            schreier = tuple([back[s[i]] for i in transversal[x]])
+            schreier = tuple([back[s[i]] for i in inverse(inverses[x])])
             self.tree_edges[j, x, k] = schreier == self._identity
         super()._sift_schreier_generators(j)
 
@@ -1132,7 +1234,8 @@ def test_skipped_tree_edges_give_the_identity(case):
     assert all(group.tree_edges.values())
     # one tree edge reached each orbit point but the base point
     per_level = Counter(j for j, _, _ in group.tree_edges)
-    assert all(per_level[j] == len(t) - 1 for j, t in enumerate(group._transversals))
+    assert all(per_level[j] == len(t) - 1
+               for j, t in enumerate(group._transversal_inverses))
 
 
 def sympy_group(gens):
@@ -1147,11 +1250,13 @@ def sympy_order(gens) -> int:
 
 
 def assert_base_and_strong_generating_set(group):
-    """Each u_x maps base[j] to x and fixes base[:j], each level's strong
-    generators fix base[:j], and every stored inverse is right."""
-    for j, transversal in enumerate(group._transversals):
+    """Each u_x maps base[j] to x and fixes base[:j] (so its kept inverse
+    maps x to base[j] and fixes base[:j]), each level's strong generators fix
+    base[:j], and every stored inverse is right."""
+    for j, inverses in enumerate(group._transversal_inverses):
         fixed = group.base[:j]
-        for x, u in transversal.items():
+        for x, u_inv in inverses.items():
+            u = inverse(u_inv)
             assert u[group.base[j]] == x
             assert all(u[b] == b for b in fixed)
         assert all(s[b] == b for s in group._level_gens[j] for b in fixed)
@@ -1190,7 +1295,7 @@ def assert_stabilizers_off_the_first_orbit(group, gens):
     the base): its stabilizer fixes it, lies in the group, has the order
     sympy gives and the index of the point's orbit."""
     n = group.degree
-    first_orbit = group._transversals[0] if group.base else {}
+    first_orbit = group._transversal_inverses[0] if group.base else {}
     for p in (p for p in range(n) if p not in first_orbit):
         stabilizer = group.stabilizer_generators(p)
         assert all(g[p] == p and g in group for g in stabilizer)
