@@ -19,7 +19,8 @@ read off one bit-parallel sweep (:func:`sphere_sweep`): the balls around
 all vertices grow together as int bitmasks, each round from the spheres of
 the round before, and the same pass over the neighbours applies the two
 girth rules, so the exact girth costs no second scan.  A :class:`Graph`
-keeps its sweep and its connectivity (``sweep``, ``connected``), and a
+keeps the sweep's sphere sizes and girth, not its masks, and its
+connectivity (``sweep``, ``connected``), and a
 structure keeps its incidence and line-concurrency graphs (``graph`` and
 ``concurrency``, returned by :func:`incidence_graph` and
 :func:`concurrency_graph`).  A structure also keeps the reports of
@@ -30,7 +31,7 @@ has, and the concurrency witnesses, which depend on the pairing alone, are
 scanned once per pairing (:func:`_witness_scan`); only their hermitian
 cross-check runs on every call.  :func:`dual` hands its result the
 structure's index views swapped and its graph's connectivity and sweep,
-the sweep relabelled one shift per sphere mask, since the dual's
+the sizes relabelled by one slice per layer, since the dual's
 incidence graph is the same with the parts swapped.  The oval and twin
 lines and the plane and concurrency-witness checks work on 6-bit vector
 codes (:func:`geometry.vector_codes`), under which addition is XOR and a
@@ -107,10 +108,17 @@ class IncidenceStructure(Frozen):
 
     @cached_property
     def incidences(self) -> tuple:
-        """Each line as the ascending indices of its points."""
-        index = {p: i for i, p in enumerate(self.points)}
+        """Each line as the ascending indices of its points.  A point listed
+        twice, or a line point off the point set, raises ValueError."""
+        points = self.points
+        index = {p: i for i, p in enumerate(points)}
+        if len(index) < len(points):
+            i = next(i for i, p in enumerate(points) if index[p] != i)
+            raise ValueError(f"point {points[i]!r} is listed twice, at "
+                             f"{i} and {points.index(points[i], i + 1)}")
+        get = index.__getitem__
         try:
-            return tuple(tuple(sorted(index[p] for p in line)) for line in self.lines)
+            return tuple([tuple(sorted(map(get, line))) for line in self.lines])
         except KeyError as exc:
             raise ValueError(
                 f"a line holds {exc.args[0]!r}, which is not one of the points"
@@ -130,7 +138,7 @@ class IncidenceStructure(Frozen):
         """The incidence graph, points then lines: a point's neighbours are
         its pencil and a line's are its points, both already ascending."""
         npts = len(self.points)
-        points = (tuple(npts + j for j in pencil) for pencil in self.pencils)
+        points = (tuple(map(npts.__add__, pencil)) for pencil in self.pencils)
         return Graph(adjacency=(*points, *self.incidences))
 
     @cached_property
@@ -257,7 +265,8 @@ def build(partition: HyperovalPartition) -> IncidenceStructure:
 
 
 class Graph(Frozen):
-    """Undirected simple graph as a tuple of sorted neighbor tuples."""
+    """Undirected simple graph as a tuple of sorted neighbor tuples.  It
+    keeps its sphere sizes (``sweep``) and connectivity (``connected``)."""
 
     _fields = ("adjacency",)
 
@@ -266,9 +275,11 @@ class Graph(Frozen):
 
     @cached_property
     def sweep(self) -> tuple:
-        """:func:`sphere_sweep` of the graph, kept: diameter, girth and the
-        distance distributions from every base read one sweep."""
-        return sphere_sweep(self)
+        """``(sizes, girth)`` of :func:`sphere_sweep`, kept: ``sizes[k][v]``
+        is |S_k(v)|.  Diameter, girth and the distance distributions from
+        every base read one sweep."""
+        spheres, best = sphere_sweep(self)
+        return [list(map(int.bit_count, layer)) for layer in spheres], best
 
     @cached_property
     def connected(self) -> bool:
@@ -421,11 +432,11 @@ def sphere_sweep(graph: Graph) -> tuple:
 
 
 def diameter(graph: Graph) -> int:
-    spheres, _ = graph.sweep
+    sizes, _ = graph.sweep
     n = graph.vertex_count
-    if n and sum(layer[0].bit_count() for layer in spheres) < n:
+    if n and sum(layer[0] for layer in sizes) < n:
         raise ValueError("infinite diameter: graph is disconnected")
-    return len(spheres) - 1
+    return len(sizes) - 1
 
 
 def girth(graph: Graph) -> int:
@@ -437,12 +448,11 @@ def girth(graph: Graph) -> int:
 
 
 def distance_distribution(graph: Graph, base: int) -> tuple:
-    """Counts of vertices at each distance from base (unreachables dropped),
-    read off the graph's cached sweep (:func:`sphere_sweep`) at base."""
+    """Counts of vertices at each distance from base (unreachables dropped):
+    the sphere sizes the graph keeps (``sweep``) at base."""
     _check_vertex(graph.vertex_count, base)
-    spheres, _ = graph.sweep
-    counts = (layer[base].bit_count() for layer in spheres)
-    return tuple(c for c in counts if c)
+    sizes, _ = graph.sweep
+    return tuple(filter(None, [layer[base] for layer in sizes]))
 
 
 def incidence_graph(structure: IncidenceStructure) -> Graph:
@@ -553,7 +563,7 @@ def _plane_property(structure: IncidenceStructure) -> Report:
         if p not in code:
             raise ValueError(f"point {p!r} is not a nonzero GF(4) triple")
         bits.append(1 << code[p])
-    line_masks = [sum(bits[i] for i in line) for line in structure.incidences]
+    line_masks = [sum(map(bits.__getitem__, line)) for line in structure.incidences]
     bad_size, bad_closure, bad_orthogonal, bad_membership = [], [], [], []
     for x, pencil in zip(structure.points, structure.pencils):
         union = 0
@@ -648,8 +658,10 @@ def verify_generalized_hexagon(structure: IncidenceStructure) -> Report:
     """The headline verdict: a partial linear space of order (2,2) whose
     incidence graph has diameter 6 and girth 12.  Also records the point
     distance distribution, which must be (1, 6, 24, 32) from every point.
-    All three are read off the incidence graph's kept ``sweep``, which
-    :func:`dual` hands over; the axioms are the structure's kept
+    All three are read off the sphere sizes the incidence graph keeps
+    (``sweep``), which :func:`dual` hands over: when every point's even
+    spheres have the sizes (1, 6, 24, 32), whole layers show it and no
+    point is scanned.  The axioms are the structure's kept
     :func:`verify_partial_linear_space` report."""
     pls = verify_partial_linear_space(structure)
     graph = incidence_graph(structure)
@@ -663,23 +675,20 @@ def verify_generalized_hexagon(structure: IncidenceStructure) -> Report:
     ]
     checks.append(Check("incidence-connected", graph.connected))
     if graph.connected:
-        spheres, g = graph.sweep
-        d = len(spheres) - 1
+        sizes, g = graph.sweep
+        d = len(sizes) - 1
         checks.append(Check("incidence-diameter", d == 6, detail=d))
         checks.append(Check("incidence-girth", g == 12, detail=g))
-        # Points come first in the incidence graph, and two points at
-        # incidence distance 2k are at collinearity distance k.
+        # Points come first in the bipartite incidence graph: two points at
+        # distance 2k are at collinearity distance k, and a point's sizes are
+        # 0 only past its farthest vertex.  Whole layers show a pass.
         npts = len(structure.points)
-        points = (1 << npts) - 1
+        evens = [layer[:npts] for layer in sizes[::2]]
         bad = None
-        for base in range(npts):
-            counts = [(layer[base] & points).bit_count() for layer in spheres[::2]]
-            while counts and not counts[-1]:
-                counts.pop()
-            dist = tuple(counts)
-            if dist != DISTANCE_DISTRIBUTION:
-                bad = (base, dist)
-                break
+        if evens != [[c] * npts for c in DISTANCE_DISTRIBUTION]:
+            dists = (tuple(filter(None, column)) for column in zip(*evens))
+            bad = next(((base, dist) for base, dist in enumerate(dists)
+                        if dist != DISTANCE_DISTRIBUTION), None)
         checks.append(
             Check("point-distance-distribution", bad is None, witness=bad,
                   detail=DISTANCE_DISTRIBUTION)
@@ -717,26 +726,16 @@ def dual(structure: IncidenceStructure) -> IncidenceStructure:
     ``incidences`` are the structure's ``pencils``, its ``pencils`` the
     structure's ``incidences``, and its graph the structure graph's
     ``connected`` and ``sweep``, relabelled; both are found now if not yet.
-    Dual vertex v is vertex (v + npts) mod n of the structure, and since
-    the incidence graph is bipartite each sphere lies in one part, so each
-    mask moves by one shift: right by npts from the line part, left by the
-    number of lines from the point part.  A structure built by hand from
-    the result's fields derives its own."""
+    Dual vertex v is vertex (v + npts) mod n of the structure, so each
+    layer of sphere sizes is relabelled by one slice, the line part first.
+    A structure built by hand from the result's fields derives its own."""
     result = IncidenceStructure(
         points=tuple(range(len(structure.lines))),
         lines=tuple(map(frozenset, structure.pencils)),
     )
-    (spheres, girth), npts = structure.graph.sweep, len(structure.points)
-    nlines = len(structure.lines)
-    rotated = []
-    for k, layer in enumerate(spheres):
-        if k % 2:  # a line's sphere holds points, a point's holds lines
-            rotated.append([m << nlines for m in layer[npts:]]
-                           + [m >> npts for m in layer[:npts]])
-        else:
-            rotated.append([m >> npts for m in layer[npts:]]
-                           + [m << nlines for m in layer[:npts]])
+    (sizes, girth), npts = structure.graph.sweep, len(structure.points)
+    relabelled = [layer[npts:] + layer[:npts] for layer in sizes]
     result.__dict__.update(incidences=structure.pencils, pencils=structure.incidences)
-    result.graph.__dict__.update(sweep=(rotated, girth),
+    result.graph.__dict__.update(sweep=(relabelled, girth),
                                  connected=structure.graph.connected)
     return result

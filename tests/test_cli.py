@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -601,6 +602,27 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["nonzero_vectors"] == 63
+
+
+def test_the_package_runs_as_a_module_without_a_warning(capsys):
+    # python -m splithex.cli warns that the package has already imported
+    # splithex.cli; the package's own __main__ is not imported beforehand
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "splithex", "verify", "--format", "json"],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert main(["verify", "--format", "json"]) == 0
+    expected = strip_timing(json.loads(capsys.readouterr().out))
+    assert strip_timing(json.loads(proc.stdout)) == expected
+
+
+def test_the_module_entry_exits_with_the_code_of_main(monkeypatch):
+    monkeypatch.setattr(cli_module, "main", lambda: 1)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("splithex", run_name="__main__")
+    assert exc.value.code == 1
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

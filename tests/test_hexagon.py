@@ -348,6 +348,25 @@ def test_a_line_point_off_the_point_set_is_refused(structure, reader):
         reader(stray)
 
 
+@pytest.mark.parametrize("reader", [
+    incidence_graph, concurrency_graph, point_graph, dual,
+    verify_partial_linear_space, verify_plane_property,
+])
+def test_a_repeated_point_is_refused(structure, reader):
+    # point 5 listed again at the end: indexed by its last copy, its first
+    # would be an isolated vertex, named as on no line though on three
+    p = structure.points[5]
+    repeated = IncidenceStructure(points=(*structure.points, p), lines=structure.lines)
+    with pytest.raises(ValueError, match=re.escape(f"point {p!r} is listed twice, at 5 and 63")):
+        reader(repeated)
+
+
+def test_a_point_listed_three_times_is_named_at_its_first_two_positions():
+    s = IncidenceStructure(points=("a", "b", "c", "b", "d", "b"), lines=())
+    with pytest.raises(ValueError, match="point 'b' is listed twice, at 1 and 3"):
+        s.incidences
+
+
 def test_concurrency_graph_is_6_regular_and_connected(structure):
     graph = concurrency_graph(structure)
     assert graph.vertex_count == 63
@@ -433,6 +452,13 @@ def seed_bfs_sweep(graph: Graph) -> tuple:
                         best = cycle
         rows.append(dist)
     return rows, best
+
+
+def sphere_sizes(sweep) -> tuple:
+    """A :func:`sphere_sweep` result with each sphere mask replaced by its
+    number of vertices: what ``Graph.sweep`` keeps."""
+    spheres, best = sweep
+    return [[mask.bit_count() for mask in layer] for layer in spheres], best
 
 
 @st.composite
@@ -928,15 +954,85 @@ def sparse_line_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(line_sets(), sparse_line_sets()))
 def test_the_dual_sweep_is_the_hand_built_duals(structure):
-    # S_k(v) lies in v's own part for even k and in the other part for odd
-    # k, so dual() moves each sphere mask with one shift
+    # dual vertex v is vertex (v + npts) mod n of the structure, so dual()
+    # relabels each layer of sphere sizes with one slice
     d = dual(structure)
     by_hand = IncidenceStructure(d.points, d.lines)
-    assert d.graph.sweep == sphere_sweep(incidence_graph(by_hand))
+    assert d.graph.sweep == sphere_sizes(sphere_sweep(incidence_graph(by_hand)))
     assert dual(d).graph.sweep == structure.graph.sweep
     # the dual's graph is the structure's relabelled, so it is handed the
     # structure's connectivity too
     assert d.graph.__dict__["connected"] == by_hand.graph.connected
+
+
+def seed_point_distance_witness(structure: IncidenceStructure) -> tuple | None:
+    """The first point whose distance distribution is not (1, 6, 24, 32),
+    as ``(base, distribution)``, or None: the loop the generalized-hexagon
+    check ran on the sweep's masks before the graph kept sphere sizes, each
+    even sphere of a point cut to the points and trailing zeros dropped."""
+    spheres, _ = sphere_sweep(incidence_graph(structure))
+    npts = len(structure.points)
+    points = (1 << npts) - 1
+    for base in range(npts):
+        counts = [(layer[base] & points).bit_count() for layer in spheres[::2]]
+        while counts and not counts[-1]:
+            counts.pop()
+        if tuple(counts) != (1, 6, 24, 32):
+            return base, tuple(counts)
+    return None
+
+
+@st.composite
+def small_structures(draw, max_points=12):
+    """Small incidence structures on shuffled labels: lines of 0 to 4
+    points, repeated lines and lines sharing two points, isolated points
+    and several components; or, on request, every point joined to an
+    earlier one, so that most are connected."""
+    n = draw(st.integers(0, max_points))
+    points = tuple(draw(st.permutations([f"p{i}" for i in range(n)])))
+    line = st.frozensets(st.sampled_from(points), max_size=4) if n else st.just(frozenset())
+    lines = draw(st.lists(line, max_size=12))
+    if n and draw(st.booleans()):
+        chain = [frozenset({points[i], points[draw(st.integers(0, i - 1))]})
+                 | draw(line) for i in range(1, n)]
+        lines = draw(st.permutations(chain + lines[:2]))
+    return IncidenceStructure(points, tuple(lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_structures(), line_sets(), sparse_line_sets()))
+def test_dual_and_distance_check_on_random_structures(structure):
+    # the dual built by hand from the structure's own fields, not its views
+    d = dual(structure)
+    by_hand = IncidenceStructure(
+        tuple(range(len(structure.lines))),
+        tuple(frozenset(j for j, line in enumerate(structure.lines) if p in line)
+              for p in structure.points))
+    assert verify_generalized_hexagon(d) == verify_generalized_hexagon(by_hand)
+    assert d.graph.sweep == sphere_sizes(sphere_sweep(incidence_graph(by_hand)))
+    # the check on sphere sizes names the witness the mask loop named
+    for s in (structure, d):
+        checks = {c.name: c for c in verify_generalized_hexagon(s).checks}
+        if s.graph.connected:
+            witness = checks["point-distance-distribution"].witness
+            assert witness == seed_point_distance_witness(s)
+        else:
+            assert "point-distance-distribution" not in checks
+
+
+@pytest.mark.parametrize("pairing", range(3))
+def test_a_kept_sweep_holds_sphere_sizes(pairing):
+    s = build(hyperoval_partitions()[pairing])
+    assert verify_generalized_hexagon(s).passed
+    for graph in (s.graph, dual(s).graph):
+        sizes, best = graph.sweep
+        n = graph.vertex_count
+        assert (n, best, len(sizes)) == (126, 12, 7)
+        for layer in sizes:
+            assert len(layer) == n
+            assert all(type(c) is int and 0 <= c <= n for c in layer)
+        # each vertex's spheres partition the vertex set
+        assert all(sum(column) == n for column in zip(*sizes))
 
 
 EXTERIOR = sorted(exterior_points(), key=to_gf2)
@@ -1081,7 +1177,7 @@ def test_dual_report_equals_the_hand_built_dual(structure, corrupted, case):
     d = dual(_fresh(case, structure, corrupted))
     by_hand = IncidenceStructure(d.points, d.lines)
     assert verify_generalized_hexagon(d) == verify_generalized_hexagon(by_hand)
-    assert d.graph.sweep == sphere_sweep(incidence_graph(by_hand))
+    assert d.graph.sweep == sphere_sizes(sphere_sweep(incidence_graph(by_hand)))
     assert verify_generalized_hexagon(d).passed == (case == "genuine")
 
 
@@ -1110,11 +1206,11 @@ def test_the_dual_is_handed_its_structures_views(structure, corrupted, case, swe
 
 def test_a_replaced_dual_sweeps_its_own_graph(structure, swept):
     d = dual(_fresh("genuine", structure, None))
-    assert d.graph.sweep == sphere_sweep(incidence_graph(d))
+    assert d.graph.sweep == sphere_sizes(sphere_sweep(incidence_graph(d)))
     # drop one dual line: the graph, and so its sweep, changes
     other = IncidenceStructure(d.points, d.lines[1:], d.tags)
     del swept[:]
-    assert other.graph.sweep == sphere_sweep(incidence_graph(other))
+    assert other.graph.sweep == sphere_sizes(sphere_sweep(incidence_graph(other)))
     assert swept == [incidence_graph(other)]
     assert other.graph.sweep != d.graph.sweep
     assert verify_generalized_hexagon(other) == verify_generalized_hexagon(
