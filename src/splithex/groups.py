@@ -8,9 +8,11 @@ refined :class:`Partition`, and each child refines a copy with its vertex
 split off, so no node rebuilds its classes from a flat coloring.  The
 partition is equitable before a vertex is split off, so the first
 refinement round after it re-examines only the classes of that vertex's
-neighbours.  A round signs (sorts the neighbour colors of) only the
-vertices next to a part split off in the round before, and one other member
-per class, which stands for the rest of its class.  Candidate automorphisms
+neighbours.  A round splits a class by each member's counts of neighbours in
+the parts split off in the round before, packed into one int (McKay-Piperno
+2014 count into the cells just split in the same way), and signs (sorts the
+neighbour colors of) one member of each part of a split class, only to lay
+the parts out in order.  Candidate automorphisms
 are read off discrete partitions by comparison with the first leaf;
 discovered automorphisms prune later branches by orbits, kept in a
 union-find per node that merges only what each new automorphism adds, and
@@ -162,8 +164,10 @@ class Partition:
     def individualized(self, v) -> Partition:
         """A copy with v alone in a new class just before the rest of its
         class, which must have another member."""
+        c = self._class_of(v)
+        if len(self.members[c]) == 1:
+            raise ValueError(f"vertex {v} is alone in its class")
         child = object.__new__(Partition)
-        c = self.cls[v]
         rest = [w for w in self.members[c] if w != v]
         child.members = self.members + [[v]]
         child.members[c] = rest
@@ -175,6 +179,11 @@ class Partition:
         for w in rest:
             child.color[w] += 1
         return child
+
+    def _class_of(self, v) -> int:
+        if not (isinstance(v, int) and 0 <= v < len(self.cls)):
+            raise ValueError(f"vertex {v!r} is not in range({len(self.cls)})")
+        return self.cls[v]
 
     def ranks(self) -> tuple:
         """Each vertex's class, numbered 0, 1, ... in layout order."""
@@ -213,28 +222,36 @@ def refine(graph: Graph, coloring, individualized=None):
     rest of its class (:meth:`Partition.individualized`).  Then {v} is the
     one part split off, so the first round re-examines only the classes of
     v's neighbours; it splits the same classes, and the result and the
-    number of rounds are those of a first round over every class.
+    number of rounds are those of a first round over every class.  A v out
+    of range, or not alone in its class, raises ``ValueError``, as does a
+    coloring or partition whose length is not the graph's vertex count.
 
-    A round signs only the touched members of a class it re-examines, the
-    vertices with a neighbour in a part split off in the round before (in
-    the first round, v's neighbours, or every vertex if there is no v),
-    and one untouched member, if any, for all the others.  Every member
-    of a class had one signature in the round before.  An untouched
-    member's neighbours lie in classes that did not split or in the
-    largest part of a split class, and each of those has one color now,
-    though it may have moved; so the untouched members share one new
-    signature.  A touched member sees the color of a part split off, where
-    no untouched member has a neighbour, so its signature is not theirs:
-    the parts are those of signing every member, each still ascending, and
-    are laid out in the same order.
+    A round splits a class by one int per member, its key, which packs the
+    member's counts of neighbours in the parts split off in the round
+    before, one ``shift``-bit field per part; ``shift`` is the bit length
+    of the largest degree, so no count spills into the next field.  In a
+    first round with no v every class counts as split off, and after v,
+    v's neighbours have key 1; a member with no neighbour in such a part
+    has key 0.  Members of a class see equally many neighbours in each
+    class of the round before, and the part of a split class that kept its
+    id holds what the parts split off do not, so the counts in the parts
+    split off decide a member's counts in every class now: two members of
+    a class have equal keys exactly when they have equal signatures.  Only
+    the parts of a split class are signed, one member each, and laid out
+    in signature order, so the parts, each still ascending, and their order
+    are those of signing every member.
     """
     if isinstance(coloring, Partition):
-        _refine(graph, coloring, individualized)
-        return coloring
-    _check_length(graph, "coloring", coloring)
-    partition = Partition(coloring)
+        partition = coloring
+        _check_length(graph, "partition", partition.cls)
+    else:
+        _check_length(graph, "coloring", coloring)
+        partition = Partition(coloring)
+    if individualized is not None and len(
+            partition.members[partition._class_of(individualized)]) > 1:
+        raise ValueError(f"vertex {individualized} is not alone in its class")
     _refine(graph, partition, individualized)
-    return partition.ranks()
+    return coloring if partition is coloring else partition.ranks()
 
 
 def _refine(graph: Graph, partition: Partition, individualized) -> int:
@@ -243,12 +260,21 @@ def _refine(graph: Graph, partition: Partition, individualized) -> int:
     members, start, cls, color = (partition.members, partition.start,
                                   partition.cls, partition.color)
     color_of = color.__getitem__
+
+    def signature(part):
+        return sorted(map(color_of, adjacency[part[0]]))
+
+    # a count of neighbours never reaches 1 << shift, so fields never overlap
+    shift = max(map(len, adjacency), default=0).bit_length()
     if individualized is None:
-        touched = range(len(cls))
         stale = range(len(members))
+        keys = {v: sum([1 << shift * cls[u] for u in nbrs])
+                for v, nbrs in enumerate(adjacency)}
     else:
         touched = set(adjacency[individualized])
         stale = {cls[w] for w in adjacency[individualized]}
+        keys = dict.fromkeys(touched, 1)
+    key_of = keys.get
     rounds = 0
     while True:
         rounds += 1
@@ -258,20 +284,16 @@ def _refine(graph: Graph, partition: Partition, individualized) -> int:
             if len(cell) == 1:
                 continue
             parts = {}
-            rest = []  # the untouched members, which share one signature
             for v in cell:
-                if v in touched:
-                    key = tuple(sorted(map(color_of, adjacency[v])))
-                    parts.setdefault(key, []).append(v)
-                else:
-                    rest.append(v)
-            if rest:
-                parts[tuple(sorted(map(color_of, adjacency[rest[0]])))] = rest
+                parts.setdefault(key_of(v, 0), []).append(v)
             if len(parts) > 1:
-                split[c] = [parts[key] for key in sorted(parts)]
+                split[c] = sorted(parts.values(), key=signature)
         if not split:
             return rounds
         touched = set()
+        keys = {}  # vertex -> its counts into the parts split off, packed
+        key_of = keys.get
+        fields = len(members)  # the first new class id, whose field is 0
         for c, parts in split.items():
             largest = max(parts, key=len)
             position = start[c]
@@ -283,8 +305,12 @@ def _refine(graph: Graph, partition: Partition, individualized) -> int:
                     new = len(members)
                     members.append(part)
                     start.append(0)
+                    bit = 1 << shift * (new - fields)
                     for v in part:
-                        touched.update(adjacency[v])
+                        nbrs = adjacency[v]
+                        touched.update(nbrs)
+                        for u in nbrs:
+                            keys[u] = key_of(u, 0) + bit
                 start[new] = position
                 for v in part:
                     cls[v] = new

@@ -261,9 +261,9 @@ def test_a_carried_partition_refines_like_an_individualized_coloring(case):
 
 
 def full_signature_refine(graph: Graph, partition: Partition, individualized) -> int:
-    """Reference: the refinement loop that re-signs every member of a class
-    it re-examines, not only the members next to a part split off; it lays
-    the parts out and numbers the new classes as :func:`refine` does."""
+    """Reference: the refinement loop that splits a class by signing every
+    member, not by its counts into the parts split off; it lays the parts
+    out and numbers the new classes as :func:`refine` does."""
     adjacency = graph.adjacency
     members, start, cls, color = (partition.members, partition.start,
                                   partition.cls, partition.color)
@@ -341,8 +341,9 @@ def test_an_untouched_member_is_resigned_after_its_neighbours_move():
     # The first round splits {0, 1, 2} into {0} before {1, 2}: 1 and 2 see
     # the singleton 6.  The largest part moves from start 0 to start 1, so
     # the neighbours of 4 and 5 change color although they were not split
-    # off; only 3, next to {0}, is touched in the second round, and 4 stands
-    # for itself and 5, so the class {3, 4, 5} splits into {3} and {4, 5}.
+    # off; only 3, next to {0}, is touched in the second round, so 3 has key
+    # 1 and 4 and 5 key 0, and the class {3, 4, 5} splits into {3} and
+    # {4, 5}, laid out by the signatures of 3 and of 4.
     graph = Graph.from_edges(7, [(0, 3), (1, 4), (2, 5), (1, 6), (2, 6)])
     coloring = [0, 0, 0, 1, 1, 1, 2]
     partition = Partition(coloring)
@@ -350,6 +351,64 @@ def test_an_untouched_member_is_resigned_after_its_neighbours_move():
     assert layout(partition) == ([[1, 2], [4, 5], [6], [0], [3]], [1, 4, 6, 0, 3],
                                  [3, 0, 0, 4, 1, 1, 2], [0, 1, 1, 3, 4, 4, 6])
     assert_refines_like_the_full_signature_loop(graph, Partition(coloring), None)
+
+
+@pytest.mark.parametrize("degree", [3, 4, 7, 8])
+def test_a_full_count_stays_in_its_field(degree):
+    # Vertex 0 has all its neighbours in one class, P; the first round
+    # counts P and the class after it, Q, as split off.  Vertex 1, in 0's
+    # class, has as many neighbours in P and in Q as the digits of degree in
+    # base 2 ** (shift - 1), so with one bit fewer per field the two keys
+    # would be equal and the class would not split in the first round.
+    width = degree.bit_length() - 1  # one less than refine's shift
+    low, high = degree % (1 << width), degree >> width
+    p = list(range(2, 2 + degree))
+    q = list(range(2 + degree, 2 + degree + high))
+    edges = [(0, u) for u in p] + [(1, u) for u in p[:low] + q]
+    graph = Graph.from_edges(2 + degree + high, edges)
+    assert max(map(len, graph.adjacency)) == degree
+    coloring = [0, 0] + [1] * degree + [2] * high
+    root = assert_refines_like_the_full_signature_loop(graph, Partition(coloring), None)
+    assert root.cls[0] != root.cls[1]
+    for v in (v for v in range(graph.vertex_count) if len(root.members[root.cls[v]]) > 1):
+        assert_refines_like_the_full_signature_loop(graph, root.individualized(v), v)
+
+
+PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def test_a_partition_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError, match="partition has length 5, "
+                                         "but the graph has 4 vertices"):
+        refine(PATH4, Partition([0] * 5))
+
+
+@pytest.mark.parametrize("v, message", [
+    (-1, r"vertex -1 is not in range\(4\)"),
+    (4, r"vertex 4 is not in range\(4\)"),
+    (0, "vertex 0 is not alone in its class"),
+])
+@pytest.mark.parametrize("as_partition", [False, True])
+def test_an_individualized_vertex_must_be_alone_in_its_class(v, message, as_partition):
+    # on a uniform path, -1 refined as if vertex 3 had been split off, 4 raised
+    # IndexError and 0 gave the coloring (2, 3, 1, 0), which is not equitable
+    coloring = Partition([0] * 4) if as_partition else [0] * 4
+    with pytest.raises(ValueError, match=message):
+        refine(PATH4, coloring, v)
+
+
+@pytest.mark.parametrize("v, message", [
+    (3, "vertex 3 is alone in its class"),
+    (4, r"vertex 4 is not in range\(4\)"),
+    (-1, r"vertex -1 is not in range\(4\)"),
+])
+def test_only_a_vertex_that_shares_its_class_is_split_off(v, message):
+    # splitting off 3 made an empty class [] starting at 4, past the vertices
+    partition = Partition([0, 0, 0, 1])
+    with pytest.raises(ValueError, match=message):
+        partition.individualized(v)
+    child = partition.individualized(0)
+    assert layout(child) == ([[1, 2], [3], [0]], [1, 3, 0], [2, 0, 0, 1], [0, 1, 1, 3])
 
 
 def test_refine_commutes_with_relabeling():
@@ -714,11 +773,12 @@ def test_search_tree_size(pairing, seed, monkeypatch):
 
 
 def test_signatures_per_search(monkeypatch):
-    # Refinement re-signs a class's members next to a part split off in the
-    # round before, and one of the rest for them all: the search on pairing 0
-    # computes 1 127 neighbour-colour signatures, where re-signing every
-    # member of a re-examined class computed 2 220, and refining the first
-    # leaf as well 1 268.
+    # Refinement splits a class by its members' counts into the parts split
+    # off in the round before, and signs one member of each part of a split
+    # class, only to order the parts: the search on pairing 0 computes 190
+    # neighbour-colour signatures.  Re-signing every member of a re-examined
+    # class computed 2 220, refining the first leaf as well 1 268, and
+    # signing the members next to a part split off and one of the rest 1 127.
     signatures = Counter()
 
     def counting_sorted(iterable, *args, **kwargs):
@@ -728,7 +788,7 @@ def test_signatures_per_search(monkeypatch):
     graph, coloring = hexagon_case(0, None, 2)
     monkeypatch.setattr(groups_module, "sorted", counting_sorted, raising=False)
     assert automorphism_generators(graph, coloring).order == 12096
-    assert signatures[True] == 1127
+    assert signatures[True] == 190
 
 
 def test_one_colour_search_tree_size(monkeypatch):
