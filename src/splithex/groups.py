@@ -111,7 +111,12 @@ def inverse(p: Permutation) -> Permutation:
 
 
 def orbits(generators, degree: int) -> tuple:
-    """Orbits of <generators> on 0..degree-1, sorted by smallest member."""
+    """Orbits of <generators> on 0..degree-1, sorted by smallest member.
+    A generator that is not of length ``degree`` raises ValueError."""
+    for g in generators:
+        if len(g) != degree:
+            raise ValueError(f"a generator has length {len(g)}, "
+                             f"but the degree is {degree}")
     seen = [False] * degree
     out = []
     for start in range(degree):

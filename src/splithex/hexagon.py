@@ -17,8 +17,9 @@ the split Cayley hexagon of order 2.
 Every distance -- diameter, girth and each distance distribution -- is
 read off one bit-parallel sweep (:func:`sphere_sweep`): the balls around
 all vertices grow together as int bitmasks, each round from the spheres of
-the round before, and the same pass over the neighbours applies the two
-girth rules, so the exact girth costs no second scan.  A :class:`Graph`
+the round before, one OR per neighbour.  Each new shell is counted as the
+round makes it, and the exact girth is read off those counts: the arcs are
+scanned only in the one round whose counts show a cycle.  A :class:`Graph`
 keeps the sweep's sphere sizes and girth, not its masks, and its
 connectivity (``sweep``, ``connected``), and a
 structure keeps its incidence and line-concurrency graphs (``graph`` and
@@ -46,6 +47,7 @@ from __future__ import annotations
 from collections import deque
 from functools import cache, cached_property
 from itertools import combinations
+from operator import mul
 
 from ._frozen import Frozen
 from .algebra import ZERO_VECTOR, Vector3, hermitian, to_gf2
@@ -265,8 +267,9 @@ def build(partition: HyperovalPartition) -> IncidenceStructure:
 
 
 class Graph(Frozen):
-    """Undirected simple graph as a tuple of sorted neighbor tuples.  It
-    keeps its sphere sizes (``sweep``) and connectivity (``connected``)."""
+    """Undirected simple graph as a tuple of sorted neighbor tuples, each
+    edge in the rows of both its ends.  It keeps its sphere sizes
+    (``sweep``) and connectivity (``connected``)."""
 
     _fields = ("adjacency",)
 
@@ -278,8 +281,8 @@ class Graph(Frozen):
         """``(sizes, girth)`` of :func:`sphere_sweep`, kept: ``sizes[k][v]``
         is |S_k(v)|.  Diameter, girth and the distance distributions from
         every base read one sweep."""
-        spheres, best = sphere_sweep(self)
-        return [list(map(int.bit_count, layer)) for layer in spheres], best
+        _, sizes, best = sphere_sweep(self)
+        return sizes, best
 
     @cached_property
     def connected(self) -> bool:
@@ -325,12 +328,12 @@ def bfs_distances(graph: Graph, start: int) -> list:
 
 
 def _check_vertex(n: int, v: int) -> None:
-    if not 0 <= v < n:
-        raise ValueError(f"vertex {v} is not one of the graph's {n} vertices")
+    if type(v) is not int or not 0 <= v < n:
+        raise ValueError(f"vertex {v!r} is not one of the graph's {n} vertices")
 
 
 def sphere_sweep(graph: Graph) -> tuple:
-    """Distance spheres of every vertex at once, fused with the girth scan.
+    """Distance spheres of every vertex at once, with their sizes and the girth.
 
     Each vertex's ball is an int bitmask over the vertices, and all balls
     grow together from the spheres of the round before: B_0(w) = S_0(w) =
@@ -343,17 +346,20 @@ def sphere_sweep(graph: Graph) -> tuple:
     a geodesic, and a vertex at distance k-1 from a neighbour is at most k
     from w).  What is kept of a ball is its complement R_k(w), the vertices
     not yet reached: S_k(w) = U_k(w) & R_{k-1}(w) and R_k(w) = R_{k-1}(w) ^
-    S_k(w), two operations where the ball took three.  The rounds stop when
-    no ball grows or, once the girth is known, as soon as every ball is the
-    whole vertex set (every complement is empty).  Returns
-    ``(spheres, girth)``, where ``spheres[k][v]`` is the bitmask S_k(v) of
-    the vertices at distance exactly k from v (the spheres of a round in
-    which nothing grew are not kept, so the largest finite distance is
-    ``len(spheres) - 1``), and ``girth`` is the length of a shortest cycle,
-    or None if the graph is acyclic.
+    S_k(w), two operations where the ball took three, after one OR per
+    neighbour.  Each new shell is counted in the round that makes it.  The
+    rounds stop when no ball grows or, once the girth is known, as soon as
+    every ball is the whole vertex set (every complement is empty).
+    Returns ``(spheres, sizes, girth)``, where ``spheres[k][v]`` is the
+    bitmask S_k(v) of the vertices at distance exactly k from v (the
+    spheres of a round in which nothing grew are not kept, so the largest
+    finite distance is ``len(spheres) - 1``), ``sizes[k][v]`` is |S_k(v)|,
+    and ``girth`` is the length of a shortest cycle, or None if the graph
+    is acyclic.
 
-    The girth is exact: it is the first of 2k, 2k+1 (k = 1, 2, ...) at
-    which one of these rules fires.
+    The rows must be symmetric: u is listed in the row of w as often as w
+    in the row of u.  Every graph the package builds is.  The girth is the
+    first of 2k, 2k+1 (k = 1, 2, ...) at which one of these rules fires.
 
     * 2k: some w has neighbours u1 != u2 with S_{k-1}(u1) & S_{k-1}(u2) &
       S_k(w) != 0 -- two geodesics from w to a common vertex that leave w
@@ -366,69 +372,69 @@ def sphere_sweep(graph: Graph) -> tuple:
     a vertex of it, and one of length 2k+1 fires the second at the edge
     opposite a vertex.
 
-    Round k reads both rules off the same pass over the neighbours that
-    forms U_k(w): ``once`` = U_k(w), which starts as the first nonempty
-    neighbour sphere rather than as 0, and ``twice``, the vertices in
-    S_{k-1} of at least two neighbours.  The even rule of level k is
-    ``twice & S_k(w)``; the odd rule of level k-1 is ``once & S_{k-1}(w)``
-    (an edge (u, w) with S_{k-1}(u) & S_{k-1}(w) != 0).  Each rule is
-    tested for truth at each vertex, not ORed into a mask.  The odd rule is
-    taken first, since 2k-1 < 2k; the even rule of level k-1 fired, if at
-    all, in the round before.  While the girth is unknown, a round in which
-    nothing grows is still run, even when every ball is already full, since
-    it applies the odd rule of the last level kept.  Once the girth is
-    known the rounds only grow the spheres, without the ``twice``
-    bookkeeping, and stop when every ball is full without that empty round:
-    the hexagon's 6 rounds end with the one that finds girth 12, and a line
-    set with one substituted point (hexbench's ``screen-mixed`` FAIL
-    candidates) has girth 4 to 10, so 2 to 8 of its 7 to 10 rounds come
-    after the girth is known.
+    Round k reads the odd rule of level k-1 and the even rule of level k
+    off integer counts.  While the girth is unknown no cycle is shorter
+    than 2k-1.  Then, of each S_{k-1}(u) with u a neighbour of w, the
+    vertices inside B_{k-1}(w) are those of S_{k-2}(w) off u's branch
+    (only w itself when k = 2) and those of S_{k-1}(u) & S_{k-1}(w), so
+
+        reach - back - total = sum over w of
+            sum over x in S_k(w) of (M_w(x) - 1)  +  O_w,
+
+    with reach = sum over u of deg(u) |S_{k-1}(u)|; back = 0 when k = 1,
+    the sum of the degrees when k = 2, and the sum over w of (deg(w) - 1)
+    |S_{k-2}(w)| after that; total = sum over w of |S_k(w)|; M_w(x) the
+    number of neighbours u of w with x in S_{k-1}(u); and O_w the number
+    of pairs (u, x) with u ~ w and x in S_{k-1}(u) & S_{k-1}(w).  The step
+    from the neighbours of each w to deg(u) needs the symmetric rows.
+    Every term is >= 0, and the difference is > 0 exactly when one of the
+    two rules fires.  Only in that round are the arcs scanned for the odd
+    rule, which is taken first, since 2k-1 < 2k: the girth is 2k-1 if some
+    arc (u, w) has S_{k-1}(u) & S_{k-1}(w) != 0, and 2k otherwise.  A loop
+    gives girth 1 and a neighbour listed twice girth 2 in round 1.  While
+    the girth is unknown, a round in which nothing grows is still run,
+    even when every ball is already full, since it applies the odd rule of
+    the last level kept.  Once it is known, the rounds stop when every
+    ball is full, without that empty round: the hexagon's 6 rounds end
+    with the one that finds girth 12.
     """
     adjacency = graph.adjacency
     n = len(adjacency)
+    degrees = list(map(len, adjacency))
     rests = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
     spheres = [[1 << v for v in range(n)]]
+    sizes = [[1] * n]
     best = None
+    back = 0
     while True:
         inner = spheres[-1]
         left, shell = [], []
+        for rest, nbrs in zip(rests, adjacency):
+            once = 0
+            for u in nbrs:
+                once |= inner[u]
+            new = once & rest
+            left.append(rest ^ new)
+            shell.append(new)
+        counts = list(map(int.bit_count, shell))
+        total = sum(counts)
         if best is None:
-            odd = even = False
-            for rest, s, nbrs in zip(rests, inner, adjacency):
-                once = twice = 0
-                for u in nbrs:
-                    x = inner[u]
-                    if once:
-                        twice |= once & x
-                        once |= x
-                    else:
-                        once = x
-                new = once & rest
-                if once & s:
-                    odd = True
-                if twice & new:
-                    even = True
-                left.append(rest ^ new)
-                shell.append(new)
             k = len(spheres)
-            if odd:
-                best = 2 * k - 1
-            elif even:
-                best = 2 * k
-        else:
-            for rest, nbrs in zip(rests, adjacency):
-                once = 0
-                for u in nbrs:
-                    once |= inner[u]
-                new = once & rest
-                left.append(rest ^ new)
-                shell.append(new)
-        if not any(shell):
-            return spheres, best
+            reach = sum(map(mul, degrees, sizes[-1]))
+            if reach - back > total:
+                odd = any(inner[u] & s for s, nbrs in zip(inner, adjacency)
+                          for u in nbrs)
+                best = 2 * k - 1 if odd else 2 * k
+            # what round k+1's reach holds of S_{k-1}: deg(w) - 1 copies of
+            # each vertex of S_{k-1}(w), or deg(w) of w itself when k = 1
+            back = reach - sum(sizes[-1]) if k > 1 else reach
+        if not total:
+            return spheres, sizes, best
         rests = left
         spheres.append(shell)
+        sizes.append(counts)
         if best is not None and not any(rests):
-            return spheres, best
+            return spheres, sizes, best
 
 
 def diameter(graph: Graph) -> int:

@@ -90,6 +90,14 @@ def test_orbits_and_transitivity():
     assert len(orbits([cycle(5, [0, 1, 2, 3, 4])], 5)) == 1
 
 
+@pytest.mark.parametrize("generator, degree", [((1, 0, 2), 2), ((1, 0), 3)])
+def test_orbits_refuses_a_generator_of_another_length(generator, degree):
+    # a longer generator dropped its last points, a shorter one raised IndexError
+    message = f"a generator has length {len(generator)}, but the degree is {degree}"
+    with pytest.raises(ValueError, match=message):
+        orbits([identity(degree), generator], degree)
+
+
 # ---------------------------------------------------------------------------
 # refinement
 

@@ -457,7 +457,7 @@ def seed_bfs_sweep(graph: Graph) -> tuple:
 def sphere_sizes(sweep) -> tuple:
     """A :func:`sphere_sweep` result with each sphere mask replaced by its
     number of vertices: what ``Graph.sweep`` keeps."""
-    spheres, best = sweep
+    spheres, _, best = sweep
     return [[mask.bit_count() for mask in layer] for layer in spheres], best
 
 
@@ -511,6 +511,31 @@ C5 = Graph.from_edges(5, _cycle(list(range(5))))
 TRIANGLE_WITH_A_TAIL = Graph.from_edges(5, _cycle([0, 1, 2]) + [(2, 3), (3, 4)])
 C4_AND_A_POINT = Graph.from_edges(5, _cycle([0, 1, 2, 3]))
 PATH = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+# Graphs that pin the girth read off sphere sizes.  The rounds compare
+# counts summed over all vertices, so a C8 at the end of a 20-vertex path,
+# and a C9 beside a 20-vertex tree, put the deficit that shows the cycle
+# at a few vertices of a large acyclic part.  The hexagons' girth 12 is
+# found in their last round, and a line with one point substituted gives
+# a shorter cycle.
+C8_AT_THE_END_OF_A_PATH = Graph.from_edges(
+    28, [(i, i + 1) for i in range(19)] + _cycle(list(range(19, 27))) + [(26, 27)])
+C9_BESIDE_A_TREE = Graph.from_edges(
+    29, _cycle(list(range(9))) + [((v - 9) // 2 + 9, v) for v in range(10, 29)])
+
+
+def _substituted(structure: IncidenceStructure) -> IncidenceStructure:
+    """The structure with the first point of its first line replaced by the
+    first point not on that line."""
+    line = structure.lines[0]
+    removed = min(line, key=structure.points.index)
+    added = next(p for p in structure.points if p not in line)
+    return IncidenceStructure(
+        structure.points, ((line - {removed}) | {added}, *structure.lines[1:]))
+
+
+HEXAGONS = [build(partition) for partition in hyperoval_partitions()]
+HEXAGON_GRAPHS = [s.graph for s in HEXAGONS]
+SUBSTITUTED_GRAPHS = [_substituted(s).graph for s in HEXAGONS]
 
 
 @settings(max_examples=400, deadline=None)
@@ -526,9 +551,18 @@ PATH = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 @example(TRIANGLE_WITH_A_TAIL)
 @example(C4_AND_A_POINT)
 @example(PATH)
+@example(C8_AT_THE_END_OF_A_PATH)
+@example(C9_BESIDE_A_TREE)
+@example(HEXAGON_GRAPHS[0])
+@example(HEXAGON_GRAPHS[1])
+@example(HEXAGON_GRAPHS[2])
+@example(SUBSTITUTED_GRAPHS[0])
+@example(SUBSTITUTED_GRAPHS[1])
+@example(SUBSTITUTED_GRAPHS[2])
 def test_sphere_sweep_matches_seed_sweep(graph):
     rows, seed_girth = seed_bfs_sweep(graph)
-    spheres, best = sphere_sweep(graph)
+    spheres, sizes, best = sphere_sweep(graph)
+    assert sizes == [[mask.bit_count() for mask in layer] for layer in spheres]
     n = graph.vertex_count
     recovered = [[-1] * n for _ in range(n)]
     for k, layer in enumerate(spheres):
@@ -564,6 +598,18 @@ def test_sphere_sweep_matches_seed_sweep(graph):
 def test_loops_rejected():
     with pytest.raises(ValueError, match="loop"):
         Graph.from_edges(2, [(0, 0)])
+
+
+@pytest.mark.parametrize("adjacency, best", [(((0, 1), (0,)), 1),
+                                             (((1, 1), (0, 0)), 2)])
+def test_a_loop_and_a_repeated_neighbour_give_girth_1_and_2(adjacency, best):
+    # Graph(adjacency=...) takes rows as given: a loop is an odd closed walk
+    # of length 1, and a neighbour listed twice two geodesics to it
+    graph = Graph(adjacency=adjacency)
+    assert sphere_sweep(graph) == ([[1, 2], [2, 1]], [[1, 1], [1, 1]], best)
+    assert graph.sweep == ([[1, 1], [1, 1]], best)
+    assert (girth(graph), diameter(graph)) == (best, 1)
+    assert [distance_distribution(graph, v) for v in (0, 1)] == [(1, 1), (1, 1)]
 
 
 def test_incidence_graph_girth_and_diameter(structure):
@@ -970,7 +1016,7 @@ def seed_point_distance_witness(structure: IncidenceStructure) -> tuple | None:
     as ``(base, distribution)``, or None: the loop the generalized-hexagon
     check ran on the sweep's masks before the graph kept sphere sizes, each
     even sphere of a point cut to the points and trailing zeros dropped."""
-    spheres, _ = sphere_sweep(incidence_graph(structure))
+    spheres, _, _ = sphere_sweep(incidence_graph(structure))
     npts = len(structure.points)
     points = (1 << npts) - 1
     for base in range(npts):
@@ -1259,4 +1305,16 @@ def test_from_edges_refuses_a_vertex_out_of_range(vertex):
 def test_distance_distribution_refuses_a_base_out_of_range(vertex):
     path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ValueError, match=f"vertex {vertex} is not one of"):
+        distance_distribution(path, vertex)
+
+
+@pytest.mark.parametrize("vertex", [True, False, 1.5, 2.0, "1"])
+def test_a_vertex_that_is_not_an_int_is_refused(vertex):
+    # a bool was stored as a neighbour, and a float reached list indexing
+    message = re.escape(f"vertex {vertex!r} is not one of")
+    for edge in ((0, vertex), (vertex, 3)):
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(4, [edge])
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match=message):
         distance_distribution(path, vertex)
