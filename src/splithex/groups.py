@@ -186,7 +186,7 @@ class Partition:
         return child
 
     def _class_of(self, v) -> int:
-        if not (isinstance(v, int) and 0 <= v < len(self.cls)):
+        if not (type(v) is int and 0 <= v < len(self.cls)):
             raise ValueError(f"vertex {v!r} is not in range({len(self.cls)})")
         return self.cls[v]
 
@@ -862,7 +862,7 @@ class PermutationGroup:
 def _checked_points(points, degree: int) -> tuple:
     points = tuple(points)
     for b in points:
-        if not isinstance(b, int) or not 0 <= b < degree:
+        if type(b) is not int or not 0 <= b < degree:
             raise ValueError(f"base point {b!r} is not in range({degree})")
     if len(set(points)) != len(points):
         raise ValueError(f"base points repeat: {points}")

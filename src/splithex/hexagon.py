@@ -28,15 +28,15 @@ structure keeps its incidence and line-concurrency graphs (``graph`` and
 :func:`verify_partial_linear_space` and :func:`verify_plane_property`, so
 :func:`verify_generalized_hexagon` and
 :func:`verify_classification_hypotheses` read the ones a caller already
-has, and the concurrency witnesses, which depend on the pairing alone, are
-scanned once per pairing (:func:`_witness_scan`); only their hermitian
-cross-check runs on every call.  :func:`dual` hands its result the
-structure's index views swapped and its graph's connectivity and sweep,
-the sizes relabelled by one slice per layer, since the dual's
-incidence graph is the same with the parts swapped.  The oval and twin
-lines and the plane and concurrency-witness checks work on 6-bit vector
-codes (:func:`geometry.vector_codes`), under which addition is XOR and a
-set of vectors is an int mask.  A point's plane passes when its mask is
+has.  The concurrency-witness report depends on the pairing alone, so
+:func:`verify_concurrency_witnesses` builds it, its hermitian cross-check
+included, once per ``(strata, partition)`` and keeps it.  :func:`dual`
+hands its result the structure's index views swapped and its graph's
+connectivity and sweep, the sizes relabelled by one slice per layer, since
+the dual's incidence graph is the same with the parts swapped.  The oval
+and twin lines and the plane and concurrency-witness checks work on 6-bit
+vector codes (:func:`geometry.vector_codes`), under which addition is XOR
+and a set of vectors is an int mask.  A point's plane passes when its mask is
 one of the enumerated plane masks, and only another mask is searched for
 witnesses; the concurrency witnesses are read off hermitian-perp masks
 alone.
@@ -269,7 +269,8 @@ def build(partition: HyperovalPartition) -> IncidenceStructure:
 class Graph(Frozen):
     """Undirected simple graph as a tuple of sorted neighbor tuples, each
     edge in the rows of both its ends.  It keeps its sphere sizes
-    (``sweep``) and connectivity (``connected``)."""
+    (``sweep``) and connectivity (``connected``).  Rows passed in are not
+    checked; :meth:`from_edges` and the package's own graphs are symmetric."""
 
     _fields = ("adjacency",)
 
@@ -598,6 +599,7 @@ def _plane_property(structure: IncidenceStructure) -> Report:
     return Report(checks=checks)
 
 
+@cache
 def verify_concurrency_witnesses(
     strata: Strata, partition: HyperovalPartition
 ) -> Report:
@@ -607,35 +609,11 @@ def verify_concurrency_witnesses(
     and [u+b] again over the hyperoval.  Such a u puts the oval lines of a
     and b on a common point.
 
-    The pairs and their witnesses depend on the pairing alone and are found
-    once per (isotropic stratum, oval half, hyperoval) by
-    :func:`_witness_scan`.  Each call still tests every witness against a
-    and b with :func:`algebra.hermitian`, a route independent of the scan's
-    perp masks."""
-    if strata.oval_vectors is None:
-        raise ValueError("strata carry no hyperoval selection")
-    scan = _witness_scan(strata.isotropic, strata.oval_vectors, partition.oval)
-    failures = [(a, b) for a, b, witness in scan if witness is None]
-    nonorthogonal = [(a, b, witness) for a, b, witness in scan if witness is not None
-                     and (hermitian(a, witness) != 0 or hermitian(b, witness) != 0)]
-    checks = (
-        Check("qualifying-pairs-have-witness", not failures,
-              witness=failures or None, detail=len(scan)),
-        Check("witnesses-orthogonal-to-both", not nonorthogonal,
-              witness=nonorthogonal or None),
-    )
-    return Report(checks=checks)
-
-
-@cache
-def _witness_scan(isotropic: frozenset, oval_vectors: frozenset,
-                  oval: frozenset) -> tuple:
-    """The qualifying pairs of :func:`verify_concurrency_witnesses` as
-    ``(a, b, u)`` triples, in the order of
-    :func:`geometry.hermitian_unit_pairs`, where u is the pair's first
-    witness in code order, or None if it has none.  Cached like
-    ``hermitian_unit_pairs``: the arguments are the frozensets the scan
-    reads, so an equal pairing hits the cache.
+    The report depends on the pairing alone, so it is kept per
+    ``(strata, partition)``, as :func:`geometry.strata_for` keeps its
+    strata: a repeat call returns the same report.  The pairs are taken in
+    the order of :func:`geometry.hermitian_unit_pairs`, and each pair's
+    witness is its first in code order.
 
     The scan reads only masks over the vector codes, with the hermitian
     perps of :func:`geometry.hermitian_perp_masks`: since hermitian(a, b)
@@ -644,20 +622,34 @@ def _witness_scan(isotropic: frozenset, oval_vectors: frozenset,
     of n.  That line meets the hyperoval twice when it holds six vectors
     over the oval points.  The candidates u are the vectors of n among
     ``oval_vectors``, and u+a (code code(u) ^ code(a)) and u+b are tested
-    against the vectors over the oval points."""
+    against the vectors over the oval points.  Each witness is then tested
+    against a and b with :func:`algebra.hermitian`, a route independent of
+    the perp masks."""
+    if strata.oval_vectors is None:
+        raise ValueError("strata carry no hyperoval selection")
     code, vec, hperp = vector_codes(), code_vectors(), hermitian_perp_masks()
-    half = vector_mask(oval_vectors)
-    over = vector_mask(frozenset(v for p in oval for v in point_vectors(p)))
-    triples = []
-    for a, b in hermitian_unit_pairs(isotropic):
+    half = vector_mask(strata.oval_vectors)
+    over = vector_mask(frozenset(v for p in partition.oval for v in point_vectors(p)))
+    qualifying, failures, nonorthogonal = 0, [], []
+    for a, b in hermitian_unit_pairs(strata.isotropic):
         ca, cb = code[a], code[b]
         point = hperp[ca] & hperp[cb]
         if (hperp[(point & -point).bit_length() - 1] & over).bit_count() != 6:
             continue
+        qualifying += 1
         witness = next((vec[u] for u in mask_codes(point & half)
                         if over >> (u ^ ca) & 1 and over >> (u ^ cb) & 1), None)
-        triples.append((a, b, witness))
-    return tuple(triples)
+        if witness is None:
+            failures.append((a, b))
+        elif hermitian(a, witness) != 0 or hermitian(b, witness) != 0:
+            nonorthogonal.append((a, b, witness))
+    checks = (
+        Check("qualifying-pairs-have-witness", not failures,
+              witness=failures or None, detail=qualifying),
+        Check("witnesses-orthogonal-to-both", not nonorthogonal,
+              witness=nonorthogonal or None),
+    )
+    return Report(checks=checks)
 
 
 def verify_generalized_hexagon(structure: IncidenceStructure) -> Report:

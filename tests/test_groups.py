@@ -394,6 +394,7 @@ def test_a_partition_of_the_wrong_length_is_refused():
 @pytest.mark.parametrize("v, message", [
     (-1, r"vertex -1 is not in range\(4\)"),
     (4, r"vertex 4 is not in range\(4\)"),
+    (True, r"vertex True is not in range\(4\)"),
     (0, "vertex 0 is not alone in its class"),
 ])
 @pytest.mark.parametrize("as_partition", [False, True])
@@ -409,6 +410,7 @@ def test_an_individualized_vertex_must_be_alone_in_its_class(v, message, as_part
     (3, "vertex 3 is alone in its class"),
     (4, r"vertex 4 is not in range\(4\)"),
     (-1, r"vertex -1 is not in range\(4\)"),
+    (True, r"vertex True is not in range\(4\)"),
 ])
 def test_only_a_vertex_that_shares_its_class_is_split_off(v, message):
     # splitting off 3 made an empty class [] starting at 4, past the vertices
@@ -1154,6 +1156,7 @@ def test_chains_are_golden(structure):
         ((-1,), "base point -1 is not in range"),
         ((7,), "base point 7 is not in range"),
         ((0.0,), "base point 0.0 is not in range"),
+        ((True,), "base point True is not in range"),
         ((0, 0), "base points repeat"),
     ],
 )
@@ -1162,7 +1165,7 @@ def test_known_base_is_validated(base, message):
         PermutationGroup(4, Automorphisms([(1, 0, 2, 3)], base, 2))
 
 
-@pytest.mark.parametrize("point", [-1, 7])
+@pytest.mark.parametrize("point", [-1, 7, True])
 def test_stabilizer_of_a_point_off_the_domain_is_refused(point):
     group = PermutationGroup(4, [(1, 0, 2, 3)])
     with pytest.raises(ValueError, match=f"base point {point} is not in range"):
@@ -1492,7 +1495,7 @@ def test_coinciding_pencils_are_refused():
         induced_actions(group, structure)
 
 
-@pytest.mark.parametrize("point", [-1, 63])
+@pytest.mark.parametrize("point", [-1, 63, True])
 def test_an_action_refuses_a_point_off_its_domain(actions, point):
     for action in actions:
         with pytest.raises(ValueError, match=f"base point {point} is not in range"):

@@ -14,6 +14,7 @@ from splithex.geometry import (
     HyperovalPartition,
     Strata,
     exterior_points,
+    hermitian_unit_pairs,
     hyperoval_partitions,
     nonzero_vectors,
     point_vectors,
@@ -612,6 +613,21 @@ def test_a_loop_and_a_repeated_neighbour_give_girth_1_and_2(adjacency, best):
     assert [distance_distribution(graph, v) for v in (0, 1)] == [(1, 1), (1, 1)]
 
 
+@pytest.mark.parametrize("substituted", [False, True])
+@pytest.mark.parametrize("pairing", range(3))
+def test_every_graph_the_package_builds_has_symmetric_rows(pairing, substituted):
+    # the sweep's count rule needs each edge in both rows; rows passed to
+    # Graph(adjacency=...) by hand are not checked, so the package's own
+    # graphs are: incidence, concurrency and point graphs, and the dual's
+    structure = HEXAGONS[pairing]
+    if substituted:
+        structure = _substituted(structure)
+    for s in (structure, dual(structure)):
+        for graph in (incidence_graph(s), concurrency_graph(s), point_graph(s)):
+            arcs = Counter((u, v) for u, row in enumerate(graph.adjacency) for v in row)
+            assert arcs == Counter((v, u) for u, v in arcs.elements())
+
+
 def test_incidence_graph_girth_and_diameter(structure):
     graph = incidence_graph(structure)
     assert girth(graph) == 12
@@ -1131,18 +1147,10 @@ def test_mixed_halves_fail_with_witnesses():
     assert report.failures()[0].witness
 
 
-def test_the_witness_scan_is_kept_and_the_cross_check_is_not(monkeypatch):
+def test_the_witness_report_is_kept_per_pairing(monkeypatch):
     partition = hyperoval_partitions()[1]
     strata = strata_for(partition)
-    key = (strata.isotropic, strata.oval_vectors, partition.oval)
     first = verify_concurrency_witnesses(strata, partition)
-    scan = hexagon_module._witness_scan(*key)
-    assert verify_concurrency_witnesses(strata, partition) == first
-    assert hexagon_module._witness_scan(*key) is scan
-    assert len(scan) == GOLDEN_QUALIFYING_PAIRS
-    assert all(witness is not None for _, _, witness in scan)
-    # a form that makes no witness orthogonal: the kept scan is read again,
-    # and every one of its triples fails the cross-check
     called = []
 
     def skewed(u, v):
@@ -1150,11 +1158,35 @@ def test_the_witness_scan_is_kept_and_the_cross_check_is_not(monkeypatch):
         return 1
 
     monkeypatch.setattr(hexagon_module, "hermitian", skewed)
-    report = verify_concurrency_witnesses(strata, partition)
-    assert hexagon_module._witness_scan(*key) is scan
-    assert {c.name: c.witness for c in report.failures()} == {
-        "witnesses-orthogonal-to-both": list(scan)}
-    assert called == [(a, witness) for a, _, witness in scan]
+    # the kept report is returned again, with no hermitian call
+    assert verify_concurrency_witnesses(strata, partition) is first
+    assert called == []
+    # a form that makes no witness orthogonal: the rebuilt report fails the
+    # cross-check with every qualifying triple
+    verify_concurrency_witnesses.cache_clear()
+    try:
+        report = verify_concurrency_witnesses(strata, partition)
+    finally:
+        verify_concurrency_witnesses.cache_clear()
+    assert [c.name for c in report.failures()] == ["witnesses-orthogonal-to-both"]
+    triples = report.failures()[0].witness
+    assert report.checks[0].detail == len(triples) == GOLDEN_QUALIFYING_PAIRS
+    assert called == [(a, u) for a, _, u in triples]
+    # the triples are the qualifying pairs in the order of
+    # hermitian_unit_pairs, each with a witness under the true form
+    polar = {n: {q for q in projective_points() if hermitian(n, q) == 0}
+             for n in projective_points()}
+    qualifying = [(a, b) for a, b in hermitian_unit_pairs(strata.isotropic)
+                  if any(hermitian(n, a) == hermitian(n, b) == 0
+                         and len(polar[n] & partition.oval) == 2 for n in polar)]
+    assert [(a, b) for a, b, _ in triples] == qualifying
+    for a, b, u in triples:
+        assert u in strata.oval_vectors
+        assert hermitian(a, u) == hermitian(b, u) == 0
+        assert proj_rep(v_add(u, a)) in partition.oval
+        assert proj_rep(v_add(u, b)) in partition.oval
+    monkeypatch.undo()
+    assert verify_concurrency_witnesses(strata, partition) == first
 
 
 def test_a_structure_runs_each_screening_kernel_once(structure, monkeypatch):
