@@ -2,7 +2,8 @@
 
 A deterministic individualization-refinement search on the incidence graph
 finds a handful of generators and reads the group order off its tree;
-Schreier-Sims on the search's spine as its base pins the same exact order,
+a stabilizer chain on the search's spine as its base, certified by the
+search's target cells, pins the same exact order,
 12096 = 2^6 * 3^3 * 7.  No two lines share all their points and no two
 points lie on the same lines, so restricting to points and to lines gives
 two faithful degree-63 actions of that one group, with its order, without
@@ -38,10 +39,12 @@ print(f"spine (the vertices individualized on the way to the first leaf): "
 print(f"order read off the search tree: {generators.order}")
 
 # An automorphism fixing the spine fixes every spine partition class by
-# class, and the last one is discrete: the spine is a base of the group, so
-# Schreier-Sims sifts each Schreier generator by its images of the spine.
+# class, and the last one is discrete: the spine is a base of the group.
+# The chain on it is certified when each level's orbit fills the search's
+# target cell there, so no Schreier generator is formed.
 group = PermutationGroup(126, generators)
-print(f"group order from Schreier-Sims on the spine: {group.order}")
+print(f"target cells along the spine: {list(generators.cells)}")
+print(f"group order from the stabilizer chain on the spine: {group.order}")
 assert group.order == generators.order == 12096 == 2**6 * 3**3 * 7
 print(f"base length: {len(group.base)}, base: {group.base}")
 

@@ -272,7 +272,9 @@ def _group_order(ctx):
     group = PermutationGroup(npts + nlines, generators)
     ctx["generators"] = generators
     ctx["group"] = group
-    # two routes to the order: the chain's, and the search tree's
+    # two routes to the order: the stabilizer chain's, certified by the
+    # search's target cells (their product bounds the order from above, the
+    # chain's orbits from below), and the search tree's orbit product
     ok = group.order == generators.order == EXPECTED_GROUP_ORDER
     return ok, {"order": group.order}
 

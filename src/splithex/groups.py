@@ -45,13 +45,23 @@ every group of color-preserving automorphisms.  :func:`refine` and the
 target-cell rule commute with relabelling, so an automorphism that fixes
 the spine pointwise maps each spine node's partition onto itself, class by
 class; the last one is discrete, so the automorphism is the identity.
+The search also reports the size of each spine node's target cell, which
+the stabilizer of the node's prefix maps onto itself, so the product of
+the cells from a spine node down bounds the order of that stabilizer.
 
-Group orders also come from a deterministic Schreier-Sims construction of a
-base and strong generating set; the order is the product of the fundamental
-orbit lengths.  On generators from the search, the spine is the base, fixed
-up front (Seress, *Permutation Group Algorithms*, ch. 4-5, on a known
-base): a Schreier generator u_x s u_{s(x)}^-1 lies in the group, so it is
-sifted by its images of the later base points only.  u_x's images are read
+Group orders also come from a deterministic construction of a base and
+strong generating set; the order is the product of the fundamental orbit
+lengths.  On generators from the search, the spine is the base, fixed up
+front (Seress, *Permutation Group Algorithms*, ch. 4-5, on a known base),
+and the chain is certified by the cells: the generators are inserted and
+each level's orbit extended, and when every orbit fills its level's cell,
+the group each level's strong generators make is at least as large as the
+bound, so it is the whole stabilizer and no Schreier generator is formed
+(see :class:`PermutationGroup`).  When an orbit is smaller than its cell,
+as on a graph whose refinement is coarser than its orbits, the chain is
+closed by Schreier-Sims.  On a known base a Schreier generator
+u_x s u_{s(x)}^-1 lies in the group, so it is sifted by its images of the
+later base points only.  u_x's images are read
 off u_x^-1 once per orbit point, so a pair costs two lookups per base point
 and one transversal inverse per level, and a Schreier generator whose
 images strip to the base fixes the whole base, is the identity and is
@@ -73,7 +83,8 @@ edge, u_{s(x)} = u_x s, and its Schreier generator is the identity, so it
 is not formed at all.  A point's stabilizer is the first base point's,
 conjugated by the point's coset representative, or, for a point off the
 first orbit, the second level of a chain on the known base made of that
-point and the rest of the base: a finished chain's base is complete,
+point and the rest of the base, which has no cells and is closed by
+Schreier-Sims: a finished chain's base is complete,
 whichever path built it, and a superset of a base is a base.  The point
 and line actions are faithful views of the incidence-graph group (see
 :func:`induced_actions`), so one chain serves a whole run.
@@ -362,21 +373,27 @@ def _is_automorphism(adjacency, neighbor_sets, coloring, p) -> bool:
 class Automorphisms(list):
     """Generators with a known base: a list (its repr, ``==`` and ``len``
     are the list's) that also carries ``base``, a base of the group the
-    generators make, and the group ``order``.  :func:`automorphism_generators`
-    makes one with the spine as base (see the module docstring), and
+    generators make, the group ``order`` and ``cells``, the size of each
+    base point's target cell, in base order, or None.
+    :func:`automorphism_generators` makes one with the spine as base and its
+    nodes' target cells as ``cells`` (see the module docstring), and
     :meth:`PermutationGroup.stabilizer_generators` one for a point off the
-    first orbit.  :class:`PermutationGroup` sifts on ``base`` only while
-    the list still holds the generators it was made with.
+    first orbit, with no cells.  :class:`PermutationGroup` sifts on ``base``,
+    and certifies its chain by ``cells`` instead of forming Schreier
+    generators, only while the list still holds the generators it was made
+    with.
     """
 
-    def __init__(self, generators, base, order: int):
+    def __init__(self, generators, base, order: int, cells=None):
         super().__init__(generators)
         self.base = tuple(base)
         self.order = order
+        self.cells = None if cells is None else tuple(cells)
         self._made_with = tuple(self)
 
     def base_is_known(self) -> bool:
-        """Does the list still hold the generators ``base`` was made for?"""
+        """Does the list still hold the generators ``base`` and ``cells``
+        were made for?"""
         return tuple(self) == self._made_with
 
 
@@ -515,7 +532,10 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
     nodes, of the spine child's orbit length in the union-find after the
     node's last child (McKay-Piperno 2014).  Every sibling outside the
     orbits found so far was searched, so these are the orbits of the
-    stabilizer of the node's prefix.
+    stabilizer of the node's prefix.  Its ``cells`` are the sizes of the
+    spine nodes' target cells, in base order, each recorded as its node
+    picks the cell; the stabilizer of a node's prefix maps the cell onto
+    itself, so an orbit length never exceeds its cell.
     """
     _check_length(graph, "coloring", coloring)
     n = graph.vertex_count
@@ -528,6 +548,7 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
     spine: list = []  # the vertices individualized on the way to the first leaf
     spine_shapes: list = []  # the sorted class starts along the spine
     orbit_lengths: list = []  # of each spine child in its node's target cell
+    cells: list = []  # the size of each spine node's target cell, in base order
     leaf_plan: list = [None]  # of the spine's last node, for _propagated_leaf
 
     def root(parent, x):
@@ -581,6 +602,8 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
         target = max((c for c, cell in enumerate(members) if len(cell) > 1),
                      key=lambda c: (len(members[c]), -start[c]))
         cell = members[target]
+        if on_spine:
+            cells.append(len(cell))
         explored = []
         explored_roots = set()  # of the explored vertices in the union-find
         delivered = False
@@ -640,7 +663,7 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
     order = 1
     for length in orbit_lengths:
         order *= length
-    return Automorphisms(found, spine, order)
+    return Automorphisms(found, spine, order, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -655,10 +678,33 @@ class PermutationGroup:
     generators are an :class:`Automorphisms` that still holds the
     generators it was made with, its ``base`` (distinct ints in
     ``range(degree)``) is the base, fixed up front, and Schreier generators
-    are sifted by their images of the base points.  Otherwise base points
-    are chosen as residues need them.  Each level keeps the inverses of its
-    coset representatives only (``_transversal_inverses``, orbit point x to
-    u_x^-1); a representative itself is inverted when it is needed.
+    are sifted by their images of the base points.  An input generator
+    whose base images strip to the base is stripped whole, and one that
+    leaves a residue, which fixes every base point, raises ``ValueError``:
+    the base is not a base.  Otherwise base points are chosen as residues
+    need them.  Each level keeps the inverses of its coset representatives
+    only (``_transversal_inverses``, orbit point x to u_x^-1); a
+    representative itself is inverted when it is needed.
+
+    With ``cells`` as well (positive ints, one per base point), the
+    generators are inserted, each level's orbit extended, and no Schreier
+    generator is formed; the chain is certified if each level's orbit Δ_i
+    has the size of its cell T_i.  For the search's cells that is a proof.
+    The strong generators of level i are products of the search's
+    automorphisms and fix b_1 ... b_{i-1}; Δ_i is b_i's orbit under the
+    group S_i they make, whose stabilizer of b_i holds S_{i+1}, so
+    |S_i| >= |Δ_i| |S_{i+1}| >= ∏_{j>=i} |Δ_j|.  :func:`refine` and the
+    target-cell rule commute with relabelling, so the pointwise stabilizer
+    G_(i-1) of b_1 ... b_{i-1} in the whole automorphism group maps T_i
+    onto itself, and |G_(i-1)| <= |T_i| |G_(i)| <= ∏_{j>=i} |T_j|, the
+    stabilizer of the whole base being trivial.  With |Δ_i| = |T_i| at every
+    level, S_i is G_(i-1): the chain is a base and strong generating set,
+    every Schreier generator would strip to the identity, and the order is
+    ∏ cells.  When a size differs (a generator dropped, or a graph whose
+    refinement is coarser than its orbits), the levels are closed by
+    sifting their Schreier generators, deepest first, as a build with no
+    cells does as it goes; the order is then that of the group the
+    generators make.
     """
 
     def __init__(self, degree: int, generators):
@@ -673,14 +719,25 @@ class PermutationGroup:
         self._sifted: list[tuple] = []  # (orbit points, strong generators) sifted
         self._tree_edges: list[set] = []  # (x, k): u_{s_k(x)} was made as u_x s_k
         self._identity = identity(degree)
+        cells = None
         if self._known_base:
             for b in _checked_points(generators.base, degree):
                 self._append_level(b)
+            if generators.cells is not None:
+                cells = _checked_cells(generators.cells, len(self.base))
+        self._sifting = cells is None  # does _add sift the levels it touches?
         for g in self.generators:
             if not (self._known_base and self._strips_to_base(
                     [g[b] for b in self.base], 0)):
                 self._add((g,), 0)
-        del self._sifted, self._tree_edges
+            elif (h := self._strip((g,), 0)[0]) != self._identity:
+                raise ValueError(f"{tuple(self.base)} is not a base: the generator "
+                                 f"{g} leaves {h}, which fixes every base point")
+        if cells is not None and cells != tuple(map(len, self._transversal_inverses)):
+            self._sifting = True
+            for j in reversed(range(len(self.base))):
+                self._sift_schreier_generators(j)
+        del self._sifted, self._tree_edges, self._sifting
 
     def _checked(self, g) -> Permutation:
         g = tuple(g)
@@ -762,10 +819,13 @@ class PermutationGroup:
             self._level_gens[j].append(h)
             self._level_inverses[j].append(h_inv)
         # Re-close the Schreier condition on every touched level, deepest
-        # first; residues found on the way are inserted recursively.
+        # first; residues found on the way are inserted recursively.  A
+        # build with cells only extends the orbits, and closes the levels
+        # at the end if they are not certified.
         for j in range(level, start - 1, -1):
             self._extend_orbit(j)
-            self._sift_schreier_generators(j)
+            if self._sifting:
+                self._sift_schreier_generators(j)
 
     def _sift_schreier_generators(self, j: int) -> None:
         """Sift the Schreier generators of level j into the levels below.
@@ -857,6 +917,15 @@ class PermutationGroup:
                     yield compose(rest, u)
 
         return rec(0)
+
+
+def _checked_cells(cells, levels: int) -> tuple:
+    if len(cells) != levels:
+        raise ValueError(f"{len(cells)} cells for {levels} base points")
+    for c in cells:
+        if type(c) is not int or c < 1:
+            raise ValueError(f"cell size {c!r} is not a positive int")
+    return tuple(cells)
 
 
 def _checked_points(points, degree: int) -> tuple:

@@ -111,7 +111,9 @@ class IncidenceStructure(Frozen):
     @cached_property
     def incidences(self) -> tuple:
         """Each line as the ascending indices of its points.  A point listed
-        twice, or a line point off the point set, raises ValueError."""
+        twice, in the points or in a line, or a line point off the point
+        set, raises ValueError.  A frozenset cannot repeat a point, so only
+        lines of other types are checked for one listed twice."""
         points = self.points
         index = {p: i for i, p in enumerate(points)}
         if len(index) < len(points):
@@ -120,11 +122,17 @@ class IncidenceStructure(Frozen):
                              f"{i} and {points.index(points[i], i + 1)}")
         get = index.__getitem__
         try:
-            return tuple([tuple(sorted(map(get, line))) for line in self.lines])
+            rows = tuple([tuple(sorted(map(get, line))) for line in self.lines])
         except KeyError as exc:
             raise ValueError(
                 f"a line holds {exc.args[0]!r}, which is not one of the points"
             ) from None
+        if not {frozenset}.issuperset(map(type, self.lines)):
+            for j, row in enumerate(rows):
+                for i, k in zip(row, row[1:]):
+                    if i == k:
+                        raise ValueError(f"line {j} lists point {points[i]!r} twice")
+        return rows
 
     @cached_property
     def pencils(self) -> tuple:

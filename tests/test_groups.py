@@ -3,6 +3,7 @@ import gc
 import hashlib
 import math
 import random
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -1265,9 +1266,24 @@ def test_each_pair_is_formed_once_per_level(case):
     assert all(formed == pairs for formed, pairs in pair_counts(group))
 
 
-def test_each_pair_is_formed_once_on_the_hexagon(aut_generators):
+def test_the_certified_hexagon_chain_forms_no_schreier_generator(aut_generators):
     group = CountingSchreierSims(126, aut_generators)
     assert group.base == list(aut_generators.base) == [0, 66, 23]
+    assert aut_generators.cells == (63, 48, 4)
+    assert [len(t) for t in group._transversal_inverses] == [63, 48, 4]
+    assert group.order == 12096
+    # each orbit fills its cell: the 4 input generators are inserted, become
+    # the strong generators, and no Schreier generator is formed
+    assert sum(group.formed.values()) == 0
+    assert group.residues == group.added == {0: 4}
+
+
+def test_each_pair_is_formed_once_on_the_hexagon(aut_generators):
+    # with no cells the build sifts every Schreier generator as it goes
+    gens = Automorphisms(list(aut_generators), aut_generators.base,
+                         aut_generators.order)
+    group = CountingSchreierSims(126, gens)
+    assert group.base == list(gens.base) == [0, 66, 23]
     assert group.order == 12096
     assert all(formed == pairs for formed, pairs in pair_counts(group))
     assert [len(t) for t in group._transversal_inverses] == [63, 48, 4]
@@ -1277,6 +1293,88 @@ def test_each_pair_is_formed_once_on_the_hexagon(aut_generators):
     # and only they are inserted
     assert sum(group.formed.values()) == 292
     assert group.residues == group.added == {0: 4}
+
+
+@pytest.mark.parametrize("pairing", [0, 1, 2])
+@pytest.mark.parametrize("seed", [None, 3, 2026])
+def test_a_certified_chain_is_the_full_sifts(pairing, seed):
+    graph, coloring = hexagon_case(pairing, seed, 2)
+    gens = automorphism_generators(graph, coloring)
+    certified = CountingSchreierSims(126, gens)
+    full = PermutationGroup(126, Automorphisms(list(gens), gens.base, gens.order))
+    assert sum(certified.formed.values()) == 0
+    assert repr(chain(certified)) == repr(chain(full))
+    assert certified._level_inverses == full._level_inverses
+    assert certified.order == math.prod(gens.cells) == 12096
+
+
+C3_AND_C4 = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_graphs())
+@example((C3_AND_C4, [0] * 7))  # regular: the root's cell is 7, the orbit 3
+def test_cells_certify_exactly_the_full_sifts_order(case):
+    graph, coloring = case
+    n = graph.vertex_count
+    gens = automorphism_generators(graph, coloring)
+    group = CountingSchreierSims(n, gens)
+    plain = PermutationGroup(n, list(gens))
+    assert group.order == plain.order
+    certified = tuple(map(len, group._transversal_inverses)) == gens.cells
+    assert certified == (plain.order == math.prod(gens.cells))
+    if certified:
+        assert sum(group.formed.values()) == 0
+    else:  # closed by sifting, each pair once
+        assert all(formed == pairs for formed, pairs in pair_counts(group))
+    assert_base_and_strong_generating_set(group)
+
+
+def test_a_cell_its_orbit_does_not_fill_is_closed_by_sifting():
+    # one colour: the root's cell holds all 126 vertices, but no automorphism
+    # exchanges points and lines
+    graph, coloring = hexagon_case(0, None, 1)
+    gens = automorphism_generators(graph, coloring)
+    group = CountingSchreierSims(126, gens)
+    assert gens.cells == (126, 48, 4)
+    assert [len(t) for t in group._transversal_inverses] == [63, 48, 4]
+    assert all(formed == pairs for formed, pairs in pair_counts(group))
+    assert group.order == PermutationGroup(126, list(gens)).order == 12096
+
+
+def test_a_dropped_generator_fails_the_certificate(aut_generators):
+    gens = aut_generators
+    dropped = CountingSchreierSims(
+        126, Automorphisms(gens[:-1], gens.base, gens.order, gens.cells))
+    assert [len(t) for t in dropped._transversal_inverses] != list(gens.cells)
+    assert sum(dropped.formed.values()) > 0
+    assert dropped.order == PermutationGroup(126, gens[:-1]).order == 192
+
+
+@pytest.mark.parametrize("cells, message", [
+    ((), "0 cells for 1 base points"),
+    ((2, 1), "2 cells for 1 base points"),
+    ((0,), "cell size 0 is not a positive int"),
+    ((-2,), "cell size -2 is not a positive int"),
+    ((2.0,), "cell size 2.0 is not a positive int"),
+    ((True,), "cell size True is not a positive int"),
+])
+def test_cells_are_validated(cells, message):
+    with pytest.raises(ValueError, match=message):
+        PermutationGroup(4, Automorphisms([(1, 0, 2, 3)], (0,), 2, cells))
+
+
+@pytest.mark.parametrize("degree, generators, order", [
+    (3, [(1, 0, 2), (0, 2, 1)], 6),
+    (4, [(1, 0, 2, 3), (0, 1, 3, 2)], 4),
+])
+def test_a_generator_fixing_a_base_that_is_none_is_refused(degree, generators, order):
+    # the second generator fixes 0 and is not the identity: (0,) is no base
+    assert PermutationGroup(degree, generators).order == order
+    for cells in (None, (2,)):
+        message = f"(0,) is not a base: the generator {generators[1]} leaves"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PermutationGroup(degree, Automorphisms(generators, (0,), order, cells))
 
 
 class TreeEdgeSchreierSims(PermutationGroup):

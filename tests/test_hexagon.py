@@ -362,6 +362,23 @@ def test_a_repeated_point_is_refused(structure, reader):
         reader(repeated)
 
 
+@pytest.mark.parametrize("reader", [
+    incidence_graph, concurrency_graph, point_graph, dual,
+    verify_partial_linear_space, verify_plane_property,
+])
+def test_a_point_listed_twice_in_a_line_is_refused(structure, reader):
+    # as tuples the lines give the hexagon's incidences; line 0 as (p, p, q)
+    # would pass as a 3-point line, met by itself in a second point
+    lines = tuple(tuple(sorted(line, key=structure.points.index))
+                  for line in structure.lines)
+    assert IncidenceStructure(structure.points, lines).incidences == \
+        structure.incidences
+    p, q, _ = lines[0]
+    repeated = IncidenceStructure(structure.points, ((p, p, q),) + lines[1:])
+    with pytest.raises(ValueError, match=re.escape(f"line 0 lists point {p!r} twice")):
+        reader(repeated)
+
+
 def test_a_point_listed_three_times_is_named_at_its_first_two_positions():
     s = IncidenceStructure(points=("a", "b", "c", "b", "d", "b"), lines=())
     with pytest.raises(ValueError, match="point 'b' is listed twice, at 1 and 3"):
