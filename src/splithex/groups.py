@@ -59,32 +59,41 @@ the group each level's strong generators make is at least as large as the
 bound, so it is the whole stabilizer and no Schreier generator is formed
 (see :class:`PermutationGroup`).  When an orbit is smaller than its cell,
 as on a graph whose refinement is coarser than its orbits, the chain is
-closed by Schreier-Sims.  On a known base a Schreier generator
+closed by Schreier-Sims.  On the search's spine a Schreier generator
 u_x s u_{s(x)}^-1 lies in the group, so it is sifted by its images of the
 later base points only.  u_x's images are read
 off u_x^-1 once per orbit point, so a pair costs two lookups per base point
-and one transversal inverse per level, and a Schreier generator whose
+and one coset inverse per level, and a Schreier generator whose
 images strip to the base fixes the whole base, is the identity and is
 dropped without being built.  Only one that moves a base point becomes a permutation and is
-inserted, like an input generator.  A plain generator
+inserted, like an input generator.  A known base with no cells (hand-made,
+or a stabilizer's chain below) is not taken on trust: each Schreier
+generator is built and stripped whole, and a residue that fixes every base
+point is refused.  A plain generator
 list takes the general path from an empty base, which appends a base point
 for each residue that fixes the base so far and strips whole permutations,
-as membership tests always do.  Each transversal keeps only the inverse
-u_x^-1 of every coset representative, built from the inverses of the strong
-generators, which is all that sifting reads; the rare Schreier generator
-built whole, a stabilizer's conjugation and :meth:`PermutationGroup.elements`
-invert a representative when they need it.  Levels are extended,
+as membership tests always do.  Each level keeps a Schreier vector (Seress,
+ch. 4.1): for each orbit point s_k(x) but the base point, the pair (x, k)
+whose walk first reached it, so u_{s_k(x)} = u_x s_k.  The order and the
+certificate read only the orbit sizes.  The inverse u_x^-1 of a coset
+representative, which is what stripping reads, is built on its first read,
+by walking the vector from x up to a point already built and composing back
+down with the inverses of the strong generators, and kept; a certified chain
+builds none but where an input generator is stripped or a caller reads one.
+The Schreier generator built whole, a stabilizer's conjugation and
+:meth:`PermutationGroup.elements` invert a representative when they need
+it.  Levels are extended,
 never rebuilt (Seress, ch. 4): a level that gains a strong generator keeps
-its coset representatives, composes only for the orbit points it adds, and
+its vector, records parents only for the orbit points it adds, and
 sifts only the Schreier generators of (orbit point, strong generator) pairs
 it has not sifted before, so over a complete build each pair is formed at
-most once per level.  A pair (x, s) whose walk first reached s(x) is a tree
-edge, u_{s(x)} = u_x s, and its Schreier generator is the identity, so it
-is not formed at all.  A point's stabilizer is the first base point's,
+most once per level.  A pair (x, k) that the vector records for s_k(x) is a
+tree edge, u_{s_k(x)} = u_x s_k, and its Schreier generator is the identity,
+so it is not formed at all.  A point's stabilizer is the first base point's,
 conjugated by the point's coset representative, or, for a point off the
 first orbit, the second level of a chain on the known base made of that
 point and the rest of the base, which has no cells and is closed by
-Schreier-Sims: a finished chain's base is complete,
+Schreier-Sims on whole permutations: a finished chain's base is complete,
 whichever path built it, and a superset of a base is a base.  The point
 and line actions are faithful views of the incidence-graph group (see
 :func:`induced_actions`), so one chain serves a whole run.
@@ -381,7 +390,11 @@ class Automorphisms(list):
     first orbit, with no cells.  :class:`PermutationGroup` sifts on ``base``,
     and certifies its chain by ``cells`` instead of forming Schreier
     generators, only while the list still holds the generators it was made
-    with.
+    with.  A ``base`` is checked: each Schreier generator is stripped whole
+    on a base with no cells, and a residue fixing every base point raises
+    ``ValueError``.  ``cells`` are not checked: the search's cells bound
+    the stabilizers' orders, but hand-made ones are the caller's claim, and
+    a chain whose orbits fill them is taken as certified, its base as a base.
     """
 
     def __init__(self, generators, base, order: int, cells=None):
@@ -677,14 +690,14 @@ class PermutationGroup:
     product of the fundamental orbit lengths along the base.  When the
     generators are an :class:`Automorphisms` that still holds the
     generators it was made with, its ``base`` (distinct ints in
-    ``range(degree)``) is the base, fixed up front, and Schreier generators
-    are sifted by their images of the base points.  An input generator
-    whose base images strip to the base is stripped whole, and one that
-    leaves a residue, which fixes every base point, raises ``ValueError``:
-    the base is not a base.  Otherwise base points are chosen as residues
-    need them.  Each level keeps the inverses of its coset representatives
-    only (``_transversal_inverses``, orbit point x to u_x^-1); a
-    representative itself is inverted when it is needed.
+    ``range(degree)``) is the base, fixed up front.  A generator, input or
+    Schreier, that leaves a residue fixing every base point raises
+    ``ValueError``: the base is not a base.  Otherwise base points are
+    chosen as residues need them.  Each level keeps a Schreier vector
+    (``_schreier_vectors``, orbit point s_k(x) to (x, k), the base point to
+    None) and the inverses u_x^-1 of the coset representatives read so far
+    (``_coset_inverses``); :meth:`_inverse` builds one on its first read,
+    and a representative itself is inverted when it is needed.
 
     With ``cells`` as well (positive ints, one per base point), the
     generators are inserted, each level's orbit extended, and no Schreier
@@ -700,11 +713,16 @@ class PermutationGroup:
     stabilizer of the whole base being trivial.  With |Δ_i| = |T_i| at every
     level, S_i is G_(i-1): the chain is a base and strong generating set,
     every Schreier generator would strip to the identity, and the order is
-    ∏ cells.  When a size differs (a generator dropped, or a graph whose
+    ∏ cells.  A certified chain reads only the orbit sizes, and builds a
+    coset inverse only where an input generator is stripped or a caller
+    reads one.  When a size differs (a generator dropped, or a graph whose
     refinement is coarser than its orbits), the levels are closed by
     sifting their Schreier generators, deepest first, as a build with no
     cells does as it goes; the order is then that of the group the
-    generators make.
+    generators make.  Only a base that comes with cells, the search's
+    spine, is taken to be a base of the group, so only there is a Schreier
+    generator sifted by its base images; with no cells each one is built
+    and stripped whole.
     """
 
     def __init__(self, degree: int, generators):
@@ -715,29 +733,25 @@ class PermutationGroup:
         self.base: list[int] = []
         self._level_gens: list[list] = []
         self._level_inverses: list[list] = []
-        self._transversal_inverses: list[dict] = []  # orbit point x -> u_x^-1
+        self._schreier_vectors: list[dict] = []  # s_k(x) -> (x, k), base point -> None
+        self._coset_inverses: list[dict] = []  # orbit point x -> u_x^-1, once read
         self._sifted: list[tuple] = []  # (orbit points, strong generators) sifted
-        self._tree_edges: list[set] = []  # (x, k): u_{s_k(x)} was made as u_x s_k
         self._identity = identity(degree)
-        cells = None
+        self._cells = None  # given only with the search's spine, taken as a base
         if self._known_base:
             for b in _checked_points(generators.base, degree):
                 self._append_level(b)
             if generators.cells is not None:
-                cells = _checked_cells(generators.cells, len(self.base))
-        self._sifting = cells is None  # does _add sift the levels it touches?
+                self._cells = _checked_cells(generators.cells, len(self.base))
+        self._sifting = self._cells is None  # does _add sift the levels it touches?
         for g in self.generators:
-            if not (self._known_base and self._strips_to_base(
-                    [g[b] for b in self.base], 0)):
-                self._add((g,), 0)
-            elif (h := self._strip((g,), 0)[0]) != self._identity:
-                raise ValueError(f"{tuple(self.base)} is not a base: the generator "
-                                 f"{g} leaves {h}, which fixes every base point")
-        if cells is not None and cells != tuple(map(len, self._transversal_inverses)):
+            self._add((g,), 0)
+        if self._cells is not None and self._cells != tuple(
+                map(len, self._schreier_vectors)):
             self._sifting = True
             for j in reversed(range(len(self.base))):
                 self._sift_schreier_generators(j)
-        del self._sifted, self._tree_edges, self._sifting
+        del self._sifted, self._sifting, self._cells
 
     def _checked(self, g) -> Permutation:
         g = tuple(g)
@@ -749,42 +763,55 @@ class PermutationGroup:
         self.base.append(point)
         self._level_gens.append([])
         self._level_inverses.append([])
-        self._transversal_inverses.append({point: self._identity})
+        self._schreier_vectors.append({point: None})
+        self._coset_inverses.append({point: self._identity})
         self._sifted.append((set(), 0))
-        self._tree_edges.append(set())
 
     def _extend_orbit(self, level: int) -> None:
-        # The representatives found so far stay; the walk visits the orbit
-        # in insertion order and composes only for the points it adds,
-        # recording the (x, k) that first reached each one.  u_{s(x)} is
-        # u_x s, kept as its inverse s^-1 u_x^-1.
-        inverses = self._transversal_inverses[level]
-        tree_edges = self._tree_edges[level]
-        strong = list(enumerate(zip(self._level_gens[level],
-                                    self._level_inverses[level])))
-        walk = list(inverses)
+        # The points found so far stay; the walk visits the orbit in
+        # insertion order and records, for each point it adds, the (x, k)
+        # that first reached it.  Nothing is composed.
+        vector = self._schreier_vectors[level]
+        strong = list(enumerate(self._level_gens[level]))
+        walk = list(vector)
         for x in walk:
-            ux_inv = inverses[x]
-            for k, (s, s_inv) in strong:
+            for k, s in strong:
                 y = s[x]
-                if y not in inverses:
-                    inverses[y] = compose(s_inv, ux_inv)
-                    tree_edges.add((x, k))
+                if y not in vector:
+                    vector[y] = (x, k)
                     walk.append(y)
+
+    def _inverse(self, level: int, x: int) -> Permutation:
+        """u_x^-1 for an orbit point x of the level, built on its first read
+        and kept: the vector's path from x up to a point already built is
+        walked back down, u_{s_k(y)}^-1 being s_k^-1 u_y^-1."""
+        built = self._coset_inverses[level]
+        u_inv = built.get(x)
+        if u_inv is None:
+            vector = self._schreier_vectors[level]
+            path = []
+            while x not in built:
+                path.append(x)
+                x = vector[x][0]
+            u_inv = built[x]
+            strong_inverses = self._level_inverses[level]
+            for y in reversed(path):
+                u_inv = built[y] = compose(strong_inverses[vector[y][1]], u_inv)
+        return u_inv
 
     def _strips_to_base(self, images, start: int) -> bool:
         """Do ``images``, a group element's images of ``base[start:]``, strip
         through the levels from ``start`` to those base points themselves?
 
-        Each level's transversal inverse takes the first image back to its
-        base point, and only the later images are carried on.  The base must
-        be a base of the group: then an element whose images strip to the
-        base fixes it and is the identity.
+        Each level's coset inverse takes the first image back to its base
+        point, and only the later images are carried on.  The base must be
+        a base of the group: then an element whose images strip to the base
+        fixes it and is the identity.
         """
-        for inverses in self._transversal_inverses[start:]:
-            u_inv = inverses.get(images[0])
-            if u_inv is None:
+        for level in range(start, len(self.base)):
+            if images[0] not in self._schreier_vectors[level]:
                 return False
+            u_inv = self._inverse(level, images[0])
             images = [u_inv[y] for y in images[1:]]
         return True
 
@@ -797,22 +824,26 @@ class PermutationGroup:
         for p in word[1:]:
             g = compose(g, p)
         for i in range(start, len(base)):
-            u_inv = self._transversal_inverses[i].get(g[base[i]])
-            if u_inv is None:
+            x = g[base[i]]
+            if x not in self._schreier_vectors[i]:
                 return g, i
-            g = compose(g, u_inv)
+            g = compose(g, self._inverse(i, x))
         return g, len(base)
 
     def _add(self, word, start: int) -> None:
         # Sift the product of word into the levels from start.  With
         # start == len(base) there is no level to strip through: the
-        # product is the identity or opens a new level.  On a known base
-        # only products whose base images do not strip to the base come
-        # here, so the residue is never the identity and opens no level.
+        # product is the identity or opens a new level, or, on a known base,
+        # shows that the base is none.
         h, level = self._strip(word, start)
         if h == self._identity:
             return
         if level == len(self.base):
+            if self._known_base:
+                source = (f"the generator {word[0]}" if start == 0
+                          else f"a Schreier generator of level {start - 1}")
+                raise ValueError(f"{tuple(self.base)} is not a base: {source} "
+                                 f"leaves {h}, which fixes every base point")
             self._append_level(min(i for i in range(self.degree) if h[i] != i))
         h_inv = inverse(h)
         for j in range(start, level + 1):
@@ -834,44 +865,46 @@ class PermutationGroup:
         the same Schreier generator it would give now, and that generator
         lies in <level_gens[j + 1]>, which only grows: only pairs with a
         new orbit point or a new strong generator are formed.  Nor are
-        tree edges (Seress, ch. 4.1): u_{s(x)} was made as u_x s, so their
-        Schreier generator is the identity.
+        tree edges (Seress, ch. 4.1), the (x, k) the vector records for
+        s_k(x): u_{s_k(x)} is u_x s_k, so their Schreier generator is the
+        identity.
 
-        On a known base the Schreier generator u_x s v, with v the inverse
-        of u_{s(x)}, lies in the group, so it is sifted by its images
-        v[s[u_x[b]]] of the later base points b, with u_x's images read
-        once per orbit point, as the positions of the b in u_x^-1, and is
-        dropped when they strip to the base (:meth:`_strips_to_base`).  Only
-        one that moves a base point goes to :meth:`_add` as the word
-        (u_x, s, v), with u_x inverted from u_x^-1, which builds and strips
-        the whole permutation.  Otherwise every pair goes to :meth:`_add`.
+        On the search's spine, a base with cells, the Schreier generator
+        u_x s v, with v the inverse of u_{s(x)}, lies in the group, so it is
+        sifted by its images v[s[u_x[b]]] of the later base points b, with
+        u_x's images read once per orbit point, as the positions of the b
+        in u_x^-1, and is dropped when they strip to the base
+        (:meth:`_strips_to_base`).  Only one that moves a base point goes to
+        :meth:`_add` as the word (u_x, s, v), with u_x inverted from u_x^-1,
+        which builds and strips the whole permutation.  Otherwise every
+        pair goes to :meth:`_add`.
         """
-        inverses = self._transversal_inverses[j]
-        tree_edges = self._tree_edges[j]
+        vector = self._schreier_vectors[j]
         gens = self._level_gens[j]
-        later = self.base[j + 1:] if self._known_base else None
+        later = self.base[j + 1:] if self._cells is not None else None
         sifted_points, sifted_gens = self._sifted[j]
-        for x in sorted(inverses):
-            ux_inv = inverses[x]
+        for x in sorted(vector):
+            ux_inv = self._inverse(j, x)
             if later is not None:
                 ux_later = [ux_inv.index(b) for b in later]
             for k in range(sifted_gens if x in sifted_points else 0, len(gens)):
-                if (x, k) in tree_edges:
-                    continue
                 s = gens[k]
-                v = inverses[s[x]]
+                y = s[x]
+                if vector[y] == (x, k):
+                    continue
+                v = self._inverse(j, y)
                 if later is not None and self._strips_to_base(
-                        [v[s[y]] for y in ux_later], j + 1):
+                        [v[s[z]] for z in ux_later], j + 1):
                     continue
                 # u_x, then s, then the inverse of u_{s(x)}
                 self._add((inverse(ux_inv), s, v), j + 1)
-        self._sifted[j] = (set(inverses), len(gens))
+        self._sifted[j] = (set(vector), len(gens))
 
     @property
     def order(self) -> int:
         n = 1
-        for inverses in self._transversal_inverses:
-            n *= len(inverses)
+        for vector in self._schreier_vectors:
+            n *= len(vector)
         return n
 
     def __contains__(self, g) -> bool:
@@ -886,14 +919,14 @@ class PermutationGroup:
         known base of the point followed by the rest of this chain's base:
         a finished chain's base is complete, so a superset of it is a base."""
         _checked_points((point,), self.degree)
-        u_inv = self._transversal_inverses[0].get(point) if self.base else None
-        if u_inv is None:
+        if not (self.base and point in self._schreier_vectors[0]):
             base = (point, *(b for b in self.base if b != point))
             chain = PermutationGroup(self.degree, Automorphisms(
                 self.generators, base, self.order))
             return chain.stabilizer_generators(point)
         if len(self.base) == 1:
             return []
+        u_inv = self._inverse(0, point)
         u = inverse(u_inv)
         # u^-1, then s, then u
         return [tuple([u[s[x]] for x in u_inv]) for s in self._level_gens[1]]
@@ -910,8 +943,8 @@ class PermutationGroup:
             if level == len(self.base):
                 yield self._identity
                 return
-            inverses = self._transversal_inverses[level]
-            representatives = [inverse(inverses[x]) for x in sorted(inverses)]
+            representatives = [inverse(self._inverse(level, x))
+                               for x in sorted(self._schreier_vectors[level])]
             for rest in rec(level + 1):
                 for u in representatives:
                     yield compose(rest, u)

@@ -1116,19 +1116,27 @@ def digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
+def transversals(group):
+    """Each level's coset inverses, orbit point x to u_x^-1, in the order the
+    orbit walk reached the points: read off the level's Schreier vector, with
+    each inverse not read before built by the chain itself."""
+    return [{x: group._inverse(j, x) for x in vector}
+            for j, vector in enumerate(group._schreier_vectors)]
+
+
 def chain(group):
     """The chain with the coset representatives u_x, each derived from the
-    u_x^-1 the chain keeps."""
-    transversals = [sorted((x, inverse(u_inv)) for x, u_inv in t.items())
-                    for t in group._transversal_inverses]
-    return (group.base, transversals, group._level_gens)
+    u_x^-1 the chain builds."""
+    levels = [sorted((x, inverse(u_inv)) for x, u_inv in t.items())
+              for t in transversals(group)]
+    return (group.base, levels, group._level_gens)
 
 
 def assert_inverses_stored(group):
-    """Each kept u_x^-1 is a permutation that sends x to the level's base
+    """Each u_x^-1 is a permutation that sends x to the level's base
     point, and each strong generator's stored inverse is its inverse."""
     e = identity(group.degree)
-    for level, inverses in enumerate(group._transversal_inverses):
+    for level, inverses in enumerate(transversals(group)):
         b = group.base[level]
         assert b in inverses
         for x, u_inv in inverses.items():
@@ -1193,7 +1201,7 @@ class SeedSchreierSims(PermutationGroup):
         # first; residues found on the way are inserted recursively.
         for j in range(level, start - 1, -1):
             self._extend_orbit(j)
-            inverses = self._transversal_inverses[j]
+            inverses = transversals(self)[j]
             for x in sorted(inverses):
                 ux = inverse(inverses[x])
                 for s in self._level_gens[j]:
@@ -1223,9 +1231,9 @@ def test_skipped_pairs_leave_the_chain_unchanged(case):
 
 class CountingSchreierSims(PermutationGroup):
     """Counts the Schreier generators each level forms and sifts, and the
-    residues the sifts leave as whole permutations.  On a known base each
-    formed generator is sifted by its base images, and only one that leaves
-    a residue goes on to _add; otherwise each is sifted by _add."""
+    residues the sifts leave as whole permutations.  On a base with cells
+    each formed generator is sifted by its base images, and only one that
+    leaves a residue goes on to _add; otherwise each is sifted by _add."""
 
     def __init__(self, *args, **kwargs):
         self.formed = Counter()  # level j -> Schreier generators sifted into j + 1
@@ -1234,12 +1242,11 @@ class CountingSchreierSims(PermutationGroup):
         super().__init__(*args, **kwargs)
 
     def _strips_to_base(self, images, start):
-        if start:  # only the input generators are checked at level 0
-            self.formed[start - 1] += 1
+        self.formed[start - 1] += 1
         return super()._strips_to_base(images, start)
 
     def _add(self, word, start):
-        if start and not self._known_base:
+        if start and self._cells is None:
             self.formed[start - 1] += 1
         self.added[start] += 1
         super()._add(word, start)
@@ -1255,7 +1262,7 @@ def pair_counts(group):
     """Formed Schreier generators, and (orbit point, strong generator) pairs
     less the tree edges: one per orbit point but the base point."""
     return [(group.formed[j], len(t) * len(group._level_gens[j]) - (len(t) - 1))
-            for j, t in enumerate(group._transversal_inverses)]
+            for j, t in enumerate(transversals(group))]
 
 
 @settings(max_examples=150, deadline=None)
@@ -1270,7 +1277,7 @@ def test_the_certified_hexagon_chain_forms_no_schreier_generator(aut_generators)
     group = CountingSchreierSims(126, aut_generators)
     assert group.base == list(aut_generators.base) == [0, 66, 23]
     assert aut_generators.cells == (63, 48, 4)
-    assert [len(t) for t in group._transversal_inverses] == [63, 48, 4]
+    assert list(map(len, transversals(group))) == [63, 48, 4]
     assert group.order == 12096
     # each orbit fills its cell: the 4 input generators are inserted, become
     # the strong generators, and no Schreier generator is formed
@@ -1286,13 +1293,15 @@ def test_each_pair_is_formed_once_on_the_hexagon(aut_generators):
     assert group.base == list(gens.base) == [0, 66, 23]
     assert group.order == 12096
     assert all(formed == pairs for formed, pairs in pair_counts(group))
-    assert [len(t) for t in group._transversal_inverses] == [63, 48, 4]
-    assert sum(len(t) - 1 for t in group._transversal_inverses) == 112  # tree edges skipped
-    # 292 Schreier generators are sifted by their base images, and none
-    # leaves a residue; the 4 input generators become the strong generators,
-    # and only they are inserted
+    assert list(map(len, transversals(group))) == [63, 48, 4]
+    assert sum(len(t) - 1 for t in transversals(group)) == 112  # tree edges skipped
+    # with no cells the base is not taken on trust: each of the 292 Schreier
+    # generators is built and stripped whole, and none leaves a residue; the
+    # 4 input generators become the strong generators, and only they are
+    # inserted
     assert sum(group.formed.values()) == 292
-    assert group.residues == group.added == {0: 4}
+    assert group.added == {0: 4, 1: 190, 2: 97, 3: 5}
+    assert group.residues == {0: 4}
 
 
 @pytest.mark.parametrize("pairing", [0, 1, 2])
@@ -1308,6 +1317,68 @@ def test_a_certified_chain_is_the_full_sifts(pairing, seed):
     assert certified.order == math.prod(gens.cells) == 12096
 
 
+def counted_composes(monkeypatch) -> list:
+    """Patch ``groups.compose`` to record each call in the list returned."""
+    calls = []
+    monkeypatch.setattr(groups_module, "compose",
+                        lambda p, q: calls.append((p, q)) or compose(p, q))
+    return calls
+
+
+# composes made by the certified build and its point-0 subdegrees: each input
+# generator is stripped through the levels whose base point it fixes, by that
+# level's identity; no orbit point's coset inverse is read, so none is built
+CERTIFIED_COMPOSES = {
+    (0, None): 5, (0, 3): 5, (0, 2026): 5,
+    (1, None): 5, (1, 3): 6, (1, 2026): 6,
+    (2, None): 5, (2, 3): 6, (2, 2026): 5,
+}
+
+
+@pytest.mark.parametrize("pairing, seed", CERTIFIED_COMPOSES)
+def test_a_certified_chain_builds_only_the_inverses_it_reads(pairing, seed,
+                                                             monkeypatch):
+    graph, coloring = hexagon_case(pairing, seed, 2)
+    gens = automorphism_generators(graph, coloring)
+    full = transversals(PermutationGroup(126, Automorphisms(
+        list(gens), gens.base, gens.order)))
+    composed = counted_composes(monkeypatch)
+    group = PermutationGroup(126, gens)
+    assert group.stabilizer_orbit_sizes(0) == (1, 3, 6, 12, 24, 32, 48)
+    assert len(composed) == CERTIFIED_COMPOSES[pairing, seed]
+    assert [list(built) for built in group._coset_inverses] == [[b] for b in group.base]
+    for j, built in enumerate(group._coset_inverses):
+        assert all(u_inv == full[j][x] for x, u_inv in built.items())
+    # read later, every inverse is the no-cells build's
+    assert transversals(group) == full
+
+
+def test_the_plain_list_hexagon_build_composes_as_before(aut_generators,
+                                                         monkeypatch):
+    # a plain list sifts every Schreier generator whole and so reads every
+    # coset inverse: building each on its first read composes as often as
+    # building each as its orbit point was reached
+    composed = counted_composes(monkeypatch)
+    assert PermutationGroup(126, list(aut_generators)).order == 12096
+    assert len(composed) == 955
+
+
+def test_a_hand_made_base_is_checked_by_its_schreier_generators():
+    # (0 1)(2 3 4) moves 0 and is inserted; the Schreier generator of (1, g)
+    # is g^2 = (2 4 3), which fixes 0 and is not the identity, so (0,) is no
+    # base.  With no cells it is built and stripped whole, and refused.
+    g = (1, 0, 3, 4, 2)
+    assert PermutationGroup(5, [g]).order == 6
+    message = "(0,) is not a base: a Schreier generator of level 0 leaves (0, 1, 4, 2, 3)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PermutationGroup(5, Automorphisms([g], (0,), 2))
+    # a base that is one gives the plain list's order
+    assert PermutationGroup(5, Automorphisms([g], (0, 2), 6)).order == 6
+    # hand-made cells are the caller's claim, and are not checked: the orbit
+    # of 0 fills the cell, so the chain is taken as certified
+    assert PermutationGroup(5, Automorphisms([g], (0,), 2, (2,))).order == 2
+
+
 C3_AND_C4 = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)])
 
 
@@ -1321,7 +1392,7 @@ def test_cells_certify_exactly_the_full_sifts_order(case):
     group = CountingSchreierSims(n, gens)
     plain = PermutationGroup(n, list(gens))
     assert group.order == plain.order
-    certified = tuple(map(len, group._transversal_inverses)) == gens.cells
+    certified = tuple(map(len, transversals(group))) == gens.cells
     assert certified == (plain.order == math.prod(gens.cells))
     if certified:
         assert sum(group.formed.values()) == 0
@@ -1337,7 +1408,7 @@ def test_a_cell_its_orbit_does_not_fill_is_closed_by_sifting():
     gens = automorphism_generators(graph, coloring)
     group = CountingSchreierSims(126, gens)
     assert gens.cells == (126, 48, 4)
-    assert [len(t) for t in group._transversal_inverses] == [63, 48, 4]
+    assert list(map(len, transversals(group))) == [63, 48, 4]
     assert all(formed == pairs for formed, pairs in pair_counts(group))
     assert group.order == PermutationGroup(126, list(gens)).order == 12096
 
@@ -1346,7 +1417,7 @@ def test_a_dropped_generator_fails_the_certificate(aut_generators):
     gens = aut_generators
     dropped = CountingSchreierSims(
         126, Automorphisms(gens[:-1], gens.base, gens.order, gens.cells))
-    assert [len(t) for t in dropped._transversal_inverses] != list(gens.cells)
+    assert list(map(len, transversals(dropped))) != list(gens.cells)
     assert sum(dropped.formed.values()) > 0
     assert dropped.order == PermutationGroup(126, gens[:-1]).order == 192
 
@@ -1386,8 +1457,9 @@ class TreeEdgeSchreierSims(PermutationGroup):
         super().__init__(*args, **kwargs)
 
     def _sift_schreier_generators(self, j):
-        inverses = self._transversal_inverses[j]
-        for x, k in self._tree_edges[j]:
+        inverses = transversals(self)[j]
+        tree_edges = [edge for edge in self._schreier_vectors[j].values() if edge]
+        for x, k in tree_edges:
             s = self._level_gens[j][k]
             back = inverses[s[x]]
             schreier = tuple([back[s[i]] for i in inverse(inverses[x])])
@@ -1404,7 +1476,7 @@ def test_skipped_tree_edges_give_the_identity(case):
     # one tree edge reached each orbit point but the base point
     per_level = Counter(j for j, _, _ in group.tree_edges)
     assert all(per_level[j] == len(t) - 1
-               for j, t in enumerate(group._transversal_inverses))
+               for j, t in enumerate(transversals(group)))
 
 
 def sympy_group(gens):
@@ -1422,7 +1494,7 @@ def assert_base_and_strong_generating_set(group):
     """Each u_x maps base[j] to x and fixes base[:j] (so its kept inverse
     maps x to base[j] and fixes base[:j]), each level's strong generators fix
     base[:j], and every stored inverse is right."""
-    for j, inverses in enumerate(group._transversal_inverses):
+    for j, inverses in enumerate(transversals(group)):
         fixed = group.base[:j]
         for x, u_inv in inverses.items():
             u = inverse(u_inv)
@@ -1464,7 +1536,7 @@ def assert_stabilizers_off_the_first_orbit(group, gens):
     the base): its stabilizer fixes it, lies in the group, has the order
     sympy gives and the index of the point's orbit."""
     n = group.degree
-    first_orbit = group._transversal_inverses[0] if group.base else {}
+    first_orbit = transversals(group)[0] if group.base else {}
     for p in (p for p in range(n) if p not in first_orbit):
         stabilizer = group.stabilizer_generators(p)
         assert all(g[p] == p and g in group for g in stabilizer)
@@ -1608,13 +1680,14 @@ def test_line_subdegrees(actions, aut_generators, monkeypatch):
                             CountingSchreierSims(*args, **kwargs)) or built[-1])
     assert lines_action.stabilizer_orbit_sizes(0) == (1, 6, 24, 32)
     # no line is in the first orbit, so a second chain is built, with the
-    # line ahead of the search's base, and sifted by base images: of its 266
-    # Schreier generators, 2 leave a residue
+    # line ahead of the search's base; it has no cells, so each of its 266
+    # Schreier generators is built and stripped whole, and 2 leave a residue
     [chain] = built
     assert chain.base == [63, *aut_generators.base]
     assert chain.order == 12096
     assert sum(chain.formed.values()) == 266
-    assert chain.residues == chain.added == {0: 4, 1: 2}
+    assert chain.added == {0: 4, 1: 190, 2: 10, 3: 65, 4: 1}
+    assert chain.residues == {0: 4, 1: 2}
 
 
 def test_character_witness_exists(aut_group, actions):
