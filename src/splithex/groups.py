@@ -51,52 +51,52 @@ the cells from a spine node down bounds the order of that stabilizer.
 
 Group orders also come from a deterministic construction of a base and
 strong generating set; the order is the product of the fundamental orbit
-lengths.  On generators from the search, the spine is the base, fixed up
-front (Seress, *Permutation Group Algorithms*, ch. 4-5, on a known base),
-and the chain is certified by the cells: the generators are inserted and
-each level's orbit extended, and when every orbit fills its level's cell,
-the group each level's strong generators make is at least as large as the
-bound, so it is the whole stabilizer and no Schreier generator is formed
-(see :class:`PermutationGroup`).  When an orbit is smaller than its cell,
-as on a graph whose refinement is coarser than its orbits, the chain is
-closed by Schreier-Sims.  On the search's spine a Schreier generator
-u_x s u_{s(x)}^-1 lies in the group, so it is sifted by its images of the
-later base points only.  u_x's images are read
-off u_x^-1 once per orbit point, so a pair costs two lookups per base point
-and one coset inverse per level, and a Schreier generator whose
-images strip to the base fixes the whole base, is the identity and is
-dropped without being built.  Only one that moves a base point becomes a permutation and is
-inserted, like an input generator.  A known base with no cells (hand-made,
-or a stabilizer's chain below) is not taken on trust: each Schreier
-generator is built and stripped whole, and a residue that fixes every base
-point is refused.  A plain generator
-list takes the general path from an empty base, which appends a base point
-for each residue that fixes the base so far and strips whole permutations,
-as membership tests always do.  Each level keeps a Schreier vector (Seress,
-ch. 4.1): for each orbit point s_k(x) but the base point, the pair (x, k)
-whose walk first reached it, so u_{s_k(x)} = u_x s_k.  The order and the
-certificate read only the orbit sizes.  The inverse u_x^-1 of a coset
-representative, which is what stripping reads, is built on its first read,
-by walking the vector from x up to a point already built and composing back
-down with the inverses of the strong generators, and kept; a certified chain
-builds none but where an input generator is stripped or a caller reads one.
-The Schreier generator built whole, a stabilizer's conjugation and
-:meth:`PermutationGroup.elements` invert a representative when they need
-it.  Levels are extended,
-never rebuilt (Seress, ch. 4): a level that gains a strong generator keeps
-its vector, records parents only for the orbit points it adds, and
-sifts only the Schreier generators of (orbit point, strong generator) pairs
-it has not sifted before, so over a complete build each pair is formed at
-most once per level.  A pair (x, k) that the vector records for s_k(x) is a
-tree edge, u_{s_k(x)} = u_x s_k, and its Schreier generator is the identity,
-so it is not formed at all.  A point's stabilizer is the first base point's,
-conjugated by the point's coset representative, or, for a point off the
-first orbit, the second level of a chain on the known base made of that
-point and the rest of the base, which has no cells and is closed by
-Schreier-Sims on whole permutations: a finished chain's base is complete,
-whichever path built it, and a superset of a base is a base.  The point
-and line actions are faithful views of the incidence-graph group (see
-:func:`induced_actions`), so one chain serves a whole run.
+lengths.  Every chain is built in one order (Seress, *Permutation Group
+Algorithms*, ch. 4): the generators are inserted, each extending the orbits
+of the levels it reaches, and the chain is then certified or, failing that,
+closed by Schreier-Sims, its levels deepest first.  On generators from the
+search, the spine is the base, fixed up front (Seress, ch. 4-5, on a known
+base), and the cells certify the chain when every orbit fills its level's
+cell: the group each level's strong generators make is then at least as
+large as the bound, so it is the whole stabilizer and no Schreier generator
+is formed (see :class:`PermutationGroup`).  An orbit is smaller than its
+cell on a graph whose refinement is coarser than its orbits.  On the
+search's spine a Schreier generator u_x s u_{s(x)}^-1 lies in the group, so
+it is sifted by its images of the later base points only.  u_x's images are
+read off u_x^-1 once per orbit point, so a pair costs two lookups per base
+point and one coset inverse per level, and a Schreier generator whose images
+strip to the base fixes the whole base, is the identity and is dropped
+without being built.  Only one that moves a base point becomes a permutation
+and is inserted, like an input generator.  A known base with no cells
+(hand-made, or a stabilizer's chain below) is not taken on trust: each
+Schreier generator is built and stripped whole, and a residue that fixes
+every base point is refused.  A plain generator list starts from an empty
+base, appends a base point for each residue that fixes the base so far and
+strips whole permutations, as membership tests always do.  Each level keeps
+a Schreier vector (Seress, ch. 4.1): for each orbit point s_k(x) but the
+base point, the pair (x, k) whose walk first reached it, so
+u_{s_k(x)} = u_x s_k.  The order and the certificate read only the orbit
+sizes.  The inverse u_x^-1 of a coset representative, which is what
+stripping reads, is built on its first read, by walking the vector from x up
+to a point already built and composing back down with the inverses of the
+strong generators, and kept; a certified chain builds none but where an
+input generator is stripped or a caller reads one.  The Schreier generator
+built whole, a stabilizer's conjugation and
+:meth:`PermutationGroup.elements` invert a representative when they need it.
+Levels are extended, never rebuilt (Seress, ch. 4): a level that gains a
+strong generator keeps its vector, records parents only for the orbit points
+it adds, and sifts only the Schreier generators of (orbit point, strong
+generator) pairs it has not sifted before, so over a complete build each
+pair is formed at most once per level.  A pair (x, k) that the vector
+records for s_k(x) is a tree edge, u_{s_k(x)} = u_x s_k, and its Schreier
+generator is the identity, so it is not formed at all.  A point's stabilizer
+is the first base point's, conjugated by the point's coset representative,
+or, for a point off the first orbit, the second level of a chain on the
+known base made of that point and the rest of the base, which has no cells
+and is closed by Schreier-Sims on whole permutations: a finished chain's
+base is complete, certified or closed, and a superset of a base is a base.
+The point and line actions are faithful views of the incidence-graph group
+(see :func:`induced_actions`), so one chain serves a whole run.
 Permutations are tuples ``p`` with ``p[i]`` the image of ``i``;
 ``compose(p, q)`` applies p first, then q.
 """
@@ -356,9 +356,11 @@ def _check_length(graph: Graph, what: str, sequence) -> None:
 
 def is_automorphism(graph: Graph, coloring, p: Permutation) -> bool:
     """Is p a permutation of the vertices that preserves both the coloring
-    and the adjacency?"""
+    and the adjacency?  A non-int entry or a wrong length raises ValueError."""
     _check_length(graph, "coloring", coloring)
     _check_length(graph, "permutation", p)
+    if not {int}.issuperset(map(type, p)):
+        raise ValueError(f"permutation {tuple(p)} has an entry that is not an int")
     adjacency = graph.adjacency
     return _is_automorphism(adjacency, [set(nbrs) for nbrs in adjacency], coloring, p)
 
@@ -387,14 +389,15 @@ class Automorphisms(list):
     :func:`automorphism_generators` makes one with the spine as base and its
     nodes' target cells as ``cells`` (see the module docstring), and
     :meth:`PermutationGroup.stabilizer_generators` one for a point off the
-    first orbit, with no cells.  :class:`PermutationGroup` sifts on ``base``,
-    and certifies its chain by ``cells`` instead of forming Schreier
-    generators, only while the list still holds the generators it was made
-    with.  A ``base`` is checked: each Schreier generator is stripped whole
-    on a base with no cells, and a residue fixing every base point raises
-    ``ValueError``.  ``cells`` are not checked: the search's cells bound
-    the stabilizers' orders, but hand-made ones are the caller's claim, and
-    a chain whose orbits fill them is taken as certified, its base as a base.
+    first orbit, with no cells.  :class:`PermutationGroup` builds its chain
+    on ``base``, and certifies it by ``cells`` instead of closing its levels,
+    only while the list still holds the generators it was made with.  A
+    ``base`` is checked: on a base with no cells the levels are closed by
+    stripping each Schreier generator whole, and a residue fixing every
+    base point raises ``ValueError``.  ``cells`` are not checked: the
+    search's cells bound the stabilizers' orders, but hand-made ones are the
+    caller's claim, and a chain whose orbits fill them is taken as
+    certified, its base as a base.
     """
 
     def __init__(self, generators, base, order: int, cells=None):
@@ -686,24 +689,26 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
 class PermutationGroup:
     """A permutation group with a base and strong generating set.
 
-    Built deterministically from the generator list; the order is the
-    product of the fundamental orbit lengths along the base.  When the
-    generators are an :class:`Automorphisms` that still holds the
-    generators it was made with, its ``base`` (distinct ints in
-    ``range(degree)``) is the base, fixed up front.  A generator, input or
-    Schreier, that leaves a residue fixing every base point raises
-    ``ValueError``: the base is not a base.  Otherwise base points are
-    chosen as residues need them.  Each level keeps a Schreier vector
-    (``_schreier_vectors``, orbit point s_k(x) to (x, k), the base point to
-    None) and the inverses u_x^-1 of the coset representatives read so far
-    (``_coset_inverses``); :meth:`_inverse` builds one on its first read,
-    and a representative itself is inverted when it is needed.
+    Built deterministically, in one order: the generators are inserted,
+    each extending the orbits of the levels it reaches; then, unless
+    ``cells`` certify the chain, the levels are closed deepest first by
+    sifting their Schreier generators, and each residue a sift leaves is
+    inserted and re-closes the levels it reaches.  The order is the product
+    of the fundamental orbit lengths.  When the generators are an
+    :class:`Automorphisms` that still holds the generators it was made
+    with, its ``base`` (distinct ints in ``range(degree)``) is the base,
+    fixed up front, and a residue, input or Schreier, fixing every base
+    point raises ``ValueError``: the base is not a base.  Otherwise base
+    points are chosen as residues need them.  Each level keeps a Schreier
+    vector (``_schreier_vectors``, orbit point s_k(x) to (x, k), the base
+    point to None) and the inverses u_x^-1 of the coset representatives
+    read so far (``_coset_inverses``); :meth:`_inverse` builds one on its
+    first read, and a representative itself is inverted when needed.
 
-    With ``cells`` as well (positive ints, one per base point), the
-    generators are inserted, each level's orbit extended, and no Schreier
-    generator is formed; the chain is certified if each level's orbit Δ_i
-    has the size of its cell T_i.  For the search's cells that is a proof.
-    The strong generators of level i are products of the search's
+    With ``cells`` as well (positive ints, one per base point), the chain
+    is certified if each level's orbit Δ_i, once the generators are in, has
+    the size of its cell T_i.  For the search's cells that is a proof.  The
+    strong generators of level i are products of the search's
     automorphisms and fix b_1 ... b_{i-1}; Δ_i is b_i's orbit under the
     group S_i they make, whose stabilizer of b_i holds S_{i+1}, so
     |S_i| >= |Δ_i| |S_{i+1}| >= ∏_{j>=i} |Δ_j|.  :func:`refine` and the
@@ -716,13 +721,10 @@ class PermutationGroup:
     ∏ cells.  A certified chain reads only the orbit sizes, and builds a
     coset inverse only where an input generator is stripped or a caller
     reads one.  When a size differs (a generator dropped, or a graph whose
-    refinement is coarser than its orbits), the levels are closed by
-    sifting their Schreier generators, deepest first, as a build with no
-    cells does as it goes; the order is then that of the group the
-    generators make.  Only a base that comes with cells, the search's
-    spine, is taken to be a base of the group, so only there is a Schreier
-    generator sifted by its base images; with no cells each one is built
-    and stripped whole.
+    refinement is coarser than its orbits), the levels are closed, and the
+    order is that of the group the generators make.  Only on a base with
+    cells, the search's spine, is a Schreier generator sifted by its base
+    images; with none each one is built and stripped whole.
     """
 
     def __init__(self, degree: int, generators):
@@ -743,19 +745,17 @@ class PermutationGroup:
                 self._append_level(b)
             if generators.cells is not None:
                 self._cells = _checked_cells(generators.cells, len(self.base))
-        self._sifting = self._cells is None  # does _add sift the levels it touches?
         for g in self.generators:
             self._add((g,), 0)
-        if self._cells is not None and self._cells != tuple(
-                map(len, self._schreier_vectors)):
-            self._sifting = True
+        if self._cells != tuple(map(len, self._schreier_vectors)):
             for j in reversed(range(len(self.base))):
                 self._sift_schreier_generators(j)
-        del self._sifted, self._sifting, self._cells
+        del self._sifted, self._cells
 
     def _checked(self, g) -> Permutation:
         g = tuple(g)
-        if sorted(g) != list(range(self.degree)):
+        if not ({int}.issuperset(map(type, g))
+                and sorted(g) == list(range(self.degree))):
             raise ValueError(f"not a permutation of degree {self.degree}: {g}")
         return g
 
@@ -849,13 +849,12 @@ class PermutationGroup:
         for j in range(start, level + 1):
             self._level_gens[j].append(h)
             self._level_inverses[j].append(h_inv)
-        # Re-close the Schreier condition on every touched level, deepest
-        # first; residues found on the way are inserted recursively.  A
-        # build with cells only extends the orbits, and closes the levels
-        # at the end if they are not certified.
+        # An input generator only extends the orbits; the build closes the
+        # levels once all are in.  A Schreier residue re-closes every level
+        # it touched, deepest first, inserting the residues found on the way.
         for j in range(level, start - 1, -1):
             self._extend_orbit(j)
-            if self._sifting:
+            if start:
                 self._sift_schreier_generators(j)
 
     def _sift_schreier_generators(self, j: int) -> None:

@@ -323,7 +323,9 @@ class Graph(Frozen):
 
 
 def bfs_distances(graph: Graph, start: int) -> list:
-    """Distances from start; -1 marks unreachable vertices."""
+    """Distances from start; -1 marks unreachable vertices.  A start that is
+    not one of the graph's vertices raises ``ValueError``."""
+    _check_vertex(graph.vertex_count, start)
     dist = [-1] * graph.vertex_count
     dist[start] = 0
     queue = deque([start])

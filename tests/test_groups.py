@@ -1086,6 +1086,20 @@ def test_rejects_non_permutations():
         PermutationGroup(3, [(0, 0, 1)])
 
 
+@pytest.mark.parametrize("p", [(1.0, 0.0), (True, False), (1, 0.0), ("1", "0")])
+def test_a_permutation_entry_that_is_not_an_int_is_refused(p):
+    # floats and bools sort like ints: (1.0, 0.0) died in compose, and
+    # (True, False) was taken as a permutation
+    message = re.escape(f"not a permutation of degree 2: {p}")
+    with pytest.raises(ValueError, match=message):
+        PermutationGroup(2, [p])
+    with pytest.raises(ValueError, match=message):
+        p in PermutationGroup(2, [(1, 0)])
+    message = re.escape(f"permutation {p} has an entry that is not an int")
+    with pytest.raises(ValueError, match=message):
+        is_automorphism(Graph.from_edges(2, []), [0, 0], p)
+
+
 def test_order_invariant_under_generator_shuffles(aut_generators):
     rng = random.Random(2024)
     reference = PermutationGroup(126, aut_generators).order
@@ -1182,32 +1196,19 @@ def test_stabilizer_of_a_point_off_the_domain_is_refused(point):
 
 
 class SeedSchreierSims(PermutationGroup):
-    """Reference: the insertion that forms and sifts the Schreier generator
-    of every (orbit point, strong generator) pair again, including the
-    pairs already sifted at the same level and the tree edges, each as a
+    """Reference: the closing pass that forms and sifts the Schreier
+    generator of every (orbit point, strong generator) pair again, including
+    the pairs already sifted at the same level and the tree edges, each as a
     whole permutation."""
 
-    def _add(self, word, start):
-        h, level = self._strip(word, start)
-        if h == self._identity:
-            return
-        if level == len(self.base):
-            self._append_level(min(i for i in range(self.degree) if h[i] != i))
-        h_inv = inverse(h)
-        for j in range(start, level + 1):
-            self._level_gens[j].append(h)
-            self._level_inverses[j].append(h_inv)
-        # Re-close the Schreier condition on every touched level, deepest
-        # first; residues found on the way are inserted recursively.
-        for j in range(level, start - 1, -1):
-            self._extend_orbit(j)
-            inverses = transversals(self)[j]
-            for x in sorted(inverses):
-                ux = inverse(inverses[x])
-                for s in self._level_gens[j]:
-                    # u_x, then s, then the inverse of u_{s(x)}
-                    back = inverses[s[x]]
-                    self._add((tuple([back[s[i]] for i in ux]),), j + 1)
+    def _sift_schreier_generators(self, j):
+        inverses = transversals(self)[j]
+        for x in sorted(inverses):
+            ux = inverse(inverses[x])
+            for s in self._level_gens[j]:
+                # u_x, then s, then the inverse of u_{s(x)}
+                back = inverses[s[x]]
+                self._add((tuple([back[s[i]] for i in ux]),), j + 1)
 
 
 @st.composite
@@ -1286,7 +1287,7 @@ def test_the_certified_hexagon_chain_forms_no_schreier_generator(aut_generators)
 
 
 def test_each_pair_is_formed_once_on_the_hexagon(aut_generators):
-    # with no cells the build sifts every Schreier generator as it goes
+    # with no cells the build closes every level by sifting, deepest first
     gens = Automorphisms(list(aut_generators), aut_generators.base,
                          aut_generators.order)
     group = CountingSchreierSims(126, gens)
@@ -1357,10 +1358,12 @@ def test_the_plain_list_hexagon_build_composes_as_before(aut_generators,
                                                          monkeypatch):
     # a plain list sifts every Schreier generator whole and so reads every
     # coset inverse: building each on its first read composes as often as
-    # building each as its orbit point was reached
+    # building each as its orbit point was reached.  The levels are closed
+    # deepest first once every generator is in, so each of level 0's 190
+    # Schreier generators strips through the two levels below it
     composed = counted_composes(monkeypatch)
     assert PermutationGroup(126, list(aut_generators)).order == 12096
-    assert len(composed) == 955
+    assert len(composed) == 1021
 
 
 def test_a_hand_made_base_is_checked_by_its_schreier_generators():
@@ -1399,6 +1402,30 @@ def test_cells_certify_exactly_the_full_sifts_order(case):
     else:  # closed by sifting, each pair once
         assert all(formed == pairs for formed, pairs in pair_counts(group))
     assert_base_and_strong_generating_set(group)
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_graphs())
+@example((C3_AND_C4, [0] * 7))  # not certified: the root's cell is 7, the orbit 3
+def test_dropping_the_cells_only_adds_the_closing_pass(case):
+    # Both builds insert every generator first, then the one with cells
+    # closes its levels only if they are not certified, and the one without
+    # always does.  On a certified chain every Schreier generator strips to
+    # the identity, and on the search's spine, a base, the base-image sift
+    # drops exactly those a whole strip takes to the identity: the chains
+    # are the same.  In reverse, the first generators inserted make a
+    # smaller group, so a build that closed each level as soon as one
+    # touched it would find other strong generators.
+    graph, coloring = case
+    n = graph.vertex_count
+    found = automorphism_generators(graph, coloring)
+    for gens in (list(found), found[::-1]):
+        with_cells = PermutationGroup(n, Automorphisms(
+            gens, found.base, found.order, found.cells))
+        without = PermutationGroup(n, Automorphisms(gens, found.base, found.order))
+        assert repr(chain(with_cells)) == repr(chain(without))
+        assert with_cells._level_inverses == without._level_inverses
+        assert with_cells.order == without.order
 
 
 def test_a_cell_its_orbit_does_not_fill_is_closed_by_sifting():

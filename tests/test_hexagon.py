@@ -1357,6 +1357,16 @@ def test_distance_distribution_refuses_a_base_out_of_range(vertex):
         distance_distribution(path, vertex)
 
 
+@pytest.mark.parametrize("start", [-1, 3, True, 1.0])
+def test_bfs_refuses_a_start_off_the_graph(start):
+    # -1 read vertex 2's distances, True vertex 1's, and 3 raised IndexError
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert bfs_distances(path, 2) == [2, 1, 0]
+    message = re.escape(f"vertex {start!r} is not one of the graph's 3 vertices")
+    with pytest.raises(ValueError, match=message):
+        bfs_distances(path, start)
+
+
 @pytest.mark.parametrize("vertex", [True, False, 1.5, 2.0, "1"])
 def test_a_vertex_that_is_not_an_int_is_refused(vertex):
     # a bool was stored as a neighbour, and a float reached list indexing
