@@ -30,12 +30,12 @@ by class, and the spine's last vertex to the child's, is unique, because
 the spine is a base, and is forced along each edge from a mapped vertex to
 a neighbour alone in its class.  A walk over those edges reads it off; it
 goes through the same automorphism check as a refined leaf's candidate and
-gives the same answer.  The walk is planned at each spine node before its
-first child is searched, and one that reaches every vertex shows that the
-child is discrete, so the node is the spine's last: the first leaf, whose
-candidate is the identity, is read like its siblings, and refined only if
-a leaf the walk cannot reach has to be compared with it.  A leaf the walk
-cannot reach is refined, as is every other node.
+gives the same answer, and a walk that stalls shows that no automorphism
+lies below, so its leaf is dropped.  The walk is planned at each spine node
+before its first child is searched, and one that reaches every vertex shows
+that the child is discrete, so the node is the spine's last: the first
+leaf, whose candidate is the identity, is read like its siblings, and no
+leaf below that node is refined.  Every other node is refined.
 
 The search also reports its spine, the vertices individualized on the path
 to the first leaf, and the group order read off its tree (McKay-Piperno):
@@ -67,12 +67,12 @@ read off u_x^-1 once per orbit point, so a pair costs two lookups per base
 point and one coset inverse per level, and a Schreier generator whose images
 strip to the base fixes the whole base, is the identity and is dropped
 without being built.  Only one that moves a base point becomes a permutation
-and is inserted, like an input generator.  A known base with no cells
-(hand-made, or a stabilizer's chain below) is not taken on trust: each
-Schreier generator is built and stripped whole, and a residue that fixes
-every base point is refused.  A plain generator list starts from an empty
-base, appends a base point for each residue that fixes the base so far and
-strips whole permutations, as membership tests always do.  Each level keeps
+and is inserted, like an input generator.  A known base with no cells, a
+hand-made one, is not taken on trust: each Schreier generator is built and
+stripped whole, and a residue that fixes every base point is refused.  A
+plain generator list starts from an empty base, appends a base point for
+each residue that fixes the base so far and strips whole permutations, as
+membership tests always do.  Each level keeps
 a Schreier vector (Seress, ch. 4.1): for each orbit point s_k(x) but the
 base point, the pair (x, k) whose walk first reached it, so
 u_{s_k(x)} = u_x s_k.  The order and the certificate read only the orbit
@@ -92,9 +92,9 @@ records for s_k(x) is a tree edge, u_{s_k(x)} = u_x s_k, and its Schreier
 generator is the identity, so it is not formed at all.  A point's stabilizer
 is the first base point's, conjugated by the point's coset representative,
 or, for a point off the first orbit, the second level of a chain on the
-known base made of that point and the rest of the base, which has no cells
-and is closed by Schreier-Sims on whole permutations: a finished chain's
-base is complete, certified or closed, and a superset of a base is a base.
+known base made of that point and the rest of the base, a superset of a
+complete base, whose cells are read off the finished chain (see
+:meth:`PermutationGroup.stabilizer_generators`).
 The point and line actions are faithful views of the incidence-graph group
 (see :func:`induced_actions`), so one chain serves a whole run.
 Permutations are tuples ``p`` with ``p[i]`` the image of ``i``;
@@ -389,15 +389,16 @@ class Automorphisms(list):
     :func:`automorphism_generators` makes one with the spine as base and its
     nodes' target cells as ``cells`` (see the module docstring), and
     :meth:`PermutationGroup.stabilizer_generators` one for a point off the
-    first orbit, with no cells.  :class:`PermutationGroup` builds its chain
-    on ``base``, and certifies it by ``cells`` instead of closing its levels,
-    only while the list still holds the generators it was made with.  A
+    first orbit, with cells read off a finished chain.
+    :class:`PermutationGroup` builds its chain on ``base``, and certifies it
+    by ``cells`` instead of closing its levels, only while the list still
+    holds the generators it was made with.  A
     ``base`` is checked: on a base with no cells the levels are closed by
     stripping each Schreier generator whole, and a residue fixing every
     base point raises ``ValueError``.  ``cells`` are not checked: the
-    search's cells bound the stabilizers' orders, but hand-made ones are the
-    caller's claim, and a chain whose orbits fill them is taken as
-    certified, its base as a base.
+    search's cells and a stabilizer chain's bound the stabilizers' orders,
+    but hand-made ones are the caller's claim, and a chain whose orbits fill
+    them is taken as certified, its base as a base.
     """
 
     def __init__(self, generators, base, order: int, cells=None):
@@ -527,9 +528,10 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
     and b* to w, so if h is an automorphism, refining π with w split off
     gives h's image of the first leaf and h is c; if c is one, each step
     finds c's image and h is c.  So h takes c's place in the automorphism
-    check, with the same outcome.  When the walk cannot reach every vertex
-    of π* (no plan), or finds no neighbour in a class (no map), the child
-    is refined.
+    check, with the same outcome.  A walk that finds no neighbour in a class
+    shows that c is no automorphism, and the child is dropped unrefined.
+    When the walk cannot reach every vertex of π* (no plan), the child is
+    refined.
 
     The walk is planned at each spine node π, with its first branching
     vertex v as b*, before v's child is searched.  If it reaches every
@@ -537,11 +539,10 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
     singletons stay singletons, and each step's y is the only neighbour of
     a singleton x in y's class, so refinement splits y off.  Then π is the
     spine's last node, v's child is the first leaf, and it is read like
-    its siblings (its map is the identity) instead of refined; its
-    ordering is refined only when a leaf at its depth has to be, after a
-    walk that finds no neighbour in a class.  A walk that cannot reach
-    every vertex says nothing, and v's child is searched as before; below
-    the spine's last node the first leaf is then refined as the spine's end.
+    its siblings (its map is the identity); no leaf at its depth is
+    refined.  A walk that cannot reach every vertex says nothing, and v's
+    child is searched as before; below the spine's last node the first leaf
+    is then refined as the spine's end, and so is each leaf compared with it.
 
     The result is an :class:`Automorphisms`: its ``base`` is the spine's
     individualized vertices, and its ``order`` the product, over the spine
@@ -559,8 +560,7 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
     neighbor_sets = [set(nbrs) for nbrs in adjacency]
     initial = list(coloring)
     found: list[Permutation] = []
-    first_leaf: list = [None]  # the vertex at each position of the first leaf
-    planned: list = [None]  # the spine's last partition and vertex, if planned
+    first_leaf = [0] * n  # the vertex at each position of a refined first leaf
     spine: list = []  # the vertices individualized on the way to the first leaf
     spine_shapes: list = []  # the sorted class starts along the spine
     orbit_lengths: list = []  # of each spine child in its node's target cell
@@ -571,21 +571,6 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         return x
-
-    def positions(color):
-        # the vertex at each position of a discrete partition
-        ordering = [0] * n
-        for v, x in enumerate(color):
-            ordering[x] = v
-        return ordering
-
-    def first_ordering():
-        # a planned first leaf is refined only when another leaf is
-        if first_leaf[0] is None:
-            partition, v = planned[0]
-            first_leaf[0] = positions(
-                refine(graph, partition.individualized(v), individualized=v).color)
-        return first_leaf[0]
 
     def deliver(candidate) -> bool:
         if candidate != identity(n) and _is_automorphism(
@@ -606,13 +591,13 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
 
         if len(members) == n:  # discrete: color[v] is v's position
             if on_spine:  # the first leaf: no walk planned above it reached every vertex
-                first_leaf[0] = positions(color)
+                for v, x in enumerate(color):
+                    first_leaf[x] = v
                 spine.extend(prefix)
                 return False
-            ordering = first_ordering()
             candidate = [0] * n
             for v, x in enumerate(color):
-                candidate[ordering[x]] = v
+                candidate[first_leaf[x]] = v
             return deliver(tuple(candidate))
 
         target = max((c for c, cell in enumerate(members) if len(cell) > 1),
@@ -653,14 +638,11 @@ def automorphism_generators(graph: Graph, coloring) -> Automorphisms:
                 plan = _leaf_plan(adjacency, partition, v)
                 if plan is not None:  # v's child is discrete: the first leaf
                     spine.extend(prefix + [v])
-                    spine_shapes.append(list(range(n)))
                     leaf_plan[0] = plan
-                    planned[0] = (partition, v)
-            leaf = None
             if leaf_plan[0] is not None and len(prefix) + 1 == len(spine):
+                # a walk that stalls shows no automorphism below v
                 leaf = _propagated_leaf(adjacency, leaf_plan[0], partition, v)
-            if leaf is not None:
-                got = deliver(leaf)
+                got = leaf is not None and deliver(leaf)
             else:
                 got = search(partition.individualized(v), prefix + [v], child_on_spine)
             explored.append(v)
@@ -707,7 +689,8 @@ class PermutationGroup:
 
     With ``cells`` as well (positive ints, one per base point), the chain
     is certified if each level's orbit Δ_i, once the generators are in, has
-    the size of its cell T_i.  For the search's cells that is a proof.  The
+    the size of its cell T_i.  For the search's cells that is a proof (and
+    for a stabilizer's chain, see :meth:`stabilizer_generators`).  The
     strong generators of level i are products of the search's
     automorphisms and fix b_1 ... b_{i-1}; Δ_i is b_i's orbit under the
     group S_i they make, whose stabilizer of b_i holds S_{i+1}, so
@@ -723,8 +706,9 @@ class PermutationGroup:
     reads one.  When a size differs (a generator dropped, or a graph whose
     refinement is coarser than its orbits), the levels are closed, and the
     order is that of the group the generators make.  Only on a base with
-    cells, the search's spine, is a Schreier generator sifted by its base
-    images; with none each one is built and stripped whole.
+    cells, the search's spine or a stabilizer's chain, is a Schreier
+    generator sifted by its base images; on a hand-made base with none each
+    one is built and stripped whole.
     """
 
     def __init__(self, degree: int, generators):
@@ -915,13 +899,24 @@ class PermutationGroup:
         """Strong generators of the stabilizer of a point: the second
         level's, conjugated by the point's first-level coset representative
         u, or, for a point off the first orbit, those of a new chain on the
-        known base of the point followed by the rest of this chain's base:
-        a finished chain's base is complete, so a superset of it is a base."""
+        known base of the point followed by the rest of this chain's base.
+
+        A finished chain's base is complete, so a superset of it is a base,
+        and the new chain's cells are the point's orbit and, for each later
+        b_i, this chain's orbit size |Δ_i|.  They bound the new chain's
+        stabilizers as the search's cells do: the stabilizer of the point
+        and b_1 ... b_{i-1} is no larger than that of b_1 ... b_{i-1}, of
+        order ∏_{j>=i} |Δ_j|, and when the point is a base point b_m with
+        m >= i, fixing it divides that order by b_m's orbit, which holds Δ_m.
+        So the new chain sifts its Schreier generators by their base images."""
         _checked_points((point,), self.degree)
         if not (self.base and point in self._schreier_vectors[0]):
-            base = (point, *(b for b in self.base if b != point))
+            orbit = next(o for o in orbits(self.generators, self.degree) if point in o)
+            base, cells = zip((point, len(orbit)), *[
+                (b, len(vector)) for b, vector in zip(self.base, self._schreier_vectors)
+                if b != point])
             chain = PermutationGroup(self.degree, Automorphisms(
-                self.generators, base, self.order))
+                self.generators, base, self.order, cells))
             return chain.stabilizer_generators(point)
         if len(self.base) == 1:
             return []
@@ -1073,8 +1068,11 @@ def character_witness(group: PermutationGroup, npts: int):
     the witness does not depend on the base: the same generators passed as
     the search's ``Automorphisms`` (base fixed up front) or as a plain list
     (base chosen as residues need it) give the same witness whenever one of
-    them separates, as the search's generators do.
+    them separates, as the search's generators do.  An ``npts`` that is not
+    an int in ``range(group.degree + 1)`` raises ``ValueError``.
     """
+    if type(npts) is not int or not 0 <= npts <= group.degree:
+        raise ValueError(f"npts {npts!r} is not in range({group.degree + 1})")
     for g in itertools.chain(group.generators, group.elements()):
         fixed_points = sum(1 for i in range(npts) if g[i] == i)
         fixed_lines = sum(1 for i in range(npts, group.degree) if g[i] == i)

@@ -848,16 +848,16 @@ def nodes_and_siblings(graph: Graph, coloring, depth: int):
         level = after
 
 
-def read_leaves_against_refined(graph: Graph, coloring) -> Counter:
+def walked_leaves(graph: Graph, coloring):
     """Read leaves by propagation below every node within two splits of
-    the root and check each complete map against the refined leaf's
-    candidate.  Each non-singleton class with a vertex b whose child is
-    discrete is a branching class, with b as the first leaf's vertex, and
-    each sibling is read at each vertex w of its class at the same start.
-    Counts the outcomes."""
+    the root, and refine each of them too.  Each non-singleton class with a
+    vertex b whose child is discrete is a branching class, with b as the
+    first leaf's vertex, and each sibling is read at each vertex w of its
+    class at the same start.  Yields, for each leaf read, the walk's map
+    (None if it stalls) and the refined leaf's candidate (None if that leaf
+    is not discrete)."""
     n = graph.vertex_count
     adjacency = graph.adjacency
-    outcomes = Counter()
     for node, siblings in nodes_and_siblings(graph, coloring, 2):
         for start, cell in zip(node.start, node.members):
             if len(cell) == 1:
@@ -867,25 +867,30 @@ def read_leaves_against_refined(graph: Graph, coloring) -> Counter:
                             (None, None))
             plan = b is not None and _leaf_plan(adjacency, node, b)
             if not plan:
-                outcomes["no plan"] += b is not None
                 continue
             for sibling in siblings:
                 for w in sibling.members[sibling.start.index(start)]:
-                    mapped = _propagated_leaf(adjacency, plan, sibling, w)
-                    if mapped is None:
-                        outcomes["stalled"] += 1
-                        continue
                     leaf = refine(graph, sibling.individualized(w), w)
-                    candidate = leaf_candidate(first, leaf) \
-                        if len(leaf.members) == n else None
-                    if candidate is not None and is_automorphism(graph, coloring,
-                                                                  candidate):
-                        assert mapped == candidate
-                    if is_automorphism(graph, coloring, mapped):
-                        assert mapped == candidate
-                        outcomes["automorphism"] += 1
-                    else:
-                        outcomes["not an automorphism"] += 1
+                    discrete = len(leaf.members) == n
+                    yield (_propagated_leaf(adjacency, plan, sibling, w),
+                           leaf_candidate(first, leaf) if discrete else None)
+
+
+def read_leaves_against_refined(graph: Graph, coloring) -> Counter:
+    """Check each complete map of :func:`walked_leaves` against the refined
+    leaf's candidate.  Counts the outcomes."""
+    outcomes = Counter()
+    for mapped, candidate in walked_leaves(graph, coloring):
+        if mapped is None:
+            outcomes["stalled"] += 1
+            continue
+        if candidate is not None and is_automorphism(graph, coloring, candidate):
+            assert mapped == candidate
+        if is_automorphism(graph, coloring, mapped):
+            assert mapped == candidate
+            outcomes["automorphism"] += 1
+        else:
+            outcomes["not an automorphism"] += 1
     return outcomes
 
 
@@ -909,6 +914,39 @@ MISMAPPING = Graph.from_edges(8, [(0, 1), (0, 2), (0, 6), (0, 7), (1, 2), (1, 4)
                                             (MISMAPPING, "not an automorphism")])
 def test_propagation_stalls_and_mismaps_only_where_refinement_fails(graph, outcome):
     assert read_leaves_against_refined(graph, [0] * 8)[outcome] > 0
+
+
+@st.composite
+def quartic_graphs(draw):
+    """Uniformly colored 4-regular graphs on 8 to 12 vertices: the circulant
+    with steps 1 and 2, then at least four tries at an edge switch
+    (a-b, c-d -> a-d, c-b) that keeps the graph simple.  About one in
+    fifteen has a sibling whose walk stalls; the graphs of
+    ``colored_graphs()`` rarely do."""
+    n = draw(st.integers(8, 12))
+    edges = [(i, (i + step) % n) for i in range(n) for step in (1, 2)]
+    for x, y in draw(st.lists(st.tuples(st.integers(0, 2 * n - 1),
+                                        st.integers(0, 2 * n - 1)), min_size=4)):
+        (a, b), (c, d) = edges[x], edges[y]
+        present = set(map(frozenset, edges))
+        if len({a, b, c, d}) == 4 and present.isdisjoint({frozenset((a, d)),
+                                                          frozenset((c, b))}):
+            edges[x], edges[y] = (a, d), (c, b)
+    return Graph.from_edges(n, edges), [0] * n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(colored_graphs(), quartic_graphs()))
+@example((STALLING, [0] * 8))
+def test_no_automorphism_lies_below_a_stalled_walk(case):
+    # The search drops a leaf whose walk stalls without refining it: were
+    # the refined leaf's candidate an automorphism, it would map the spine's
+    # last partition onto the sibling's class by class, and each step of the
+    # walk would find its image.
+    graph, coloring = case
+    for mapped, candidate in walked_leaves(graph, coloring):
+        if mapped is None:
+            assert candidate is None or not is_automorphism(graph, coloring, candidate)
 
 
 def petersen_graph() -> Graph:
@@ -965,20 +1003,40 @@ def test_the_hexagons_first_leaf_is_read_not_refined(pairing, seed, monkeypatch)
     assert sum(prefix == last for prefix, _ in record.refined_nodes) == 1
 
 
-@pytest.mark.parametrize("graph", [
-    pytest.param(STALLING, id="STALLING"), pytest.param(MISMAPPING, id="MISMAPPING"),
-    *(pytest.param(SMALL_GRAPHS[name], id=name) for name in ("C6", "K3,3", "3-cube")),
+@pytest.mark.parametrize("graph, refines", [
+    pytest.param(STALLING, 1, id="STALLING"),
+    pytest.param(MISMAPPING, 0, id="MISMAPPING"),
+    *(pytest.param(SMALL_GRAPHS[name], 1, id=name) for name in ("C6", "K3,3", "3-cube")),
 ])
-def test_a_first_leaf_is_refined_at_most_once(graph, monkeypatch):
+def test_a_first_leaf_is_refined_at_most_once(graph, refines, monkeypatch):
     # with no plan the first leaf is refined on the spine; on MISMAPPING a
-    # walk is planned but a sibling's stalls, and refining that sibling's
-    # leaf refines the first leaf too, once
+    # walk is planned, so the first leaf is read, not refined
     coloring = [0] * graph.vertex_count
     record = SearchRecord(graph, coloring, monkeypatch)
-    assert first_leaf_refines(record) == 1
+    assert first_leaf_refines(record) == refines
     assert record.generators == seed_automorphism_generators(graph, coloring)
-    if graph is MISMAPPING:
-        assert record.plans[-1] and False in record.reads
+
+
+@pytest.mark.parametrize("graph, plans", [
+    pytest.param(STALLING, [False], id="STALLING"),
+    pytest.param(MISMAPPING, [False, True], id="MISMAPPING"),
+])
+def test_no_leaf_below_a_planned_node_is_refined(graph, plans, monkeypatch):
+    # On MISMAPPING the walk planned at the spine's second node reaches
+    # every vertex; a sibling's walk then stalls, and that leaf is dropped
+    # unrefined.  On STALLING no walk planned on the spine reaches every
+    # vertex, so the leaves are refined and compared with the first.
+    coloring = [0] * graph.vertex_count
+    record = SearchRecord(graph, coloring, monkeypatch)
+    assert record.plans == plans
+    leaves = len(record.generators.base)  # the depth of the leaves
+    refined_leaves = [prefix for prefix, _ in record.refined_nodes
+                      if len(prefix) == leaves]
+    if plans[-1]:
+        assert False in record.reads and refined_leaves == []
+    else:
+        assert record.reads == [] and refined_leaves
+    assert record.generators == seed_automorphism_generators(graph, coloring)
 
 
 def assert_equals_the_seed_search(record: SearchRecord, graph, coloring):
@@ -1580,6 +1638,44 @@ def test_stabilizers_off_the_first_orbit_of_a_plain_list_match_sympy(case):
     assert_stabilizers_off_the_first_orbit(PermutationGroup(n, gens), gens)
 
 
+def second_chain(group, point):
+    """The chain :meth:`PermutationGroup.stabilizer_generators` builds for a
+    point off the first orbit, the cells it is given, and the stabilizer's
+    generators."""
+    built = []
+
+    def recorded(degree, generators):
+        built.append((PermutationGroup(degree, generators), generators.cells))
+        return built[-1][0]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groups_module, "PermutationGroup", recorded)
+        stabilizer = group.stabilizer_generators(point)
+    [(chain, cells)] = built
+    return chain, cells, stabilizer
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(generator_sets(), colored_graphs().map(
+    lambda case: (case[0].vertex_count, automorphism_generators(*case)))))
+def test_a_second_chain_fits_its_cells(case):
+    # A point off the first orbit gets a chain on (point, *rest of the
+    # base), with the point's orbit and the finished chain's orbit sizes as
+    # cells: the stabilizer of more points has no larger orbits, so no
+    # orbit exceeds its cell, and the chain is complete.
+    n, gens = case
+    group = PermutationGroup(n, gens)
+    first_orbit = transversals(group)[0] if group.base else {}
+    for p in (p for p in range(n) if p not in first_orbit):
+        chain, cells, stabilizer = second_chain(group, p)
+        assert chain.base == [p, *(b for b in group.base if b != p)]
+        assert len(cells) == len(chain.base)
+        assert all(len(t) <= cell for t, cell in zip(transversals(chain), cells))
+        assert chain.order == group.order
+        assert PermutationGroup(n, stabilizer).order == (
+            sympy_group(gens).stabilizer(p).order() if gens else 1)
+
+
 def test_hexagon_order_matches_sympy(aut_group):
     assert aut_group.order == sympy_order(aut_group.generators) == 12096
     assert_base_and_strong_generating_set(aut_group)
@@ -1707,13 +1803,17 @@ def test_line_subdegrees(actions, aut_generators, monkeypatch):
                             CountingSchreierSims(*args, **kwargs)) or built[-1])
     assert lines_action.stabilizer_orbit_sizes(0) == (1, 6, 24, 32)
     # no line is in the first orbit, so a second chain is built, with the
-    # line ahead of the search's base; it has no cells, so each of its 266
-    # Schreier generators is built and stripped whole, and 2 leave a residue
+    # line ahead of the search's base and cells from the finished chain:
+    # the line's orbit, then the first chain's orbit sizes, (63, 63, 48, 4).
+    # Its orbits do not fill them, so its levels are closed, each of the 266
+    # Schreier generators sifted by its base images; only the 2 that leave
+    # a residue are built whole (with no cells, all 266 were)
     [chain] = built
     assert chain.base == [63, *aut_generators.base]
+    assert list(map(len, transversals(chain))) == [63, 3, 32, 2]
     assert chain.order == 12096
     assert sum(chain.formed.values()) == 266
-    assert chain.added == {0: 4, 1: 190, 2: 10, 3: 65, 4: 1}
+    assert chain.added == {0: 4, 1: 2}
     assert chain.residues == {0: 4, 1: 2}
 
 
@@ -1746,6 +1846,17 @@ def test_character_witness_does_not_depend_on_the_base():
     element = witness.on_points + tuple(x + 63 for x in witness.on_lines)
     assert element in list(gens)
     assert all(element in group for group in groups)
+
+
+@pytest.mark.parametrize("npts", [-1, 5, 7, True, 2.0, None])
+def test_character_witness_refuses_a_point_count_off_the_degree(npts):
+    # -1 and True were taken as split points, and 7 raised IndexError
+    group = PermutationGroup(4, [(1, 0, 2, 3), (0, 2, 3, 1)])
+    with pytest.raises(ValueError, match=re.escape(f"npts {npts!r} is not in range(5)")):
+        character_witness(group, npts)
+    # the ends of the range are kept: no points, or no lines
+    assert character_witness(group, 0).on_points == ()
+    assert character_witness(group, 4).on_lines == ()
 
 
 @pytest.mark.parametrize("pairing", [0, 1, 2])
